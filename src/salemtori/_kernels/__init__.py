@@ -1,64 +1,22 @@
-"""Kernel backend selection.
+"""Integer polynomial kernels.
 
-The compiled backend is preferred when the extension built; set
-SALEMTORI_KERNELS=python to force the pure fallback.  Call use() to rebind at
-runtime (the benchmark does this); modules access kernels through this
-package's attributes, so rebinding takes effect everywhere.
+The kernels are defined in pykernels; modules call them as attributes of this
+package (kern.mul, kern.prem, ...).
 """
 
-import os
-
-from . import pykernels
-
-_FORCED = os.environ.get("SALEMTORI_KERNELS", "").strip().lower()
-
-if _FORCED in ("", "c", "cython"):
-    try:
-        from . import ckernels as _impl
-    except ImportError:
-        if _FORCED:
-            raise
-        _impl = pykernels
-elif _FORCED == "python":
-    _impl = pykernels
-else:
-    raise ImportError(f"unknown SALEMTORI_KERNELS value: {_FORCED!r}")
-
-_NAMES = (
-    "normalize",
-    "neg",
-    "add",
-    "sub",
-    "mul",
-    "mul_scalar",
-    "shift",
-    "divmod_monic",
-    "prem",
-    "content",
-    "div_scalar_exact",
-    "deriv",
-    "eval_int",
-    "eval_qq",
+from .pykernels import (
+    add,
+    content,
+    deriv,
+    div_scalar_exact,
+    divmod_monic,
+    eval_int,
+    eval_qq,
+    mul,
+    mul_scalar,
+    neg,
+    normalize,
+    prem,
+    shift,
+    sub,
 )
-
-
-def use(backend):
-    """Rebind every kernel to the named backend ("python" or "cython")."""
-    global _impl, BACKEND
-    if backend == "python":
-        _impl = pykernels
-    elif backend == "cython":
-        from . import ckernels
-
-        _impl = ckernels
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    for name in _NAMES:
-        globals()[name] = getattr(_impl, name)
-    BACKEND = _impl.BACKEND
-    return BACKEND
-
-
-for _name in _NAMES:
-    globals()[_name] = getattr(_impl, _name)
-BACKEND = _impl.BACKEND

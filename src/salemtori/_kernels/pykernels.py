@@ -2,13 +2,10 @@
 
 Polynomials are tuples of Python ints, ascending degree, no trailing zeros;
 the zero polynomial is ().  Everything here is exact: no floats enter and
-Python's bignums never overflow.  The compiled twin in ckernels.pyx exposes
-the same names with the same semantics.
+Python's bignums never overflow.
 """
 
 from math import gcd
-
-BACKEND = "python"
 
 
 def normalize(coeffs):

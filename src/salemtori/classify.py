@@ -17,18 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .errors import NotRealizableError, NotSalemInputError, WrongDegreeError
+from .errors import CertificationError, NotRealizableError, NotSalemInputError, WrongDegreeError
 from .poly import (
     ONE,
     ZERO,
     IntPoly,
+    _quadratic_split,
     _signed_divisors,
     cyclotomic,
     is_irreducible,
     is_squarefree,
     squarefree_part,
 )
-from .salem import NotSalem, SalemCertificate, is_salem, isolate_all_roots
+from .salem import NotSalem, SalemCertificate, SturmChain, is_salem
 from .wedge import invert_wedge, square_values
 
 CASE_DEG6 = "Case1_deg6"
@@ -219,17 +220,18 @@ def pairing_classes(p: IntPoly) -> tuple:
     Squarefree P with no real roots: two classes, (upper, upper) and
     (upper, lower) across the two conjugate pairs.  P = G^2 with G real
     hyperbolic: the single diagonal class through gl2z_model.  Anything
-    else admits no pairing.
+    else admits no pairing.  Indices follow isolate_all_roots, which lists
+    the two pairs of a quartic without real roots as (upper, lower, upper,
+    lower), so an exact Sturm count decides the classes.
     """
+    if p.degree != 4:
+        raise WrongDegreeError(f"expected a quartic, got degree {p.degree}")
     if is_squarefree(p):
-        boxes = isolate_all_roots(p)
-        if any(b.is_real for b in boxes):
+        if SturmChain(p).count_real():
             return ()
-        uppers = [i for i, b in enumerate(boxes) if b.im.lo > 0]
-        i1, i2 = uppers
         return (
-            PairingClass("conjugate", indices=(i1, i2)),
-            PairingClass("conjugate", indices=(i1, boxes[i2].conjugate_index)),
+            PairingClass("conjugate", indices=(0, 2)),
+            PairingClass("conjugate", indices=(0, 3)),
         )
     g = squarefree_part(p)
     if g.degree == 2 and g * g == p:
@@ -277,14 +279,11 @@ def realizable(s) -> ClassificationReport:
 def _check_split_complement(c_poly: IntPoly, p_poly: IntPoly):
     # with both square tests failing, the complement must split into two
     # distinct quadratics t^2 + jt + 1 and P must be irreducible
-    pairs = [
-        (j, k)
-        for j in range(-2, 3)
-        for k in range(j, 3)
-        if IntPoly((1, j, 1)) * IntPoly((1, k, 1)) == c_poly
-    ]
-    assert pairs and pairs[0][0] != pairs[0][1], f"complement {c_poly} does not split distinctly"
-    assert is_irreducible(p_poly), f"witness {p_poly} unexpectedly factors"
+    jk = _quadratic_split(c_poly)
+    if jk is None or jk[0] == jk[1]:
+        raise CertificationError(f"complement {c_poly} does not split distinctly")
+    if not is_irreducible(p_poly):
+        raise CertificationError(f"witness {p_poly} unexpectedly factors")
 
 
 def finiteness(s):

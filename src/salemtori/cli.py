@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -20,7 +21,7 @@ from fractions import Fraction
 from .classify import SHORT_CASE, InfiniteFamily, realizable
 from .errors import ParseError, SalemToriError
 from .intervals import Interval, decimal_string
-from .poly import IntPoly, format_poly, parse_poly
+from .poly import IntPoly, format_poly, parse_ints, parse_poly
 from .salem import is_salem, lambda_approx
 from .torus import (
     NotForced,
@@ -243,7 +244,7 @@ def _build_model(args, parser):
         if args.d is None:
             parser.error("quad-order needs --d")
         if args.entries is not None:
-            vals = [int(v) for v in args.entries.split(",")]
+            vals = parse_ints(args.entries, "entry")
             if len(vals) != 8:
                 parser.error("--entries needs 8 integers a00,b00,a01,b01,a10,b10,a11,b11")
             e = (
@@ -260,10 +261,9 @@ def _build_model(args, parser):
         p = parse_poly(args.poly)
         pairing = None
         if args.pairing is not None:
-            parts = args.pairing.split(",")
-            if len(parts) != 2:
+            pairing = tuple(parse_ints(args.pairing, "pairing index"))
+            if len(pairing) != 2:
                 parser.error("--pairing needs two indices i,j")
-            pairing = (int(parts[0]), int(parts[1]))
         return from_quartic(p, pairing)
     if fam == "dyadic-cm":
         if args.n is None or args.k is None:
@@ -500,6 +500,8 @@ def main(argv=None) -> int:
                 parser.error("--max-coeff must be nonnegative")
             if args.workers < 1:
                 parser.error("--workers must be at least 1")
+            # more processes than CPUs gain nothing; the rows do not depend on it
+            args.workers = min(args.workers, os.cpu_count() or 1)
             return cmd_enumerate(args)
         parser.error(f"unknown command {args.command}")
     except ParseError as exc:

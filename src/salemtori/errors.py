@@ -78,3 +78,8 @@ class ParseError(SalemToriError):
     def __init__(self, message: str, position: int = -1):
         super().__init__(message)
         self.position = position
+
+
+class CertificationError(SalemToriError):
+    """A certification invariant failed, e.g. bisection endpoints that do not
+    bracket a root.  Raised rather than asserted, so it holds under python -O."""

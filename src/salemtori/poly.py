@@ -2,7 +2,7 @@
 
 IntPoly wraps a tuple of int coefficients in ascending degree order.  All
 operations are exact; nothing here touches floating point.  Heavy lifting is
-delegated to the kernel backend (compiled when available).
+delegated to the coefficient kernels in _kernels.
 """
 
 from __future__ import annotations
@@ -180,6 +180,27 @@ ONE = IntPoly((1,))
 X = IntPoly((0, 1))
 
 
+def parse_ints(text: str, what: str = "coefficient") -> list:
+    """Parse comma-separated integers.
+
+    Raises ParseError with the character position of the bad token; what
+    names a token in the message.
+    """
+    out = []
+    pos = 0
+    for chunk in text.split(","):
+        token = chunk.strip()
+        start = pos + (len(chunk) - len(chunk.lstrip()))
+        if not token:
+            raise ParseError(f"empty {what}", start)
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise ParseError(f"bad {what} {token!r}", start) from None
+        pos += len(chunk) + 1
+    return out
+
+
 def parse_poly(text: str) -> IntPoly:
     """Parse comma-separated integer coefficients, highest degree first.
 
@@ -188,19 +209,7 @@ def parse_poly(text: str) -> IntPoly:
     """
     if text is None or not text.strip():
         raise ParseError("empty polynomial", 0)
-    coeffs = []
-    pos = 0
-    for chunk in text.split(","):
-        token = chunk.strip()
-        start = pos + (len(chunk) - len(chunk.lstrip()))
-        if not token:
-            raise ParseError("empty coefficient", start)
-        try:
-            coeffs.append(int(token))
-        except ValueError:
-            raise ParseError(f"bad coefficient {token!r}", start) from None
-        pos += len(chunk) + 1
-    return IntPoly.from_descending(coeffs)
+    return IntPoly.from_descending(parse_ints(text))
 
 
 def format_poly(p: IntPoly) -> str:
@@ -224,6 +233,20 @@ def divisors(n: int):
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def _quadratic_split(c: IntPoly):
+    """(j, k) with j <= k and c = (t^2 + jt + 1)(t^2 + kt + 1), |j|, |k| <= 2,
+    or None."""
+    for j in range(-2, 3):
+        for k in range(j, 3):
+            if IntPoly((1, j, 1)) * IntPoly((1, k, 1)) == c:
+                return (j, k)
+    return None
 
 
 def _signed_divisors(n: int):

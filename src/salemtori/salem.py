@@ -20,6 +20,7 @@ import mpmath
 
 from . import _kernels as kern
 from .errors import (
+    CertificationError,
     DegreeTooLargeError,
     NotMonicError,
     NotReciprocalError,
@@ -171,31 +172,53 @@ def cauchy_bound(p: IntPoly) -> int:
     return 1 + max(abs(c) for c in p.coeffs)
 
 
-def _bisect_simple_root(p: IntPoly, lo: Fraction, hi: Fraction, bits: int) -> Interval:
-    """Shrink (lo, hi) around a simple root; endpoint signs must differ."""
-    s_lo = p.sign_at(lo)
-    s_hi = p.sign_at(hi)
-    assert s_lo and s_hi and s_lo != s_hi
-    target = Fraction(1, 1 << bits)
-    while hi - lo > target:
+def _bisect(lo: Fraction, hi: Fraction, width: Fraction, root_left):
+    """Halve (lo, hi] around its one root until it is at most width wide.
+
+    root_left(x) is True when the root lies in (lo, x], False when it lies
+    beyond x, and None when x is itself a root.  Raises CertificationError
+    unless root_left is False at lo and True at hi, or if a midpoint is a root.
+    """
+    if root_left(lo) is not False or root_left(hi) is not True:
+        raise CertificationError(f"({lo}, {hi}] does not bracket a root")
+    while hi - lo > width:
         mid = (lo + hi) / 2
-        s = p.sign_at(mid)
-        assert s != 0, "rational root hit during bisection"
-        if s == s_lo:
-            lo = mid
-        else:
+        left = root_left(mid)
+        if left is None:
+            raise CertificationError(f"rational root {mid} hit during bisection")
+        if left:
             hi = mid
-    return Interval(lo, hi)
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _sign_test(p: IntPoly, hi: Fraction):
+    """root_left for a sign change of p below hi: p(x) has the sign of p(hi)."""
+    s_hi = p.sign_at(hi)
+
+    def root_left(x):
+        s = p.sign_at(x)
+        return None if s == 0 else s == s_hi
+
+    return root_left
+
+
+def _sturm_test(chain: SturmChain, lo: Fraction):
+    """root_left for the one root of the chain's polynomial in (lo, hi]."""
+    v_lo = chain.variations_at(lo)
+    return lambda x: v_lo - chain.variations_at(x) == 1
 
 
 def lambda_interval(p: IntPoly, bits: int = 48) -> Interval:
     """Certified enclosure of the unique root in (1, inf).
 
     The caller is responsible for p actually being Salem (or at least having
-    exactly one simple root beyond 1 and p(1) < 0); asserts guard misuse.
+    exactly one simple root beyond 1 and p(1) < 0); CertificationError
+    guards misuse.
     """
     b = Fraction(cauchy_bound(p))
-    return _bisect_simple_root(p, Fraction(1), b, bits)
+    return Interval(*_bisect(Fraction(1), b, Fraction(1, 1 << bits), _sign_test(p, b)))
 
 
 def is_salem(p: IntPoly, bits: int = 48):
@@ -261,11 +284,12 @@ def count_real_roots(p: IntPoly, a, b) -> int:
 def lambda_approx(cert, eps) -> Interval:
     """Shrink a certificate's root enclosure below a requested width."""
     eps = Fraction(eps)
-    assert eps > 0
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     bits = (eps.denominator // eps.numerator).bit_length() + 1
     iv = cert.root_interval
     while iv.width > eps:
-        iv = _bisect_simple_root(cert.poly, iv.lo, iv.hi, bits)
+        iv = Interval(*_bisect(iv.lo, iv.hi, Fraction(1, 1 << bits), _sign_test(cert.poly, iv.hi)))
         bits += 8
     return iv
 
@@ -335,15 +359,7 @@ def isolate_real_roots(p: IntPoly, bits: int = 24):
                 work.append((mid, hi))
             target = Fraction(1, 1 << bits)
             while True:
-                refined = []
-                for lo, hi in isolated:
-                    while hi - lo > target:
-                        mid = (lo + hi) / 2
-                        if chain.count_half_open(lo, mid) == 1:
-                            hi = mid
-                        else:
-                            lo = mid
-                    refined.append((lo, hi))
+                refined = [_bisect(lo, hi, target, _sturm_test(chain, lo)) for lo, hi in isolated]
                 ok = all(a_hi < b_lo for (_, a_hi), (b_lo, _) in zip(sorted(refined), sorted(refined)[1:]))
                 if ok and all(
                     not (lo <= r <= hi) for lo, hi in refined for r in int_roots
@@ -369,6 +385,14 @@ def _dyadic(fr: Fraction, bits: int) -> Fraction:
 
 
 _DPS_LADDER = (60, 120, 240, 480, 960)
+
+
+def _seed_box(p: IntPoly, z, dps: int):
+    """_certified_box at the dyadic rounding of an mpmath seed found at dps."""
+    bits = int(dps * 3.32) + 16
+    x0 = _dyadic(mpf_tuple_to_fraction(mpmath.re(z)._mpf_), bits)
+    y0 = _dyadic(mpf_tuple_to_fraction(mpmath.im(z)._mpf_), bits)
+    return _certified_box(p, x0, y0, bits)
 
 
 def _certified_box(p: IntPoly, x0: Fraction, y0: Fraction, bits: int):
@@ -404,8 +428,9 @@ def isolate_all_roots(p: IntPoly, width: Fraction = Fraction(1, 1 << 24)):
     while any(iv.width > width for iv in reals):
         bits += 8
         reals = isolate_real_roots(p, bits=bits)
-    n_pairs = (p.degree - len(reals)) // 2
-    assert len(reals) + 2 * n_pairs == p.degree
+    n_pairs, odd = divmod(p.degree - len(reals), 2)
+    if odd:
+        raise CertificationError(f"{len(reals)} real roots for degree {p.degree}")
     uppers = []
     if n_pairs:
         uppers = _upper_boxes(p, n_pairs, width)
@@ -435,13 +460,10 @@ def _upper_boxes(p: IntPoly, n_pairs: int, width: Fraction):
         ups.sort(key=lambda z: -mpmath.im(z))
         cand = ups[:n_pairs]
         cand.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
-        bits = int(dps * 3.32) + 16
         boxes = []
         ok = True
         for z in cand:
-            x0 = _dyadic(mpf_tuple_to_fraction(mpmath.re(z)._mpf_), bits)
-            y0 = _dyadic(mpf_tuple_to_fraction(mpmath.im(z)._mpf_), bits)
-            box = _certified_box(p, x0, y0, bits)
+            box = _seed_box(p, z, dps)
             if box is None or box.im.lo <= 0 or box.re.width > width or box.im.width > width:
                 ok = False
                 last_err = f"seed at dps {dps} not certifiable"
@@ -470,18 +492,7 @@ def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
     if rb.re.width <= width and rb.im.width <= width:
         return rb
     if rb.is_real:
-        lo, hi = rb.re.lo, rb.re.hi
-        s_lo = p.sign_at(lo)
-        s_hi = p.sign_at(hi)
-        assert s_lo and s_hi and s_lo != s_hi, "real box endpoints must bracket"
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            s = p.sign_at(mid)
-            assert s != 0
-            if s == s_lo:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect(rb.re.lo, rb.re.hi, width, _sign_test(p, rb.re.hi))
         return RootBox(Interval(lo, hi), Interval.point(0), rb.conjugate_index)
     deg_coeffs = list(reversed(p.coeffs))
     target = rb.box
@@ -492,10 +503,7 @@ def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
             cy = float((target.im.lo + target.im.hi) / 2)
             seeds.sort(key=lambda z: abs(z - mpmath.mpc(cx, cy)))
             z = seeds[0]
-        bits = int(dps * 3.32) + 16
-        x0 = _dyadic(mpf_tuple_to_fraction(mpmath.re(z)._mpf_), bits)
-        y0 = _dyadic(mpf_tuple_to_fraction(mpmath.im(z)._mpf_), bits)
-        box = _certified_box(p, x0, y0, bits)
+        box = _seed_box(p, z, dps)
         if box is None:
             continue
         inside = (

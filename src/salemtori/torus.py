@@ -31,7 +31,7 @@ from .errors import (
     ZeroEntropyError,
 )
 from .intervals import Box, Interval, log_interval, sqrt_lb, sqrt_ub
-from .poly import ONE, IntPoly, split_cyclotomic, squarefree_part
+from .poly import ONE, IntPoly, _is_square, _quadratic_split, split_cyclotomic, squarefree_part
 from .salem import RootBox, is_salem, isolate_all_roots, lambda_interval, refine_root_box
 from .wedge import exterior_square
 
@@ -506,10 +506,6 @@ class _UnconstrainedRank:
 UNCONSTRAINED = _UnconstrainedRank()
 
 
-def _is_square(v: int) -> bool:
-    return v >= 0 and isqrt(v) ** 2 == v
-
-
 def picard_rank(model: TorusModel):
     """Rank forced by (Salem degree, projectivity): 0, 2, 4, or UNCONSTRAINED."""
     rest = _salem_rest(model)
@@ -564,14 +560,6 @@ class NotForced:
 
     def __bool__(self):
         return False
-
-
-def _quadratic_split(c: IntPoly):
-    for j in range(-2, 3):
-        for k in range(j, 3):
-            if IntPoly((1, j, 1)) * IntPoly((1, k, 1)) == c:
-                return (j, k)
-    return None
 
 
 def ns_charpoly(model: TorusModel):

@@ -13,7 +13,7 @@ from math import isqrt
 from typing import Optional
 
 from .errors import NotMonicError, WrongDegreeError
-from .poly import IntPoly
+from .poly import IntPoly, _is_square
 
 
 def exterior_square(p: IntPoly) -> IntPoly:
@@ -82,10 +82,10 @@ def square_values(q: IntPoly):
     if q.degree != 6:
         raise WrongDegreeError(f"expected degree 6, got {q.degree}")
     v1 = -q(1)
-    if v1 < 0 or isqrt(v1) ** 2 != v1:
+    if not _is_square(v1):
         return NotSquare(1, v1)
     vm1 = q(-1)
-    if vm1 < 0 or isqrt(vm1) ** 2 != vm1:
+    if not _is_square(vm1):
         return NotSquare(-1, vm1)
     return SquareValues(isqrt(v1), isqrt(vm1))
 
@@ -126,8 +126,8 @@ def invert_wedge(q: IntPoly) -> InversionCandidates:
     raw = (
         IntPoly((1, k, mid, j, 1)),
         IntPoly((1, -k, mid, -j, 1)),
-        IntPoly((1, -j, mid, k, 1)),
-        IntPoly((1, j, mid, -k, 1)),
+        IntPoly((1, -j, mid, -k, 1)),
+        IntPoly((1, j, mid, k, 1)),
     )
     cands = []
     for c in raw:

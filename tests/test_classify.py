@@ -17,7 +17,7 @@ from salemtori.classify import (
 )
 from salemtori.errors import NotRealizableError, NotSalemInputError, WrongDegreeError
 from salemtori.poly import IntPoly, cyclotomic, is_cyclotomic_product
-from salemtori.salem import is_salem
+from salemtori.salem import is_salem, isolate_all_roots
 from salemtori.wedge import exterior_square
 
 S2A = IntPoly((1, -3, 1))
@@ -119,8 +119,22 @@ class TestPairingClasses:
         assert cls[0].indices == (0, 2)
         assert cls[1].indices == (0, 3)
 
+    def test_indices_follow_root_isolation(self):
+        # the classes are read off isolate_all_roots' order: upper, lower,
+        # upper, lower for a quartic without real roots
+        for coeffs in ((1, 1, 0, 0, 1), (1, -2, 4, -2, 1), (1, 3, 4, 2, 1), (1, -4, 5, -2, 1)):
+            p = IntPoly(coeffs)
+            boxes = isolate_all_roots(p)
+            assert [b.im.lo > 0 for b in boxes] == [True, False, True, False]
+            assert boxes[2].conjugate_index == 3
+            assert [c.indices for c in pairing_classes(p)] == [(0, 2), (0, 3)]
+
     def test_real_roots_rejected(self):
         assert pairing_classes(S4) == ()
+
+    def test_quartics_only(self):
+        with pytest.raises(WrongDegreeError):
+            pairing_classes(IntPoly((1, 1, 1)))
 
     def test_hyperbolic_square(self):
         p = IntPoly((-1, -1, 1)) ** 2  # (t^2 - t - 1)^2

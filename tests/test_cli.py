@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from salemtori import cli
+
 
 def run(*args, **kw):
     return subprocess.run(
@@ -166,6 +170,19 @@ class TestConstruct:
         out = run("construct", "gl2z", "--r", "1", "--det", "-1", "--eps", "0")
         assert out.returncode == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("quad-order", "--d", "1", "--entries", "1,x,0,0,0,0,0,0"), "bad entry 'x'"),
+            (("quartic", "--poly", "1,-2,4,-2,1", "--pairing", "a,b"), "bad pairing index 'a'"),
+        ],
+    )
+    def test_malformed_option_is_parse_error(self, argv, message):
+        out = run("construct", *argv)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == f"salemtori: parse error: {message}\n"
+
 
 class TestReorientAndNs:
     def test_reorient_flips_projectivity(self):
@@ -220,6 +237,17 @@ class TestEnumerate:
         b = run("enumerate", "--degree", "4", "--max-coeff", "2", "--workers", "2")
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("cpus, asked, used", [(2, 100000, 2), (2, 2, 2), (8, 2, 2), (None, 4, 1)])
+def test_workers_capped_at_cpu_count(monkeypatch, capsys, cpus, asked, used):
+    seen = []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_collect_rows", lambda degree, bound, workers: seen.append(workers) or [])
+    argv = ["enumerate", "--degree", "2", "--max-coeff", "1", "--workers", str(asked)]
+    assert cli.main(argv) == 0
+    assert seen == [used]
+    assert capsys.readouterr().out.startswith("s_poly,")
 
 
 def test_out_flag(tmp_path):

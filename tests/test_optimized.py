@@ -1,0 +1,44 @@
+"""Certification guards and outputs are the same under python -O."""
+
+import subprocess
+import sys
+
+import pytest
+
+NOT_BRACKETING = """
+from fractions import Fraction
+from salemtori.errors import CertificationError
+from salemtori.intervals import Interval
+from salemtori.poly import IntPoly
+from salemtori.salem import RootBox, refine_root_box
+
+# t^2 - 2 is positive at both ends of (2, 3]
+try:
+    refine_root_box(IntPoly((-2, 0, 1)), RootBox(Interval(2, 3), Interval.point(0)), Fraction(1, 8))
+except CertificationError as exc:
+    print("CertificationError:", exc)
+"""
+
+
+def python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True)
+
+
+def test_non_bracketing_call_raises_under_O():
+    out = python("-O", "-c", NOT_BRACKETING)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificationError: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("is-salem", "1,-3,1"),
+        ("construct", "quad-order", "--d", "2", "--b1", "0", "--b2", "1"),
+    ],
+)
+def test_cli_output_unchanged_under_O(argv):
+    plain = python("-m", "salemtori.cli", *argv)
+    optimized = python("-O", "-m", "salemtori.cli", *argv)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout and plain.stdout == optimized.stdout

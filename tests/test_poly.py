@@ -18,6 +18,7 @@ from salemtori.poly import (
     format_poly,
     gcd_poly,
     is_cyclotomic_product,
+    parse_ints,
     is_irreducible,
     is_squarefree,
     parse_poly,
@@ -92,6 +93,13 @@ class TestParse:
     def test_bad_token(self):
         with pytest.raises(ParseError):
             parse_poly("1,x,2")
+
+    def test_parse_ints(self):
+        assert parse_ints(" 0, -3 ,12") == [0, -3, 12]
+        with pytest.raises(ParseError) as ei:
+            parse_ints("1, 2,a", "entry")
+        assert ei.value.position == 5
+        assert str(ei.value) == "bad entry 'a'"
 
     @given(small_poly)
     def test_roundtrip(self, p):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salemtori.errors import DegreeTooLargeError, NotReciprocalError, NotSquarefreeError
+from salemtori.errors import CertificationError, DegreeTooLargeError, NotReciprocalError, NotSquarefreeError
+from salemtori.intervals import Interval
 from salemtori.poly import IntPoly, cyclotomic
 from salemtori.salem import (
+    RootBox,
     SturmChain,
     count_real_roots,
     is_salem,
@@ -179,6 +181,11 @@ class TestIsolateAll:
     def test_squarefree_gate(self):
         with pytest.raises(NotSquarefreeError):
             isolate_all_roots(IntPoly((1, 2, 1)))
+
+    def test_refine_rejects_rational_midpoint_root(self):
+        # the first midpoint of (0, 2] is the root of t - 1
+        with pytest.raises(CertificationError):
+            refine_root_box(IntPoly((-1, 1)), RootBox(Interval(0, 2), Interval.point(0)), Fraction(1, 8))
 
     def test_disjoint_and_refinable(self):
         boxes = isolate_all_roots(GOLDEN_QUARTIC)

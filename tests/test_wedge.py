@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salemtori.errors import WrongDegreeError
@@ -101,12 +101,12 @@ class TestInvertWedge:
         assert set(inv.verified) <= set(inv.candidates)
         assert IntPoly((1, -2, 4, -2, 1)) in inv.verified
 
-    @given(st.tuples(*[st.integers(min_value=-4, max_value=4)] * 2))
+    @given(st.tuples(*[st.integers(min_value=-4, max_value=4)] * 3))
+    @example((-3, 1, 2))  # t^4 + 2t^3 + t^2 - 3t + 1: p != +-r and pr != 0
     @settings(max_examples=40, deadline=None)
-    def test_roundtrip_constant_one(self, ab):
-        # reciprocal quartics with constant 1 must be recovered
-        a, b = ab
-        p = IntPoly((1, a, b, a, 1))
+    def test_roundtrip_constant_one(self, tail):
+        # every monic quartic with constant 1 must be recovered
+        p = IntPoly((1,) + tail + (1,))
         inv = invert_wedge(exterior_square(p))
         assert p in inv.verified
 
