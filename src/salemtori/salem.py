@@ -12,11 +12,12 @@ seed complex root boxes, which are then certified exactly.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
-
-import mpmath
 
 from . import _kernels as kern
 from .errors import (
@@ -27,10 +28,15 @@ from .errors import (
     NotSquarefreeError,
     OddDegreeError,
 )
-from .intervals import Box, Interval, mpf_tuple_to_fraction, sqrt_ub
+from .intervals import Box, Interval
 from .poly import IntPoly, _signed_divisors, factor_bounded, is_squarefree
 
 MAX_DEGREE = 8
+# complex root boxes are certified at 2**-200, about the width of a 60-digit
+# seed, so their 12-place decimals are those of the roots themselves
+_BOX_BITS = 200
+_ABERTH_STEPS = 500
+_NEWTON_STEPS = 64
 
 
 def trace_transform(p: IntPoly) -> IntPoly:
@@ -372,50 +378,110 @@ def isolate_real_roots(p: IntPoly, bits: int = 24):
     return out
 
 
-def _eval_complex(c, x: Fraction, y: Fraction):
-    """Exact p(x + iy) as a pair of Fractions."""
-    re, im = Fraction(0), Fraction(0)
-    for coef in reversed(c):
-        re, im = re * x - im * y + coef, re * y + im * x
+def _float_seeds(p: IntPoly):
+    """Every complex root of a monic p to about float accuracy, by Aberth's
+    simultaneous iteration.
+
+    The start points sit on a circle of Fujiwara's root-bound radius, turned
+    off the real axis so that real arithmetic cannot trap them there.  Raises
+    CertificationError when the coefficients or the iterates leave the float
+    range.
+    """
+    n = p.degree
+    try:
+        a = [float(x) for x in p.coeffs]
+        rho = 2 * max(abs(a[j]) ** (1 / (n - j)) for j in range(n))
+        z = [rho * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+        for _ in range(_ABERTH_STEPS):
+            settled = True
+            for i in range(n):
+                zi = z[i]
+                pv = dv = 0j
+                for coef in reversed(a):
+                    dv = dv * zi + pv
+                    pv = pv * zi + coef
+                if pv == 0:
+                    continue
+                ratio = pv / dv
+                w = ratio / (1 - ratio * sum(1 / (zi - z[j]) for j in range(n) if j != i))
+                z[i] = zi - w
+                settled = settled and abs(w) <= 1e-15 * abs(z[i])
+            if settled:
+                break
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise CertificationError(f"float seeding failed for {p}: {exc}") from None
+    if not all(cmath.isfinite(zi) for zi in z):
+        raise CertificationError(f"float seeding left the float range for {p}")
+    return z
+
+
+def _scaled_eval(c, x: int, y: int, k: int):
+    """2**(k*m) * f((x + iy) / 2**k) as a Gaussian integer, for f of degree m
+    with ascending coefficients c."""
+    m = len(c) - 1
+    re, im = c[m], 0
+    for j in range(m - 1, -1, -1):
+        s = c[j] << (k * (m - j))
+        re, im = re * x - im * y + s, re * y + im * x
     return re, im
 
 
-def _dyadic(fr: Fraction, bits: int) -> Fraction:
-    return Fraction(round(fr * (1 << bits)), 1 << bits)
+def _round_div(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, for b > 0."""
+    return (2 * a + b) // (2 * b)
 
 
-_DPS_LADDER = (60, 120, 240, 480, 960)
+def _newton_box(p: IntPoly, x: Fraction, y: Fraction, bits: int) -> Box:
+    """Certified box around the root that Newton's method reaches from x + iy.
 
-
-def _seed_box(p: IntPoly, z, dps: int):
-    """_certified_box at the dyadic rounding of an mpmath seed found at dps."""
-    bits = int(dps * 3.32) + 16
-    x0 = _dyadic(mpf_tuple_to_fraction(mpmath.re(z)._mpf_), bits)
-    y0 = _dyadic(mpf_tuple_to_fraction(mpmath.im(z)._mpf_), bits)
-    return _certified_box(p, x0, y0, bits)
-
-
-def _certified_box(p: IntPoly, x0: Fraction, y0: Fraction, bits: int):
-    """Inclusion box around a seed: half-width n*|p/p'| at the seed, inflated
-    so the guaranteed root is strictly interior.  None if p'(seed) = 0."""
+    The iterate is a Gaussian integer over 2**k.  Each Newton step is exact
+    and rounds to the nearest point over 2**min(2k, bits), so the precision
+    doubles up to 2**-bits; there the steps go on until they move the
+    iterate by at most one unit.  k starts at 53 bits below the leading bit
+    of the start point, as for a float.  The box is the inclusion disc of
+    radius n*|p/p'| at the last iterate, rounded outward to whole units of
+    2**-bits with one unit to spare, so the root it holds lies at least
+    2**-bits inside every edge.
+    """
     c = p.coeffs
+    dc = kern.deriv(c)
     n = p.degree
-    pr, pi = _eval_complex(c, x0, y0)
-    dr, di = _eval_complex(kern.deriv(c), x0, y0)
-    d2 = dr * dr + di * di
-    if d2 == 0:
-        return None
-    ratio = (pr * pr + pi * pi) / d2
-    r = n * sqrt_ub(ratio, bits) * Fraction(1025, 1024)
-    return Box(Interval(x0 - r, x0 + r), Interval(y0 - r, y0 + r))
+    k = max(1, min(bits, 53 - math.frexp(float(max(abs(x), abs(y))))[1]))
+    X, Y = round(x * (1 << k)), round(y * (1 << k))
+    settled = False
+    for _ in range(_NEWTON_STEPS):
+        pr, pi = _scaled_eval(c, X, Y, k)
+        qr, qi = _scaled_eval(dc, X, Y, k)
+        # p / p' = (pr + i pi) / ((qr + i qi) 2**k)
+        den = qr * qr + qi * qi
+        if den == 0:
+            raise CertificationError(f"p' vanishes at a Newton iterate for {p}")
+        if settled:
+            m = -(-(n * n * (pr * pr + pi * pi)) // den)
+            r = math.isqrt(m) + 2
+            s = 1 << bits
+            return Box(
+                Interval(Fraction(X - r, s), Fraction(X + r, s)),
+                Interval(Fraction(Y - r, s), Fraction(Y + r, s)),
+            )
+        k2 = min(2 * k, bits)
+        shift = k2 - k
+        dx = _round_div((pr * qr + pi * qi) << shift, den)
+        dy = _round_div((pi * qr - pr * qi) << shift, den)
+        X, Y, k = (X << shift) - dx, (Y << shift) - dy, k2
+        settled = k == bits and abs(dx) <= 1 and abs(dy) <= 1
+    raise CertificationError(f"Newton's method did not settle on a root of {p}")
 
 
+@lru_cache(maxsize=1024)
 def isolate_all_roots(p: IntPoly, width: Fraction = Fraction(1, 1 << 24)):
     """Certified boxes isolating every complex root of a squarefree monic p.
 
     Returns RootBox tuples: pairwise disjoint, exactly one root in each, real
-    roots flagged with zero imaginary part, non-real ones in conjugate pairs
-    wired up through conjugate_index.
+    roots flagged with zero imaginary part and listed first in ascending
+    order, then each upper-half-plane root followed by its conjugate, the
+    upper ones ordered by the (re, im) of their box centres; conjugate_index
+    wires up each pair.  Results are memoised per (p, width).
     """
     if p.degree > MAX_DEGREE:
         raise DegreeTooLargeError(f"degree {p.degree} > {MAX_DEGREE}")
@@ -423,7 +489,7 @@ def isolate_all_roots(p: IntPoly, width: Fraction = Fraction(1, 1 << 24)):
         raise NotMonicError("root isolation needs a monic polynomial")
     if not is_squarefree(p):
         raise NotSquarefreeError(f"{p} has repeated roots")
-    bits = max(24, -(width.numerator.bit_length() - width.denominator.bit_length()) + 4)
+    bits = max(24, _width_bits(width) + 4)
     reals = isolate_real_roots(p, bits=bits)
     while any(iv.width > width for iv in reals):
         bits += 8
@@ -445,46 +511,33 @@ def isolate_all_roots(p: IntPoly, width: Fraction = Fraction(1, 1 << 24)):
     return tuple(boxes)
 
 
+def _width_bits(width: Fraction) -> int:
+    """About log2(1/width)."""
+    return width.denominator.bit_length() - width.numerator.bit_length()
+
+
 def _upper_boxes(p: IntPoly, n_pairs: int, width: Fraction):
-    deg_coeffs = list(reversed(p.coeffs))
-    last_err = "no attempt"
-    for dps in _DPS_LADDER:
-        with mpmath.workdps(dps):
-            seeds = mpmath.polyroots(deg_coeffs, maxsteps=200, extraprec=2 * dps)
-        ups = [z for z in seeds if mpmath.im(z) > 0]
-        if len(ups) < n_pairs:
-            last_err = f"only {len(ups)} upper seeds at dps {dps}"
-            continue
-        # real roots can leak in with tiny imaginary noise; the genuinely
-        # complex seeds dominate once the precision is high enough
-        ups.sort(key=lambda z: -mpmath.im(z))
-        cand = ups[:n_pairs]
-        cand.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
-        boxes = []
-        ok = True
-        for z in cand:
-            box = _seed_box(p, z, dps)
-            if box is None or box.im.lo <= 0 or box.re.width > width or box.im.width > width:
-                ok = False
-                last_err = f"seed at dps {dps} not certifiable"
-                break
-            boxes.append(box)
-        if not ok:
-            continue
-        disjoint = all(
-            not boxes[i].intersects(boxes[j]) for i in range(len(boxes)) for j in range(i + 1, len(boxes))
-        )
-        if disjoint:
-            return boxes
-        last_err = f"boxes overlap at dps {dps}"
-    raise RuntimeError(f"complex root isolation failed for {p}: {last_err}")
+    # real roots come out of the float iteration with rounding noise in the
+    # imaginary part; the n_pairs largest imaginary parts are the complex ones
+    seeds = sorted(_float_seeds(p), key=lambda z: -z.imag)[:n_pairs]
+    bits = max(_BOX_BITS, _width_bits(width) + 8)
+    boxes = []
+    for z in seeds:
+        # a root closer to the real axis than 1/2 gets one more bit for each
+        # binary place it is closer, so its box stays clear of the axis
+        box = _newton_box(p, Fraction(z.real), Fraction(z.imag), bits - min(0, math.frexp(z.imag)[1]))
+        if box.im.lo <= 0 or box.re.width > width:
+            raise CertificationError(f"complex root isolation failed for {p}: box {box}")
+        boxes.append(box)
+    boxes.sort(key=lambda b: (b.re.mid, b.im.mid))
+    return boxes
 
 
 def _check_disjoint(boxes):
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
             if boxes[i].box.intersects(boxes[j].box):
-                raise RuntimeError("root boxes overlap")
+                raise CertificationError("root boxes overlap")
 
 
 def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
@@ -494,24 +547,14 @@ def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
     if rb.is_real:
         lo, hi = _bisect(rb.re.lo, rb.re.hi, width, _sign_test(p, rb.re.hi))
         return RootBox(Interval(lo, hi), Interval.point(0), rb.conjugate_index)
-    deg_coeffs = list(reversed(p.coeffs))
     target = rb.box
-    for dps in _DPS_LADDER:
-        with mpmath.workdps(dps):
-            seeds = mpmath.polyroots(deg_coeffs, maxsteps=200, extraprec=2 * dps)
-            cx = float((target.re.lo + target.re.hi) / 2)
-            cy = float((target.im.lo + target.im.hi) / 2)
-            seeds.sort(key=lambda z: abs(z - mpmath.mpc(cx, cy)))
-            z = seeds[0]
-        box = _seed_box(p, z, dps)
-        if box is None:
-            continue
-        inside = (
-            target.re.lo <= box.re.lo
-            and box.re.hi <= target.re.hi
-            and target.im.lo <= box.im.lo
-            and box.im.hi <= target.im.hi
-        )
-        if inside and box.re.width <= width and box.im.width <= width:
-            return RootBox(box.re, box.im, rb.conjugate_index)
-    raise RuntimeError(f"could not refine box for {p}")
+    box = _newton_box(p, target.re.mid, target.im.mid, _width_bits(width) + 8)
+    inside = (
+        target.re.lo <= box.re.lo
+        and box.re.hi <= target.re.hi
+        and target.im.lo <= box.im.lo
+        and box.im.hi <= target.im.hi
+    )
+    if not inside or box.re.width > width:
+        raise CertificationError(f"could not refine box for {p}")
+    return RootBox(box.re, box.im, rb.conjugate_index)

@@ -22,6 +22,7 @@ from typing import Optional
 
 from .errors import (
     BadParametersError,
+    CertificationError,
     NotApplicableError,
     NotHyperbolicError,
     NotMonicError,
@@ -346,7 +347,8 @@ def _match_pairing(model, tau, delta, d):
             prod = boxes[i].box * boxes[j].box
             if ssum.intersects(tau_box) and prod.intersects(delta_box):
                 keep.append((i, j))
-        assert keep, "eigenvalue pairing lost during refinement"
+        if not keep:
+            raise CertificationError("eigenvalue pairing lost during refinement")
         if len(keep) == 1:
             return keep[0]
         cands = keep
@@ -354,7 +356,7 @@ def _match_pairing(model, tau, delta, d):
         bits += 32
         refined = _refine_boxes(model.root_poly, tuple(boxes), width)
         boxes = list(refined)
-    raise RuntimeError("eigenvalue pairing did not separate")
+    raise CertificationError("eigenvalue pairing did not separate")
 
 
 def gl2z_model(r: int, det: int) -> TorusModel:
@@ -435,7 +437,8 @@ def _locate_product(model: TorusModel, polys) -> int:
             for bi, b in enumerate(bset)
             if prod.intersects(b.box)
         ]
-        assert hits, "product box lost every root"
+        if not hits:
+            raise CertificationError("product box lost every root")
         if len(hits) == 1:
             return hits[0][0]
         width /= 1 << 8
@@ -444,7 +447,7 @@ def _locate_product(model: TorusModel, polys) -> int:
         box_sets = [
             [refine_root_box(f, b, width) for b in bset] for f, bset in zip(polys, box_sets)
         ]
-    raise RuntimeError("projectivity decision did not separate")
+    raise CertificationError("projectivity decision did not separate")
 
 
 def is_projective(model: TorusModel) -> bool:
@@ -478,8 +481,8 @@ def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
     rest = model.salem_factor()
     if rest == ONE:
         return Interval.point(0)
-    cert = is_salem(rest)
-    assert cert, f"non-cyclotomic part {rest} failed certification"
+    if not is_salem(rest):
+        raise CertificationError(f"non-cyclotomic part {rest} failed certification")
     bits = max(48, _bits_for(eps) + 8)
     while True:
         lam = lambda_interval(rest, bits)

@@ -166,6 +166,14 @@ class TestConstruct:
         assert doc["entropy"]["lo"] == "0"
         assert doc["entropy"]["hi"] == "0"
 
+    def test_oversized_quartic_is_clean_rejection(self):
+        # coefficients beyond the float range cannot be seeded; the failure is
+        # a JSON error with exit 2, not a traceback
+        out = run("construct", "quartic", "--poly", f"1,0,{10**400},0,1")
+        assert out.returncode == 2
+        assert out.stderr == ""
+        assert json.loads(out.stdout)["error"]["type"] == "CertificationError"
+
     def test_eps_validation(self):
         out = run("construct", "gl2z", "--r", "1", "--det", "-1", "--eps", "0")
         assert out.returncode == 1

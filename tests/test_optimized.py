@@ -35,6 +35,8 @@ def test_non_bracketing_call_raises_under_O():
     [
         ("is-salem", "1,-3,1"),
         ("construct", "quad-order", "--d", "2", "--b1", "0", "--b2", "1"),
+        ("construct", "quad-order", "--d", "1", "--b1", "0", "--b2", "1"),
+        ("ns", "quad-order", "--d", "1", "--b1", "1", "--b2", "1"),
     ],
 )
 def test_cli_output_unchanged_under_O(argv):

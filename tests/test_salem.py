@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salemtori.errors import CertificationError, DegreeTooLargeError, NotReciprocalError, NotSquarefreeError
 from salemtori.intervals import Interval
-from salemtori.poly import IntPoly, cyclotomic
+from salemtori.poly import IntPoly, cyclotomic, is_squarefree, split_cyclotomic, squarefree_part
 from salemtori.salem import (
     RootBox,
     SturmChain,
@@ -21,6 +22,8 @@ from salemtori.salem import (
     refine_root_box,
     trace_transform,
 )
+from salemtori.torus import _norm_charpoly, a_form_matrix, is_projective, quad_order_model, reorient
+from salemtori.wedge import exterior_square
 
 from _oracles import o_bisect, o_eval
 
@@ -189,11 +192,14 @@ class TestIsolateAll:
 
     def test_disjoint_and_refinable(self):
         boxes = isolate_all_roots(GOLDEN_QUARTIC)
-        target = Fraction(1, 1 << 60)
-        for b in boxes:
-            rb = refine_root_box(GOLDEN_QUARTIC, b, target)
-            assert rb.re.width <= target and rb.im.width <= target
-            assert rb.re.intersects(b.re) and rb.im.intersects(b.im)
+        # 2**-300 is below the width the complex boxes start at, so their
+        # refinement runs Newton's method from the box centre
+        for target in (Fraction(1, 1 << 60), Fraction(1, 1 << 300)):
+            for b in boxes:
+                rb = refine_root_box(GOLDEN_QUARTIC, b, target)
+                assert rb.re.width <= target and rb.im.width <= target
+                assert b.re.lo <= rb.re.lo <= rb.re.hi <= b.re.hi
+                assert b.im.lo <= rb.im.lo <= rb.im.hi <= b.im.hi
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
@@ -207,3 +213,120 @@ class TestIsolateAll:
         assert len(boxes) == 4
         reals = sum(1 for x in boxes if x.is_real)
         assert reals == SturmChain(p).count_real()
+
+
+# Oracle for isolate_all_roots: mpmath's roots at 50 digits, computed here and
+# nowhere in the library.  The boxes are about 2**-195 wide, finer than the
+# oracle, so each box is widened by ORACLE_SLACK before the roots in it are
+# counted; the roots of these polynomials lie much further apart than that.
+ORACLE_SLACK = Fraction(1, 10**40)
+DEFAULT_WIDTH = Fraction(1, 1 << 24)
+
+
+def _oracle_roots(p):
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=200, extraprec=200)
+    out = []
+    for z in roots:
+        parts = []
+        for x in (mpmath.re(z), mpmath.im(z)):
+            sign, man, exp, _ = x._mpf_
+            parts.append((-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp)
+        out.append(tuple(parts))
+    return out
+
+
+def _in_widened(b, root):
+    x, y = root
+    return (
+        b.re.lo - ORACLE_SLACK <= x <= b.re.hi + ORACLE_SLACK
+        and b.im.lo - ORACLE_SLACK <= y <= b.im.hi + ORACLE_SLACK
+    )
+
+
+def _check_against_oracle(p):
+    boxes = isolate_all_roots(p)
+    roots = _oracle_roots(p)
+    assert len(boxes) == p.degree
+    for b in boxes:
+        assert b.re.width <= DEFAULT_WIDTH and b.im.width <= DEFAULT_WIDTH
+        assert sum(_in_widened(b, z) for z in roots) == 1, f"{p}: box {b.box} holds no single root"
+    for z in roots:
+        assert sum(_in_widened(b, z) for b in boxes) == 1, f"{p}: root {z} not in exactly one box"
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            assert not boxes[i].box.intersects(boxes[j].box)
+    # order: real boxes ascending, then each upper box followed by its
+    # conjugate, the upper boxes ordered by the (re, im) of their centres
+    reals = [b for b in boxes if b.is_real]
+    assert list(boxes[: len(reals)]) == reals
+    assert all(b.conjugate_index is None for b in reals)
+    assert all(a.re.hi < b.re.lo for a, b in zip(reals, reals[1:]))
+    uppers = boxes[len(reals) :: 2]
+    for i in range(len(reals), len(boxes), 2):
+        up, down = boxes[i], boxes[i + 1]
+        assert up.im.lo > 0
+        assert (up.conjugate_index, down.conjugate_index) == (i + 1, i)
+        assert down.re == up.re and down.im.lo == -up.im.hi and down.im.hi == -up.im.lo
+    keys = [(b.re.mid, b.im.mid) for b in uppers]
+    assert keys == sorted(keys)
+
+
+def _grid_root_polys():
+    """h1 and h2-factor root polynomials of the acceptance grid's models."""
+    out = set()
+    for d in range(1, 6):
+        for b1 in range(-3, 4):
+            for b2 in range(-3, 4):
+                h1 = _norm_charpoly(a_form_matrix(d, b1, b2))
+                rest = split_cyclotomic(exterior_square(h1))[1]
+                cof = exterior_square(h1) // rest
+                out.update(f for f in (squarefree_part(h1), rest, squarefree_part(cof)) if f.degree >= 1)
+    return sorted(out, key=lambda f: f.coeffs)
+
+
+class TestIsolationOracle:
+    def test_every_small_quartic(self):
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                for c in range(-3, 4):
+                    p = IntPoly((1, c, b, a, 1))
+                    if is_squarefree(p):
+                        _check_against_oracle(p)
+
+    def test_acceptance_grid_polynomials(self):
+        polys = _grid_root_polys()
+        assert len(polys) > 100
+        for p in polys:
+            _check_against_oracle(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(*[st.integers(min_value=-9, max_value=9)] * 3))
+    @example((0, 3, 0))
+    def test_random_quartic(self, abc):
+        # (0, 3, 0) is t^4 + 3t^2 + 1, whose roots are purely imaginary
+        a, b, c = abc
+        p = IntPoly((1, c, b, a, 1))
+        if is_squarefree(p):
+            _check_against_oracle(p)
+
+    def test_purely_imaginary_order(self):
+        # t^4 + 3t^2 + 1 = (t^2 + phi^2)(t^2 + phi^-2): the centres sit on the
+        # imaginary axis exactly, so the upper boxes come in the order of im
+        boxes = isolate_all_roots(IntPoly((1, 0, 3, 0, 1)))
+        assert all(b.re.mid == 0 for b in boxes)
+        ims = [float(b.im.mid) for b in boxes]
+        assert ims == pytest.approx([0.6180339887, -0.6180339887, 1.6180339887, -1.6180339887])
+
+    def test_models_without_mpmath_seeds(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("mpmath.polyroots called")
+
+        monkeypatch.setattr(mpmath, "polyroots", refuse)
+        isolate_all_roots.cache_clear()
+        model = quad_order_model(a_form_matrix(1, 1, 1))
+        assert is_projective(model) is True
+        assert is_projective(reorient(model)) is False
+        model = quad_order_model(a_form_matrix(2, 0, 1))
+        assert model.pairing == (1, 2)
+        assert is_projective(model) is True
