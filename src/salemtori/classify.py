@@ -141,7 +141,8 @@ def _square_test(cert: SalemCertificate) -> Optional[tuple]:
     for shift, sign in ((-2, "+"), (2, "-")):
         u = _compose_shifted_square(cert.trace_poly, shift)
         c0 = u.constant
-        assert c0 != 0
+        if c0 == 0:
+            raise CertificationError(f"trace polynomial {cert.trace_poly} vanishes at {shift}")
         roots = [r for r in _signed_divisors(c0) if r > 0 and u(r) == 0]
         if roots:
             return (min(roots), sign)
@@ -255,7 +256,8 @@ def realizable(s) -> ClassificationReport:
     quartets = []
     for q_poly in cand.admissible_q:
         c_poly, rem = divmod(q_poly, cert.poly)
-        assert rem.is_zero
+        if not rem.is_zero:
+            raise CertificationError(f"{cert.poly} does not divide the admissible {q_poly}")
         inv = invert_wedge(q_poly)
         for p_poly in inv.verified:
             classes = pairing_classes(p_poly)

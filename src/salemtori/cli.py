@@ -356,6 +356,14 @@ def _sweep(degree: int, bound: int):
 def _atlas_row(coeffs):
     """One CSV row (tuple of 9 strings) for a candidate, or None if not Salem."""
     p = IntPoly.from_descending(coeffs)
+    # A sign prefilter that no Salem p fails.  Such p of degree 2e is
+    # t**e * T(t + 1/t) with T monic of degree e, one simple root above 2 and
+    # the other e - 1 in [-2, 2]; p(1) and p(-1) are nonzero, p being
+    # irreducible of degree >= 2.  So p(1) = T(2) < 0, and
+    # p(-1) = (-1)**e * T(-2) > 0 because T(-2), taken below every root of T,
+    # has the sign (-1)**e.
+    if not p(1) < 0 < p(-1):
+        return None
     cert = is_salem(p)
     if not cert:
         return None

@@ -110,14 +110,6 @@ class IntPoly:
             return Fraction(v, x.denominator ** max(self.degree, 0))
         return kern.eval_int(self.coeffs, x)
 
-    def sign_at(self, x) -> int:
-        """Exact sign of the value at an int or Fraction point."""
-        if isinstance(x, Fraction):
-            v = kern.eval_qq(self.coeffs, x.numerator, x.denominator)
-        else:
-            v = kern.eval_int(self.coeffs, x)
-        return (v > 0) - (v < 0)
-
     def derivative(self) -> "IntPoly":
         return IntPoly(kern.deriv(self.coeffs))
 
@@ -464,11 +456,12 @@ def cyclotomic(n: int) -> IntPoly:
     return num
 
 
+@lru_cache(maxsize=1024)
 def split_cyclotomic(p: IntPoly):
     """Split off all cyclotomic factors.
 
     Returns ((n, multiplicity), ...) and the non-cyclotomic cofactor, so that
-    p == prod(cyclotomic(n)**m) * rest.
+    p == prod(cyclotomic(n)**m) * rest.  Results are memoised per p.
     """
     if not p.is_monic:
         raise NotMonicError("split_cyclotomic expects a monic polynomial")

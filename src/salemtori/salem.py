@@ -29,7 +29,7 @@ from .errors import (
     OddDegreeError,
 )
 from .intervals import Box, Interval
-from .poly import IntPoly, _signed_divisors, factor_bounded, is_squarefree
+from .poly import IntPoly, factor_bounded, is_squarefree, squarefree_part
 
 MAX_DEGREE = 8
 # complex root boxes are certified at 2**-200, about the width of a 60-digit
@@ -108,16 +108,18 @@ class SturmChain:
             last = s
         return out
 
-    def variations_at(self, x) -> int:
-        if isinstance(x, Fraction):
-            num, den = x.numerator, x.denominator
-        else:
-            num, den = int(x), 1
+    def variations_at(self, num: int, den: int = 1) -> int:
+        """V(num/den), for integers num and den > 0."""
         signs = []
         for f in self.chain:
             v = kern.eval_qq(f, num, den)
             signs.append((v > 0) - (v < 0))
         return self._variations(signs)
+
+    def _variations_of(self, x) -> int:
+        """V(x) at an int or Fraction x."""
+        x = Fraction(x)
+        return self.variations_at(x.numerator, x.denominator)
 
     def variations_pos_inf(self) -> int:
         return self._variations((1 if f[-1] > 0 else -1) for f in self.chain)
@@ -133,15 +135,15 @@ class SturmChain:
 
     def count_half_open(self, a, b) -> int:
         """Distinct real roots in (a, b]."""
-        return self.variations_at(a) - self.variations_at(b)
+        return self._variations_of(a) - self._variations_of(b)
 
     def count_gt(self, a) -> int:
         """Distinct real roots in (a, inf)."""
-        return self.variations_at(a) - self.variations_pos_inf()
+        return self._variations_of(a) - self.variations_pos_inf()
 
     def count_le(self, a) -> int:
         """Distinct real roots in (-inf, a]."""
-        return self.variations_neg_inf() - self.variations_at(a)
+        return self.variations_neg_inf() - self._variations_of(a)
 
     def count_real(self) -> int:
         return self.variations_neg_inf() - self.variations_pos_inf()
@@ -178,42 +180,71 @@ def cauchy_bound(p: IntPoly) -> int:
     return 1 + max(abs(c) for c in p.coeffs)
 
 
-def _bisect(lo: Fraction, hi: Fraction, width: Fraction, root_left):
-    """Halve (lo, hi] around its one root until it is at most width wide.
+def _bisect(a: int, b: int, den: int, width: Fraction, root_left):
+    """Halve (a/den, b/den] around its one root until it is at most width wide.
 
-    root_left(x) is True when the root lies in (lo, x], False when it lies
-    beyond x, and None when x is itself a root.  Raises CertificationError
-    unless root_left is False at lo and True at hi, or if a midpoint is a root.
+    The bracket stays a pair of integer numerators over one denominator, which
+    doubles at each halving: the midpoint is a + b over 2*den, the same point
+    as halving Fractions, and b - a never changes.  root_left(num, den) is
+    True when the root lies in (a/den, num/den], False when it lies beyond,
+    and None when num/den is itself a root.  Returns the final (a, b, den).
+    Raises CertificationError unless root_left is False at a and True at b,
+    or if a midpoint is a root.
     """
-    if root_left(lo) is not False or root_left(hi) is not True:
-        raise CertificationError(f"({lo}, {hi}] does not bracket a root")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        left = root_left(mid)
+    if root_left(a, den) is not False or root_left(b, den) is not True:
+        raise CertificationError(f"({Fraction(a, den)}, {Fraction(b, den)}] does not bracket a root")
+    gap = (b - a) * width.denominator
+    wn = width.numerator
+    while gap > wn * den:
+        mid = a + b
+        den *= 2
+        left = root_left(mid, den)
         if left is None:
-            raise CertificationError(f"rational root {mid} hit during bisection")
+            raise CertificationError(f"rational root {Fraction(mid, den)} hit during bisection")
         if left:
-            hi = mid
+            a, b = 2 * a, mid
         else:
-            lo = mid
-    return lo, hi
+            a, b = mid, 2 * b
+    return a, b, den
 
 
-def _sign_test(p: IntPoly, hi: Fraction):
-    """root_left for a sign change of p below hi: p(x) has the sign of p(hi)."""
-    s_hi = p.sign_at(hi)
+def _numerators(iv: Interval):
+    """(a, b, den) with iv = [a/den, b/den] over the least common denominator."""
+    den = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    return iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator), den
 
-    def root_left(x):
-        s = p.sign_at(x)
-        return None if s == 0 else s == s_hi
+
+def _interval(a: int, b: int, den: int) -> Interval:
+    return Interval(Fraction(a, den), Fraction(b, den))
+
+
+def _sign_test(p: IntPoly, b: int, den: int):
+    """root_left for a sign change of p below b/den: p has the sign of p(b/den)."""
+    c = p.coeffs
+    hi_positive = kern.eval_qq(c, b, den) > 0
+
+    def root_left(num, den):
+        v = kern.eval_qq(c, num, den)
+        return None if v == 0 else (v > 0) == hi_positive
 
     return root_left
 
 
-def _sturm_test(chain: SturmChain, lo: Fraction):
-    """root_left for the one root of the chain's polynomial in (lo, hi]."""
-    v_lo = chain.variations_at(lo)
-    return lambda x: v_lo - chain.variations_at(x) == 1
+def _sturm_test(chain: SturmChain, a: int, den: int):
+    """root_left for the one root of the chain's polynomial in (a/den, b/den]."""
+    v_lo = chain.variations_at(a, den)
+    return lambda num, den: v_lo - chain.variations_at(num, den) == 1
+
+
+def _refine_lambda(p: IntPoly, bracket: Interval, bits: int) -> Interval:
+    """Bisect a bracket of p's root beyond 1 on until it is at most 2**-bits wide.
+
+    Bisection from (1, B] passes through the same brackets whatever its
+    target, so continuing a bracket it made for a target no finer than
+    2**-bits ends where a fresh run to 2**-bits ends.
+    """
+    a, b, den = _numerators(bracket)
+    return _interval(*_bisect(a, b, den, Fraction(1, 1 << bits), _sign_test(p, b, den)))
 
 
 def lambda_interval(p: IntPoly, bits: int = 48) -> Interval:
@@ -223,8 +254,7 @@ def lambda_interval(p: IntPoly, bits: int = 48) -> Interval:
     exactly one simple root beyond 1 and p(1) < 0); CertificationError
     guards misuse.
     """
-    b = Fraction(cauchy_bound(p))
-    return Interval(*_bisect(Fraction(1), b, Fraction(1, 1 << bits), _sign_test(p, b)))
+    return _refine_lambda(p, Interval(1, cauchy_bound(p)), bits)
 
 
 def is_salem(p: IntPoly, bits: int = 48):
@@ -295,7 +325,7 @@ def lambda_approx(cert, eps) -> Interval:
     bits = (eps.denominator // eps.numerator).bit_length() + 1
     iv = cert.root_interval
     while iv.width > eps:
-        iv = Interval(*_bisect(iv.lo, iv.hi, Fraction(1, 1 << bits), _sign_test(cert.poly, iv.hi)))
+        iv = _refine_lambda(cert.poly, iv, bits)
         bits += 8
     return iv
 
@@ -318,20 +348,42 @@ class RootBox:
 
 
 def _integer_roots(p: IntPoly):
-    """Distinct integer roots and the cofactor with those roots removed."""
+    """Distinct integer roots, the cofactor with those roots removed, and a
+    Sturm chain of the cofactor.
+
+    The candidates come from the Sturm chain of p: (-B, B] is halved on
+    integer points down to the unit intervals (r - 1, r] that hold a root,
+    and each such r is tested, so the work grows with log B and not with the
+    size of the constant term.  When no integer root turns up, the cofactor
+    is p and the chain is the one built here.
+    """
+    chain = SturmChain(p)
+    if len(chain.chain[-1]) > 1:
+        # every entry vanishes at a repeated root; count with the radical
+        chain = SturmChain(squarefree_part(p))
+    b = cauchy_bound(p)
     c = p.coeffs
     roots = []
-    if c[0] == 0:
-        roots.append(0)
-        while c[0] == 0:
-            c = c[1:]
-    if len(c) > 1:
-        for r in sorted(_signed_divisors(c[0]), key=lambda d: (abs(d), d)):
-            if kern.eval_int(c, r) == 0:
-                roots.append(r)
-                while kern.eval_int(c, r) == 0:
-                    c, _ = kern.divmod_monic(c, (-r, 1))
-    return sorted(roots), IntPoly(c)
+    work = [(-b, chain.variations_at(-b), b, chain.variations_at(b))]
+    while work:
+        lo, v_lo, hi, v_hi = work.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if kern.eval_int(c, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = chain.variations_at(mid)
+        work.append((lo, v_lo, mid, v_mid))
+        work.append((mid, v_mid, hi, v_hi))
+    if not roots:
+        return [], p, chain
+    for r in roots:
+        while kern.eval_int(c, r) == 0:
+            c, _ = kern.divmod_monic(c, (-r, 1))
+    g = IntPoly(c)
+    return sorted(roots), g, SturmChain(g)
 
 
 def isolate_real_roots(p: IntPoly, bits: int = 24):
@@ -343,37 +395,34 @@ def isolate_real_roots(p: IntPoly, bits: int = 24):
     """
     if not p.is_monic:
         raise NotMonicError("real root isolation needs a monic polynomial")
-    int_roots, g = _integer_roots(p)
+    int_roots, g, chain = _integer_roots(p)
     out = [Interval.point(r) for r in int_roots]
-    if g.degree >= 1:
-        chain = SturmChain(g)
-        total = chain.count_real()
-        if total:
-            b = cauchy_bound(g)
-            work = [(Fraction(-b), Fraction(b))]
-            isolated = []
-            while work:
-                lo, hi = work.pop()
-                n = chain.count_half_open(lo, hi)
-                if n == 0:
-                    continue
-                if n == 1:
-                    isolated.append((lo, hi))
-                    continue
-                mid = (lo + hi) / 2
-                work.append((lo, mid))
-                work.append((mid, hi))
-            target = Fraction(1, 1 << bits)
-            while True:
-                refined = [_bisect(lo, hi, target, _sturm_test(chain, lo)) for lo, hi in isolated]
-                ok = all(a_hi < b_lo for (_, a_hi), (b_lo, _) in zip(sorted(refined), sorted(refined)[1:]))
-                if ok and all(
-                    not (lo <= r <= hi) for lo, hi in refined for r in int_roots
-                ):
-                    break
-                target /= 2
-                isolated = refined
-            out.extend(Interval(lo, hi) for lo, hi in refined)
+    if chain.count_real():
+        # brackets are (lo, hi, den): numerators over a power of two
+        b = cauchy_bound(g)
+        work = [(-b, b, 1, chain.variations_at(-b), chain.variations_at(b))]
+        isolated = []
+        while work:
+            lo, hi, den, v_lo, v_hi = work.pop()
+            n = v_lo - v_hi
+            if n == 1:
+                isolated.append((lo, hi, den))
+            elif n > 1:
+                mid, den = lo + hi, 2 * den
+                v_mid = chain.variations_at(mid, den)
+                work.append((2 * lo, mid, den, v_lo, v_mid))
+                work.append((mid, 2 * hi, den, v_mid, v_hi))
+        target = Fraction(1, 1 << bits)
+        while True:
+            isolated = [_bisect(lo, hi, den, target, _sturm_test(chain, lo, den)) for lo, hi, den in isolated]
+            den = max(d for _, _, d in isolated)
+            ends = sorted((lo * (den // d), hi * (den // d)) for lo, hi, d in isolated)
+            if all(a_hi < b_lo for (_, a_hi), (b_lo, _) in zip(ends, ends[1:])) and not any(
+                lo <= r * den <= hi for lo, hi in ends for r in int_roots
+            ):
+                break
+            target /= 2
+        out.extend(_interval(lo, hi, den) for lo, hi in ends)
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 
@@ -489,11 +538,8 @@ def isolate_all_roots(p: IntPoly, width: Fraction = Fraction(1, 1 << 24)):
         raise NotMonicError("root isolation needs a monic polynomial")
     if not is_squarefree(p):
         raise NotSquarefreeError(f"{p} has repeated roots")
-    bits = max(24, _width_bits(width) + 4)
-    reals = isolate_real_roots(p, bits=bits)
-    while any(iv.width > width for iv in reals):
-        bits += 8
-        reals = isolate_real_roots(p, bits=bits)
+    # 2**-(_width_bits(width) + 4) is below width, so every real bracket is
+    reals = isolate_real_roots(p, bits=max(24, _width_bits(width) + 4))
     n_pairs, odd = divmod(p.degree - len(reals), 2)
     if odd:
         raise CertificationError(f"{len(reals)} real roots for degree {p.degree}")
@@ -545,8 +591,9 @@ def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
     if rb.re.width <= width and rb.im.width <= width:
         return rb
     if rb.is_real:
-        lo, hi = _bisect(rb.re.lo, rb.re.hi, width, _sign_test(p, rb.re.hi))
-        return RootBox(Interval(lo, hi), Interval.point(0), rb.conjugate_index)
+        a, b, den = _numerators(rb.re)
+        re = _interval(*_bisect(a, b, den, width, _sign_test(p, b, den)))
+        return RootBox(re, Interval.point(0), rb.conjugate_index)
     target = rb.box
     box = _newton_box(p, target.re.mid, target.im.mid, _width_bits(width) + 8)
     inside = (

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .intervals import Box, Interval, log_interval, sqrt_lb, sqrt_ub
 from .poly import ONE, IntPoly, _is_square, _quadratic_split, split_cyclotomic, squarefree_part
-from .salem import RootBox, is_salem, isolate_all_roots, lambda_interval, refine_root_box
+from .salem import RootBox, _refine_lambda, is_salem, isolate_all_roots, refine_root_box
 from .wedge import exterior_square
 
 
@@ -76,7 +76,8 @@ def _charpoly(m) -> IntPoly:
     for k in range(1, n + 1):
         am = _mat_mul(m, work)
         ck, rem = divmod(-_trace(am), k)
-        assert rem == 0
+        if rem:
+            raise CertificationError(f"Faddeev-LeVerrier step {k} left remainder {rem}")
         cs.append(ck)
         work = _mat_add(am, _mat_scale(_identity(n), ck))
     return IntPoly(tuple(reversed([1] + cs)))
@@ -293,14 +294,16 @@ def from_quartic(p: IntPoly, pairing_choice=None) -> TorusModel:
     else:
         # p is the square of a non-real quadratic; both eigenvalue slots
         # range over the same pair
-        assert sf.degree == 2 and sf * sf == p
+        if not (sf.degree == 2 and sf * sf == p):
+            raise CertificationError(f"{p} is neither squarefree nor the square of a quadratic")
         if pairing_choice is None:
             pairing_choice = (0, 1)
         i, j = pairing_choice
         if not (0 <= i < len(boxes) and 0 <= j < len(boxes)):
             raise BadParametersError(f"pairing {pairing_choice} out of range")
     model = _make_model(matrix, (i, j), ModelOrigin("quartic", (p, (i, j))))
-    assert model.h1_charpoly == p
+    if model.h1_charpoly != p:
+        raise CertificationError(f"companion model has characteristic polynomial {model.h1_charpoly}, not {p}")
     return model
 
 
@@ -317,7 +320,8 @@ def quad_order_model(qm: QuadOrderMatrix) -> TorusModel:
         raise NotUnitError(f"determinant {det} has norm {n}, not a unit")
     matrix = qm.lift()
     model = _make_model(matrix, None, ModelOrigin("quad_order", (), quad=qm))
-    assert model.h1_charpoly == _norm_charpoly(qm)
+    if model.h1_charpoly != _norm_charpoly(qm):
+        raise CertificationError(f"lifted matrix has characteristic polynomial {model.h1_charpoly}, not the norm's")
     tau = qm.trace()
     if tau[1] == 0 and det[1] == 0:
         # the complex matrix has a rational characteristic polynomial; its
@@ -378,7 +382,8 @@ def gl2z_model(r: int, det: int) -> TorusModel:
         (0, 0, 1, r),
     )
     model = _make_model(matrix, (0, 1), ModelOrigin("gl2z", (r, det)))
-    assert model.root_poly == IntPoly((det, -r, 1))
+    if model.root_poly != IntPoly((det, -r, 1)):
+        raise CertificationError(f"root polynomial {model.root_poly} is not t^2 - {r}t + {det}")
     return model
 
 
@@ -481,11 +486,15 @@ def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
     rest = model.salem_factor()
     if rest == ONE:
         return Interval.point(0)
-    if not is_salem(rest):
+    cert = is_salem(rest)
+    if not cert:
         raise CertificationError(f"non-cyclotomic part {rest} failed certification")
     bits = max(48, _bits_for(eps) + 8)
+    # the certificate's bracket was bisected to 2**-48, so continuing it
+    # gives the bracket of a fresh bisection at every bits >= 48
+    lam = cert.root_interval
     while True:
-        lam = lambda_interval(rest, bits)
+        lam = _refine_lambda(rest, lam, bits)
         out = log_interval(lam, bits=bits + 16)
         if out.width <= eps:
             return out
@@ -517,7 +526,8 @@ def picard_rank(model: TorusModel):
         return 0
     if d == 4:
         return 4 if is_projective(model) else 2
-    assert d == 2
+    if d != 2:
+        raise CertificationError(f"Salem factor {rest} has degree {d}, not 2, 4 or 6")
     q = -rest.coeffs[1]
     if _is_square(q + 2) or _is_square(q - 2):
         return UNCONSTRAINED
@@ -583,14 +593,16 @@ def ns_charpoly(model: TorusModel):
             s = b1 * b1 + b2 * b2 * d
             out = IntPoly((1, -s, 2 * b1 * b1 - 2 * b2 * b2 * d - 2, -s, 1))
             # the (2,0)+(0,2) block carries (t-1)^2 since g1*g2 = det = 1
-            assert model.h2_charpoly == IntPoly((1, -2, 1)) * out
+            if model.h2_charpoly != IntPoly((1, -2, 1)) * out:
+                raise CertificationError(f"closed quartic formula {out} disagrees with the exterior square")
             return out
     if rest.degree == 2:
         q = -rest.coeffs[1]
         if not (_is_square(q + 2) or _is_square(q - 2)) and is_projective(model):
             cof = model.h2_charpoly // rest
             jk = _quadratic_split(cof)
-            assert jk is not None and jk[0] != jk[1], f"unexpected cofactor {cof}"
+            if jk is None or jk[0] == jk[1]:
+                raise CertificationError(f"unexpected cofactor {cof}")
             quads = (IntPoly((1, jk[0], 1)), IntPoly((1, jk[1], 1)))
             which = _locate_product(model, tuple(squarefree_part(f) for f in quads))
             other = quads[1 - which]

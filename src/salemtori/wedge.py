@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .errors import NotMonicError, WrongDegreeError
+from .errors import CertificationError, NotMonicError, WrongDegreeError
 from .poly import IntPoly, _is_square
 
 
@@ -34,7 +34,8 @@ def exterior_square(p: IntPoly) -> IntPoly:
     pair = [6]
     for k in range(1, 7):
         v, rem = divmod(ps[k] * ps[k] - ps[2 * k], 2)
-        assert rem == 0
+        if rem:
+            raise CertificationError(f"odd pairwise power sum at k = {k}")
         pair.append(v)
     es = [1]
     for k in range(1, 7):
@@ -44,7 +45,8 @@ def exterior_square(p: IntPoly) -> IntPoly:
             acc += sign * es[k - i] * pair[i]
             sign = -sign
         v, rem = divmod(acc, k)
-        assert rem == 0
+        if rem:
+            raise CertificationError(f"Newton's identity at k = {k} left remainder {rem}")
         es.append(v)
     return IntPoly((es[6], -es[5], es[4], -es[3], es[2], -es[1], 1))
 

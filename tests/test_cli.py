@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from salemtori import cli
+from salemtori.poly import IntPoly, format_poly
+from salemtori.salem import is_salem
 
 
 def run(*args, **kw):
@@ -245,6 +247,26 @@ class TestEnumerate:
         b = run("enumerate", "--degree", "4", "--max-coeff", "2", "--workers", "2")
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
+
+    @pytest.mark.parametrize("degree", (2, 4, 6))
+    def test_sign_prefilter_keeps_every_salem_candidate(self, monkeypatch, degree):
+        # only candidates with p(1) < 0 < p(-1) reach is_salem, and every
+        # candidate is_salem accepts is among them
+        reached = []
+
+        def spy(p):
+            reached.append(p)
+            return is_salem(p)
+
+        monkeypatch.setattr(cli, "is_salem", spy)
+        for bound in range(1, 5):
+            cands = [IntPoly.from_descending(c) for c in cli._sweep(degree, bound)]
+            reached.clear()
+            rows = [cli._atlas_row(p.coeffs[::-1]) for p in cands]
+            salem = [p for p in cands if is_salem(p)]
+            assert reached == [p for p in cands if p(1) < 0 < p(-1)]
+            assert set(salem) <= set(reached)
+            assert [r[0] for r in rows if r is not None] == [format_poly(p) for p in salem]
 
 
 @pytest.mark.parametrize("cpus, asked, used", [(2, 100000, 2), (2, 2, 2), (8, 2, 2), (None, 4, 1)])

@@ -19,6 +19,22 @@ except CertificationError as exc:
     print("CertificationError:", exc)
 """
 
+# a certificate whose trace polynomial t + 2 vanishes at -2, so the square
+# test of the classification meets x^2 as T(x^2 - 2)
+FORGED_CERTIFICATE = """
+from salemtori.classify import case_of
+from salemtori.errors import CertificationError
+from salemtori.intervals import Interval
+from salemtori.poly import IntPoly
+from salemtori.salem import SalemCertificate
+
+cert = SalemCertificate(IntPoly((1, 0, 1)), 2, IntPoly((2, 1)), Interval(1, 2), 0)
+try:
+    case_of(cert)
+except CertificationError as exc:
+    print("CertificationError:", exc)
+"""
+
 
 def python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True)
@@ -26,6 +42,12 @@ def python(*args):
 
 def test_non_bracketing_call_raises_under_O():
     out = python("-O", "-c", NOT_BRACKETING)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificationError: ")
+
+
+def test_forged_certificate_raises_under_O():
+    out = python("-O", "-c", FORGED_CERTIFICATE)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("CertificationError: ")
 

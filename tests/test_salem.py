@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from salemtori import poly, torus
 from salemtori.errors import CertificationError, DegreeTooLargeError, NotReciprocalError, NotSquarefreeError
 from salemtori.intervals import Interval
 from salemtori.poly import IntPoly, cyclotomic, is_squarefree, split_cyclotomic, squarefree_part
 from salemtori.salem import (
     RootBox,
     SturmChain,
+    cauchy_bound,
     count_real_roots,
     is_salem,
     isolate_all_roots,
@@ -22,13 +24,21 @@ from salemtori.salem import (
     refine_root_box,
     trace_transform,
 )
-from salemtori.torus import _norm_charpoly, a_form_matrix, is_projective, quad_order_model, reorient
+from salemtori.torus import _norm_charpoly, a_form_matrix, entropy, is_projective, quad_order_model, reorient
 from salemtori.wedge import exterior_square
 
 from _oracles import o_bisect, o_eval
 
 GOLDEN_QUARTIC = IntPoly((1, -2, -2, -2, 1))
 GOLDEN_SEXTIC = IntPoly((1, 0, -1, -1, -1, 0, 1))
+
+
+def _salem_polys(bound):
+    """Every Salem quartic and sextic with reciprocal coefficients in [-bound, bound]."""
+    rng = range(-bound, bound + 1)
+    cands = [IntPoly((1, a, b, a, 1)) for a in rng for b in rng]
+    cands += [IntPoly((1, a, b, c, b, a, 1)) for a in rng for b in rng for c in rng]
+    return [p for p in cands if is_salem(p)]
 
 
 class TestTraceTransform:
@@ -134,6 +144,53 @@ class TestLambda:
         iv = lambda_interval(GOLDEN_SEXTIC)
         assert o_eval(GOLDEN_SEXTIC.coeffs, iv.lo) * o_eval(GOLDEN_SEXTIC.coeffs, iv.hi) < 0
 
+    @pytest.mark.parametrize("bits", (48, 100))
+    def test_matches_oracle_bisection(self, bits):
+        # the same midpoints and the same stop test as plain Fraction
+        # bisection from (1, B], so the endpoints agree exactly
+        polys = _salem_polys(3)
+        assert len(polys) > 30
+        for p in polys:
+            want = o_bisect(p.coeffs, 1, cauchy_bound(p), Fraction(1, 1 << bits))
+            iv = lambda_interval(p, bits)
+            assert (iv.lo, iv.hi) == want, p
+
+    def test_approx_continues_the_bracket(self):
+        for p in _salem_polys(2):
+            iv = lambda_approx(is_salem(p), Fraction(1, 10**30))
+            # 10**-30 asks for 2**-101
+            assert iv == lambda_interval(p, 101)
+
+    def test_entropy_continues_a_fresh_bracket(self, monkeypatch):
+        # the first log enclosure is made too wide, so entropy doubles its
+        # bits and goes on from its own last bracket
+        seen = []
+        real_log = torus.log_interval
+
+        def spy(iv, bits):
+            seen.append((iv, bits))
+            return Interval(0, 1) if len(seen) == 1 else real_log(iv, bits=bits)
+
+        monkeypatch.setattr(torus, "log_interval", spy)
+        checked = 0
+        for params in ((1, 1, 1), (2, 0, 1), (1, 2, 3), (3, 3, 2), (5, 1, 2)):
+            model = quad_order_model(a_form_matrix(*params))
+            seen.clear()
+            entropy(model)
+            for iv, bits in seen:
+                assert iv == lambda_interval(model.salem_factor(), bits - 16)
+            checked += len(seen) == 2
+        assert checked >= 3
+
+    def test_midpoint_root_raises(self):
+        # t^2 - 4 changes sign on (1, 5], and the second midpoint is its root 2
+        with pytest.raises(CertificationError, match="rational root 2"):
+            lambda_interval(IntPoly((-4, 0, 1)))
+
+    def test_non_bracketing_raises(self):
+        with pytest.raises(CertificationError, match="does not bracket"):
+            lambda_interval(IntPoly((3, 0, 1)))
+
 
 class TestRealRoots:
     def test_count_window(self):
@@ -156,6 +213,27 @@ class TestRealRoots:
     def test_sturm_total(self):
         assert SturmChain(IntPoly((1, -3, 1))).count_real() == 2
         assert SturmChain(IntPoly((1, 0, 1))).count_real() == 0
+
+    def test_variations_at_numerator_pairs(self):
+        chain = SturmChain(IntPoly((1, -3, 1)))
+        for num, den in ((-3, 1), (1, 2), (5, 4), (11, 4), (7, 1)):
+            assert chain.variations_at(num, den) == chain.variations_at(2 * num, 2 * den)
+        assert chain.count_half_open(Fraction(1, 4), Fraction(11, 4)) == 2
+
+    @pytest.mark.parametrize(
+        "p, roots",
+        [
+            (IntPoly((0, 1)), [0]),
+            (IntPoly((-4, 0, 1)) * IntPoly((1, -3, 1)), [-2, 2]),
+            # repeated roots 0 and 3, where every entry of p's own chain vanishes
+            (IntPoly((0, 0, -1, 0, 1)), [-1, 0, 1]),
+            (IntPoly((-3, 1)) ** 2 * IntPoly((2, 1)) * IntPoly((-2, 0, 1)), [-2, 3]),
+        ],
+    )
+    def test_integer_roots_are_point_intervals(self, p, roots):
+        ivs = isolate_real_roots(p)
+        assert [iv.lo for iv in ivs if iv.width == 0] == roots
+        assert len(ivs) == SturmChain(p).count_real()
 
 
 class TestIsolateAll:
@@ -223,8 +301,8 @@ ORACLE_SLACK = Fraction(1, 10**40)
 DEFAULT_WIDTH = Fraction(1, 1 << 24)
 
 
-def _oracle_roots(p):
-    with mpmath.workdps(50):
+def _oracle_roots(p, dps=50):
+    with mpmath.workdps(dps):
         roots = mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=200, extraprec=200)
     out = []
     for z in roots:
@@ -244,9 +322,9 @@ def _in_widened(b, root):
     )
 
 
-def _check_against_oracle(p):
+def _check_against_oracle(p, dps=50):
     boxes = isolate_all_roots(p)
-    roots = _oracle_roots(p)
+    roots = _oracle_roots(p, dps)
     assert len(boxes) == p.degree
     for b in boxes:
         assert b.re.width <= DEFAULT_WIDTH and b.im.width <= DEFAULT_WIDTH
@@ -285,6 +363,29 @@ def _grid_root_polys():
     return sorted(out, key=lambda f: f.coeffs)
 
 
+@pytest.fixture
+def no_trial_division(monkeypatch):
+    """Integer roots must come from the Sturm chain, not from divisors of c0."""
+
+    def refuse(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(poly, "divisors", refuse)
+    isolate_all_roots.cache_clear()
+
+
+# monic sextics whose constant terms are about 10**14 and 10**30, with and
+# without integer roots; trial division up to sqrt|c0| would take 10**7 and
+# 10**15 steps
+BIG_CONSTANT_SEXTICS = (
+    IntPoly((-9999991, 1)) * IntPoly((9999973, 1)) * IntPoly((1, -3, 0, 0, 1)),
+    IntPoly((10**14 + 31, -3, 0, 0, 0, 5, 1)),
+    IntPoly((-(10**15 + 37), 1)) * IntPoly((10**15 + 91, 1)) * IntPoly((1, 2, 0, 1, 1)),
+    IntPoly((10**30 + 57, 0, 0, -2, 0, 0, 1)),
+)
+
+
+@pytest.mark.usefixtures("no_trial_division")
 class TestIsolationOracle:
     def test_every_small_quartic(self):
         for a in range(-3, 4):
@@ -299,6 +400,13 @@ class TestIsolationOracle:
         assert len(polys) > 100
         for p in polys:
             _check_against_oracle(p)
+
+    @pytest.mark.parametrize("p", BIG_CONSTANT_SEXTICS, ids=lambda p: f"c0={p.constant:.1e}")
+    def test_big_constant_term(self, p):
+        # 80 digits resolve the roots near 10**15 to well inside the slack
+        _check_against_oracle(p, dps=80)
+        points = [b.re.lo for b in isolate_all_roots(p) if b.is_real and b.re.width == 0]
+        assert points == [r for r in (-(10**15 + 91), -9999973, 9999991, 10**15 + 37) if p(r) == 0]
 
     @settings(max_examples=40, deadline=None)
     @given(st.tuples(*[st.integers(min_value=-9, max_value=9)] * 3))
