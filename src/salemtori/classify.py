@@ -23,13 +23,12 @@ from .poly import (
     ZERO,
     IntPoly,
     _quadratic_split,
-    _signed_divisors,
     cyclotomic,
     is_irreducible,
     is_squarefree,
     squarefree_part,
 )
-from .salem import NotSalem, SalemCertificate, SturmChain, is_salem
+from .salem import NotSalem, SalemCertificate, SturmChain, _integer_roots, is_salem
 from .wedge import invert_wedge, square_values
 
 CASE_DEG6 = "Case1_deg6"
@@ -136,14 +135,14 @@ def _square_test(cert: SalemCertificate) -> Optional[tuple]:
     T(x^2 -/+ 2) says lambda + 1/lambda = r^2 -/+ 2.  For certified input any
     such root lands on the trace of lambda itself, and for degrees 4 and 6
     the transform stays irreducible of degree >= 2, so the test only ever
-    fires in degree 2.
+    fires in degree 2.  The integer roots come from a Sturm-chain search,
+    whose work grows with the bit length of q, not with q.
     """
     for shift, sign in ((-2, "+"), (2, "-")):
         u = _compose_shifted_square(cert.trace_poly, shift)
-        c0 = u.constant
-        if c0 == 0:
+        if u.constant == 0:
             raise CertificationError(f"trace polynomial {cert.trace_poly} vanishes at {shift}")
-        roots = [r for r in _signed_divisors(c0) if r > 0 and u(r) == 0]
+        roots = [r for r in _integer_roots(u)[0] if r > 0]
         if roots:
             return (min(roots), sign)
     return None

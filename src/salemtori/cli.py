@@ -15,12 +15,12 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 from .classify import SHORT_CASE, InfiniteFamily, realizable
 from .errors import ParseError, SalemToriError
-from .intervals import Interval, decimal_string
+from .intervals import Interval, RoundingBoundaryError, decimal_string
 from .poly import IntPoly, format_poly, parse_ints, parse_poly
 from .salem import is_salem, lambda_approx
 from .torus import (
@@ -37,6 +37,9 @@ from .torus import (
     quad_order_model,
     reorient,
 )
+
+# enumerate refuses a sweep with more candidates than this, before building any
+MAX_CANDIDATES = 10**6
 
 CSV_HEADER = (
     "s_poly",
@@ -70,27 +73,41 @@ def _dump_json(obj, out_path) -> int:
     return 0
 
 
-def _decimal_in(iv: Interval, places: int = 12) -> str:
-    """Decimal guaranteed inside a certified enclosure of iv.
+def _rounded(iv: Interval, refine) -> str:
+    """The correctly rounded 12-place decimal of the number x enclosed by iv.
 
-    When iv is tighter than the decimal grid, pad symmetrically to one grid
-    step; the padded interval still contains the true value, so the nearest
-    grid point to the midpoint is always certified.
+    While the enclosure meets a rounding boundary (k + 1/2) * 10**-12, it is
+    replaced by refine(width), an enclosure of x whose width goes to 0 with
+    width, and width falls by 2**-16 each time.  The loop ends because x is
+    never a boundary (2k + 1) / (2 * 10**12), whose denominator in lowest
+    terms keeps the factor 2**13:
+    - lambda is a Salem number, so it is irrational;
+    - log lambda is transcendental by Hermite-Lindemann, lambda being
+      algebraic and not 1 (a zero entropy is the exact point 0);
+    - a coordinate of a root g of a monic integer polynomial, or of a
+      product of two such roots, is (g + conj g)/2 or (g - conj g)/2i, half
+      an algebraic integer; if it is rational its denominator is 1 or 2.
     """
-    dec = decimal_string(iv, places)
-    if dec is None:
-        pad = Fraction(1, 2 * 10**places)
-        dec = decimal_string(Interval(iv.mid - pad, iv.mid + pad), places)
-        assert dec is not None
-    return dec
+    width = Fraction(1, 10**13)
+    while True:
+        try:
+            return decimal_string(iv, 12)
+        except RoundingBoundaryError:
+            width = min(width, iv.width) / (1 << 16)
+            iv = refine(width)
 
 
-def _interval_json(iv: Interval, places: int = 12):
-    return {"lo": str(iv.lo), "hi": str(iv.hi), "decimal": _decimal_in(iv, places)}
+def _interval_json(iv: Interval, refine):
+    return {"lo": str(iv.lo), "hi": str(iv.hi), "decimal": _rounded(iv, refine)}
 
 
-def _box_json(box):
-    return {"re": _interval_json(box.re), "im": _interval_json(box.im)}
+def _box_json(box, refine):
+    """A box's endpoints and coordinate decimals; refine(width) gives a
+    narrower box around the same point."""
+    return {
+        "re": _interval_json(box.re, lambda w: refine(w).re),
+        "im": _interval_json(box.im, lambda w: refine(w).im),
+    }
 
 
 def _jsonify(value):
@@ -104,13 +121,9 @@ def _jsonify(value):
 
 
 def _lambda_decimal(cert) -> str:
-    """12-place decimal guaranteed to sit inside a certified enclosure.
-
-    The tight interval is padded symmetrically to width exactly 10^-12 so the
-    nearest grid point cannot escape it.
-    """
-    iv = lambda_approx(cert, Fraction(1, 10**13))
-    return _decimal_in(iv, 12)
+    """The correctly rounded 12-place decimal of lambda."""
+    refine = partial(lambda_approx, cert)
+    return _rounded(refine(Fraction(1, 10**13)), refine)
 
 
 def _classes_json(classes):
@@ -286,10 +299,11 @@ def _model_json(model, eps: Fraction):
         "reoriented": model.reoriented,
         "zero_entropy": zero,
         "salem_factor": None if zero else format_poly(rest),
-        "entropy": _interval_json(ent),
-        "gamma1": _box_json(model.gamma1.box),
-        "gamma2": _box_json(model.gamma2.box),
-        "h20_product": _box_json(model.h20_product),
+        "entropy": _interval_json(ent, lambda width: entropy(model, width)),
+        "gamma1": _box_json(model.gamma1.box, lambda width: model.refined(width).gamma1.box),
+        "gamma2": _box_json(model.gamma2.box, lambda width: model.refined(width).gamma2.box),
+        # the product of the refined gammas
+        "h20_product": _box_json(model.h20_product, lambda width: model.refined(width).h20_product),
     }
     if zero:
         obj["projective"] = None
@@ -400,10 +414,18 @@ def _atlas_row(coeffs):
     )
 
 
+def _candidate_count(degree: int, bound: int) -> int:
+    """How many candidates _sweep(degree, bound) yields."""
+    return (2 * bound + 1) ** (degree // 2)
+
+
 def _collect_rows(degree: int, bound: int, workers: int):
-    cands = list(_sweep(degree, bound))
+    cands = _sweep(degree, bound)
     if workers > 1:
-        chunk = max(1, len(cands) // (workers * 4))
+        # only a parallel sweep pays for loading the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, _candidate_count(degree, bound) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [r for r in pool.map(_atlas_row, cands, chunksize=chunk) if r is not None]
     else:
@@ -508,6 +530,12 @@ def main(argv=None) -> int:
                 parser.error("--max-coeff must be nonnegative")
             if args.workers < 1:
                 parser.error("--workers must be at least 1")
+            count = _candidate_count(args.degree, args.max_coeff)
+            if count > MAX_CANDIDATES:
+                sys.stderr.write(
+                    f"salemtori: enumerate: {count} candidates, more than the limit of {MAX_CANDIDATES}\n"
+                )
+                return 1
             # more processes than CPUs gain nothing; the rows do not depend on it
             args.workers = min(args.workers, os.cpu_count() or 1)
             return cmd_enumerate(args)

@@ -1,17 +1,17 @@
-"""Exact rational intervals and boxes, plus certified log enclosures.
+"""Exact rational intervals and boxes, certified log enclosures and
+correctly rounded decimals.
 
-Interval endpoints are Fractions and all interval arithmetic is exact.
-mpmath appears in exactly one role: directed-rounded log via mpmath.iv,
-with exact dyadic handoff checked on both sides of the call.
+Interval endpoints are Fractions and all interval arithmetic is exact.  The
+log is an integer fixed-point series with explicit error bounds, so nothing
+beyond the standard library is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-
-import mpmath
+from functools import lru_cache
+from math import ceil, floor, isqrt
 
 
 @dataclass(frozen=True)
@@ -136,70 +136,110 @@ def sqrt_ub(x: Fraction, bits: int = 64) -> Fraction:
     return Fraction(isqrt(num) + 1, x.denominator << bits)
 
 
-def mpf_tuple_to_fraction(t) -> Fraction:
-    sign, man, exp, _bc = t
-    man = int(man)
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * Fraction(2) ** int(exp)
-    return -v if sign else v
+# The log below works in fixed point: an integer v stands for v * 2**-p.
+# Every rounding goes down, and each enclosure adds an explicit bound for
+# what the rounding and the truncated series can have lost, so the lower
+# ends are rounded down and the upper ends up (Brent, "Fast multiple-
+# precision evaluation of elementary functions", 1976).
 
 
-def _dyadic_floor(x: Fraction, bits: int) -> Fraction:
-    return Fraction(x.numerator * (1 << bits) // x.denominator, 1 << bits)
+def _atanh_units(num: int, den: int, p: int):
+    """Integers lo <= hi with atanh(num/den) in [lo, hi] * 2**-p, for
+    0 <= num/den <= 1/3.
+
+    The series atanh r = sum r**(2k+1) / (2k+1) is summed with r**2 rounded
+    down to R2 units, each power rounded down from the last, P_{k+1} =
+    floor(P_k * R2 * 2**-p), and each term floor(P_k / (2k+1)).  In units:
+    P_0 misses r by less than 1, and P_{k+1} misses r**(2k+3) by less than
+    e * r**2 + r + 1, where e bounds the miss of P_k; with r <= 1/3 every
+    miss stays below 1.5, so each term misses its true value by less than
+    2.5.  The sum stops at the first P_n = 0, whose power r**(2n+1) is then
+    below 1.5 units, and the tail beyond it is at most
+    r**(2n+1) / ((2n+1)(1 - r**2)) < 1.5 * 9/8 < 2 units.  So atanh r lies
+    in [S, S + 3n + 2] for the sum S of the n terms.
+    """
+    if num == 0:
+        return 0, 0
+    power = (num << p) // den
+    r2 = (num * num << p) // (den * den)
+    total = n = 0
+    while power:
+        total += power // (2 * n + 1)
+        power = (power * r2) >> p
+        n += 1
+    return total, total + 3 * n + 2
 
 
-def _dyadic_ceil(x: Fraction, bits: int) -> Fraction:
-    return -_dyadic_floor(-x, bits)
+@lru_cache(maxsize=64)
+def _log2_units(p: int):
+    """log 2 = 2 atanh(1/3) as an enclosure [lo, hi] * 2**-p."""
+    lo, hi = _atanh_units(1, 3, p)
+    return 2 * lo, 2 * hi
 
 
-def _exact_mpf(x: Fraction):
-    """x must be dyadic; builds the exact mpf and verifies the round trip."""
-    den = x.denominator
-    exp = den.bit_length() - 1
-    assert den == 1 << exp, "not dyadic"
-    man = x.numerator
-    with mpmath.workprec(abs(man).bit_length() + 8):
-        v = mpmath.mpf((man, -exp))
-    assert mpf_tuple_to_fraction(v._mpf_) == x
-    return v
+def _log_bounds(x: Fraction, bits: int):
+    """Dyadic lo <= log x <= hi, for rational x > 0, about 2**-bits apart.
+
+    x = 2**m * a/b with a/b in [1/sqrt(2), sqrt(2)], so that
+    r = (a - b)/(a + b) has |r| <= 3 - 2*sqrt(2) < 0.18 and
+    log x = m log 2 + 2 atanh(r), with atanh odd in r.
+    """
+    n, d = x.numerator, x.denominator
+    m = n.bit_length() - d.bit_length()
+    a, b = (n, d << m) if m >= 0 else (n << -m, d)
+    # a/b now lies in (1/2, 2)
+    if 2 * a * a < b * b:
+        m, a = m - 1, 2 * a
+    elif a * a > 2 * b * b:
+        m, b = m + 1, 2 * b
+    # the rounding loses at most 2(3n + 2)(|m| + 1) units, n being the
+    # terms of the log 2 series, about p/3: below 2**(16 + log2|m|) units
+    # for any p under 10,000 bits
+    p = bits + 16 + abs(m).bit_length()
+    t_lo, t_hi = _atanh_units(abs(a - b), a + b, p)
+    if a < b:
+        t_lo, t_hi = -t_hi, -t_lo
+    l2_lo, l2_hi = _log2_units(p)
+    if m < 0:
+        l2_lo, l2_hi = l2_hi, l2_lo
+    den = 1 << p
+    return Fraction(m * l2_lo + 2 * t_lo, den), Fraction(m * l2_hi + 2 * t_hi, den)
 
 
 def log_interval(iv: Interval, bits: int = 96) -> Interval:
-    """Certified enclosure of {log x : x in iv}.  Requires iv.lo > 0."""
+    """Certified enclosure of {log x : x in iv}, for iv.lo > 0.
+
+    Each endpoint's log is enclosed to about 2**-bits, with dyadic ends
+    rounded outward, so the result is at most about iv.width / iv.lo +
+    2**-(bits - 1) wide.
+    """
     if iv.lo <= 0:
         raise ValueError("log of non-positive interval")
-    # enough bits that the dyadic floor of the lower endpoint stays positive
-    k = max(bits + 64, (iv.lo.denominator // iv.lo.numerator).bit_length() + 2)
-    lo = _dyadic_floor(iv.lo, k)
-    hi = _dyadic_ceil(iv.hi, k)
-    assert lo > 0
-    ctx = mpmath.iv
-    old = ctx.prec
-    try:
-        need = max(
-            bits + 16,
-            abs(lo.numerator).bit_length() + 8,
-            abs(hi.numerator).bit_length() + 8,
-        )
-        ctx.prec = need
-        val = ctx.log(ctx.mpf([_exact_mpf(lo), _exact_mpf(hi)]))
-        a, b = val._mpi_
-        return Interval(mpf_tuple_to_fraction(a), mpf_tuple_to_fraction(b))
-    finally:
-        ctx.prec = old
+    lo, hi = _log_bounds(iv.lo, bits)
+    if iv.hi != iv.lo:
+        hi = _log_bounds(iv.hi, bits)[1]
+    return Interval(lo, hi)
 
 
-def decimal_string(iv: Interval, places: int = 12):
-    """Fixed-point decimal with `places` digits whose exact value lies in iv.
+class RoundingBoundaryError(ValueError):
+    """An enclosure meets a rounding boundary, so it does not decide how its
+    numbers round."""
 
-    Returns None when iv is too wide for any such decimal to be certified.
+
+def decimal_string(iv: Interval, places: int = 12) -> str:
+    """The correctly rounded `places`-digit decimal of every number in iv.
+
+    Raises RoundingBoundaryError when iv meets a rounding boundary
+    (k + 1/2) * 10**-places, since the numbers of iv then need not all round
+    to the same decimal.  Narrow the enclosure and try again.
     """
-    scale = 10**places
-    n = round(iv.mid * scale)
-    cand = Fraction(n, scale)
-    if not iv.contains(cand):
-        return None
+    scale = 2 * 10**places
+    # in units of 1/scale the boundaries are the odd integers
+    lo, hi = iv.lo * scale, iv.hi * scale
+    if floor((hi - 1) / 2) >= ceil((lo - 1) / 2):
+        raise RoundingBoundaryError(f"{iv} meets a rounding boundary at {places} places")
+    n = floor((lo + 1) / 2)
     sign = "-" if n < 0 else ""
     n = abs(n)
-    return f"{sign}{n // scale}.{n % scale:0{places}d}"
+    unit = 10**places
+    return f"{sign}{n // unit}.{n % unit:0{places}d}"

@@ -5,6 +5,7 @@ division over Fractions, Leibniz determinant expansion, plain bisection) so
 agreement with the package is meaningful.
 """
 
+import decimal
 from fractions import Fraction
 from itertools import permutations
 
@@ -158,9 +159,31 @@ def _mpf_to_frac(x):
     return -v if sign else v
 
 
-def o_log_bounds(lo, hi, slack=Fraction(1, 10**30)):
-    """Crude certified log enclosure: high-precision log plus a slack margin."""
-    with mpmath.workdps(60):
+def o_log_bounds(lo, hi, slack=Fraction(1, 10**30), dps=60):
+    """Crude certified log enclosure: mpmath's logs at dps digits, as the
+    exact Fractions of the binary floats it returns, widened by slack."""
+    with mpmath.workdps(dps):
         a = _mpf_to_frac(mpmath.log(mpmath.mpf(lo.numerator) / mpmath.mpf(lo.denominator)))
         b = _mpf_to_frac(mpmath.log(mpmath.mpf(hi.numerator) / mpmath.mpf(hi.denominator)))
     return a - slack, b + slack
+
+
+def o_rounded(x, places=12):
+    """x rounded to `places` decimals by the decimal module.
+
+    x is an mpf or a Fraction; an mpf is taken at its exact binary value.
+    Raises when x lies within 10**-(places + 40) of a rounding boundary, so
+    that an oracle value with an error far below that rounds as the true
+    value does.
+    """
+    if isinstance(x, mpmath.mpf):
+        x = _mpf_to_frac(x)
+    scaled = x * 10**places
+    if abs(scaled - (scaled.numerator // scaled.denominator) - Fraction(1, 2)) < Fraction(1, 10**40):
+        raise ValueError(f"{float(x)} is too close to a rounding boundary")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 200
+        value = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+        value = value.quantize(decimal.Decimal(1).scaleb(-places), rounding=decimal.ROUND_HALF_EVEN)
+    # a value that rounds to zero prints without a sign
+    return format(value if value else abs(value), "f")

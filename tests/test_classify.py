@@ -16,6 +16,7 @@ from salemtori.classify import (
     realizable,
 )
 from salemtori.errors import NotRealizableError, NotSalemInputError, WrongDegreeError
+from salemtori import poly
 from salemtori.poly import IntPoly, cyclotomic, is_cyclotomic_product
 from salemtori.salem import is_salem, isolate_all_roots
 from salemtori.wedge import exterior_square
@@ -59,6 +60,23 @@ class TestCaseOf:
         rep = case_of(IntPoly((1, -23, 1)))
         assert rep.case_tag == CASE_3A
         assert rep.square_witness == (5, "+")
+
+    @pytest.mark.parametrize(
+        "q, witness",
+        [(10**13, None), (10**14 - 2, (10**7, "+")), (10**14 + 2, (10**7, "-"))],
+    )
+    def test_square_test_is_bounded(self, monkeypatch, q, witness):
+        # the square test must not search the divisors of q +/- 2, which
+        # would take time growing with sqrt(q)
+        cert = is_salem(IntPoly((1, -q, 1)))
+
+        def refuse(n):
+            raise AssertionError(f"divisors({n}) called")
+
+        monkeypatch.setattr(poly, "divisors", refuse)
+        rep = case_of(cert)
+        assert rep.square_witness == witness
+        assert rep.case_tag == (CASE_3B if witness is None else CASE_3A)
 
     def test_accepts_certificate(self):
         cert = is_salem(S2A)

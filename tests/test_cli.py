@@ -269,6 +269,24 @@ class TestEnumerate:
             assert [r[0] for r in rows if r is not None] == [format_poly(p) for p in salem]
 
 
+    def test_oversized_sweep_is_refused_up_front(self, monkeypatch, capsys):
+        # 2001**3 candidates: refused before a single one is built
+        def refuse(degree, bound):
+            raise AssertionError("_sweep called")
+
+        monkeypatch.setattr(cli, "_sweep", refuse)
+        assert cli.main(["enumerate", "--degree", "6", "--max-coeff", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(2001**3) in captured.err and str(cli.MAX_CANDIDATES) in captured.err
+
+    def test_largest_allowed_sweep_is_counted_exactly(self):
+        assert cli._candidate_count(6, 49) == 99**3 <= cli.MAX_CANDIDATES < cli._candidate_count(6, 50)
+        for degree in (2, 4, 6):
+            assert cli._candidate_count(degree, 3) == len(list(cli._sweep(degree, 3)))
+
+
 @pytest.mark.parametrize("cpus, asked, used", [(2, 100000, 2), (2, 2, 2), (8, 2, 2), (None, 4, 1)])
 def test_workers_capped_at_cpu_count(monkeypatch, capsys, cpus, asked, used):
     seen = []

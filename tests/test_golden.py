@@ -6,7 +6,11 @@ complex root seeding moved from mpmath.polyroots to float Aberth seeds
 refined by exact Newton steps, and is not regenerated by later changes.
 Certified box endpoints (`lo`, `hi`) are stripped before the comparison:
 they may move when the isolation changes, while every other field, every
-`decimal` string and the exit code must stay byte-identical.
+`decimal` string and the exit code must stay byte-identical.  Decimals became
+correctly rounded later; that corrected the three real-box decimals of
+`construct gl2z --r 1 --det -1` (gamma1, gamma2 and h20_product `re`), which
+had been the midpoints of 2**-28-wide root brackets.  test_decimals.py checks
+every decimal here against mpmath.
 """
 
 import io

@@ -59,6 +59,7 @@ def test_forged_certificate_raises_under_O():
         ("construct", "quad-order", "--d", "2", "--b1", "0", "--b2", "1"),
         ("construct", "quad-order", "--d", "1", "--b1", "0", "--b2", "1"),
         ("ns", "quad-order", "--d", "1", "--b1", "1", "--b2", "1"),
+        ("enumerate", "--degree", "4", "--max-coeff", "3"),
     ],
 )
 def test_cli_output_unchanged_under_O(argv):

@@ -1,0 +1,59 @@
+"""salemtori needs nothing beyond the standard library at run time, and no
+certification guard is an assert that python -O would drop."""
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "salemtori"
+
+LOADED = """
+import sys
+import salemtori.cli
+print(sorted(m for m in ("mpmath", "concurrent.futures.process") if m in sys.modules))
+"""
+
+# with the entry None, every import of mpmath raises ImportError
+WITHOUT_MPMATH = """
+import sys
+sys.modules["mpmath"] = None
+from salemtori import cli
+sys.exit(cli.main(["construct", "quad-order", "--d", "2", "--b1", "0", "--b2", "1"]))
+"""
+
+
+def python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+def test_cli_import_loads_neither_mpmath_nor_the_process_pool():
+    out = python(LOADED)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_entropy_without_mpmath():
+    out = python(WITHOUT_MPMATH)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    # log(2 + sqrt(3)), from the Salem factor t^2 - 4t + 1
+    assert doc["entropy"]["decimal"] == "1.316957896925"
+
+
+def test_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+
+
+def test_no_assert_in_the_package():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
