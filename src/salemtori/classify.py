@@ -20,15 +20,15 @@ from typing import Optional
 from .errors import CertificationError, NotRealizableError, NotSalemInputError, WrongDegreeError
 from .poly import (
     ONE,
-    ZERO,
     IntPoly,
     _quadratic_split,
+    _square_witness,
     cyclotomic,
     is_irreducible,
     is_squarefree,
     squarefree_part,
 )
-from .salem import NotSalem, SalemCertificate, SturmChain, _integer_roots, is_salem
+from .salem import NotSalem, SalemCertificate, SturmChain, is_salem
 from .wedge import invert_wedge, square_values
 
 CASE_DEG6 = "Case1_deg6"
@@ -120,34 +120,6 @@ def _coerce_cert(s) -> SalemCertificate:
     return cert
 
 
-def _compose_shifted_square(p: IntPoly, shift: int) -> IntPoly:
-    """p(x^2 + shift), exactly."""
-    inner = IntPoly((shift, 0, 1))
-    acc = ZERO
-    for c in reversed(p.coeffs):
-        acc = acc * inner + IntPoly((c,))
-    return acc
-
-def _square_test(cert: SalemCertificate) -> Optional[tuple]:
-    """(r, sign) with q +/- 2 = r^2 for the trace of lambda, if any.
-
-    Runs uniformly through the trace polynomial: an integer root r of
-    T(x^2 -/+ 2) says lambda + 1/lambda = r^2 -/+ 2.  For certified input any
-    such root lands on the trace of lambda itself, and for degrees 4 and 6
-    the transform stays irreducible of degree >= 2, so the test only ever
-    fires in degree 2.  The integer roots come from a Sturm-chain search,
-    whose work grows with the bit length of q, not with q.
-    """
-    for shift, sign in ((-2, "+"), (2, "-")):
-        u = _compose_shifted_square(cert.trace_poly, shift)
-        if u.constant == 0:
-            raise CertificationError(f"trace polynomial {cert.trace_poly} vanishes at {shift}")
-        roots = [r for r in _integer_roots(u)[0] if r > 0]
-        if roots:
-            return (min(roots), sign)
-    return None
-
-
 def case_of(s) -> ClassificationReport:
     """Partial report: case tag, projectivity types and forced ranks.
 
@@ -169,8 +141,12 @@ def case_of(s) -> ClassificationReport:
             projective_types=("non_projective", "projective"),
             picard_ranks=(("non_projective", 2), ("projective", 4)),
         )
+    # degree 2: T(u) = u - q, so T(x^2 -/+ 2) has an integer root exactly
+    # when q +/- 2 is a square; a Salem quadratic has q >= 3
     q = -cert.poly.coeffs[1]
-    sq = _square_test(cert)
+    if q <= 2:
+        raise CertificationError(f"{cert.poly} is not a Salem quadratic: q = {q}")
+    sq = _square_witness(q)
     if sq is not None:
         return ClassificationReport(
             salem=cert,

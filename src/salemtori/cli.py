@@ -122,8 +122,7 @@ def _jsonify(value):
 
 def _lambda_decimal(cert) -> str:
     """The correctly rounded 12-place decimal of lambda."""
-    refine = partial(lambda_approx, cert)
-    return _rounded(refine(Fraction(1, 10**13)), refine)
+    return _rounded(cert.root_interval, partial(lambda_approx, cert))
 
 
 def _classes_json(classes):
@@ -171,11 +170,7 @@ def cmd_is_salem(args) -> int:
         "degree": res.degree,
         "trace_poly": format_poly(res.trace_poly),
         "circle_root_count": res.circle_root_count,
-        "lambda": {
-            "lo": str(res.root_interval.lo),
-            "hi": str(res.root_interval.hi),
-            "decimal": _lambda_decimal(res),
-        },
+        "lambda": _interval_json(res.root_interval, partial(lambda_approx, res)),
     }
     return _dump_json(obj, args.out)
 

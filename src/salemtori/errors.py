@@ -16,10 +16,6 @@ class NotMonicError(SalemToriError):
     pass
 
 
-class NotDivisibleError(SalemToriError):
-    """Exact division requested but a nonzero remainder appeared."""
-
-
 class DegreeTooLargeError(SalemToriError):
     pass
 

@@ -121,10 +121,6 @@ class IntPoly:
     def is_reciprocal(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs)) and bool(self.coeffs)
 
-    def shifted(self, k: int) -> "IntPoly":
-        """Multiply by t**k."""
-        return IntPoly(kern.shift(self.coeffs, k))
-
     def content(self) -> int:
         return kern.content(self.coeffs)
 
@@ -229,6 +225,15 @@ def divisors(n: int):
 
 def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
+
+
+def _square_witness(q: int):
+    """(r, sign) with q + 2 = r**2 (sign "+") or q - 2 = r**2 (sign "-"), or
+    None; for q > 2 at most one of the two is a square."""
+    for n, sign in ((q + 2, "+"), (q - 2, "-")):
+        if _is_square(n):
+            return (isqrt(n), sign)
+    return None
 
 
 def _quadratic_split(c: IntPoly):

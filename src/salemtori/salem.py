@@ -32,9 +32,15 @@ from .intervals import Box, Interval
 from .poly import IntPoly, factor_bounded, is_squarefree, squarefree_part
 
 MAX_DEGREE = 8
+# is_salem brackets lambda to 2**-48, and isolate_all_roots the real roots to
+# 2**-28
+_LAMBDA_BITS = 48
+_REAL_BITS = 28
 # complex root boxes are certified at 2**-200, about the width of a 60-digit
-# seed, so their 12-place decimals are those of the roots themselves
+# seed, so their 12-place decimals are those of the roots themselves; one
+# wider than 2**-24 fails
 _BOX_BITS = 200
+_MAX_BOX_WIDTH = Fraction(1, 1 << 24)
 _ABERTH_STEPS = 500
 _NEWTON_STEPS = 64
 
@@ -137,14 +143,6 @@ class SturmChain:
         """Distinct real roots in (a, b]."""
         return self._variations_of(a) - self._variations_of(b)
 
-    def count_gt(self, a) -> int:
-        """Distinct real roots in (a, inf)."""
-        return self._variations_of(a) - self.variations_pos_inf()
-
-    def count_le(self, a) -> int:
-        """Distinct real roots in (-inf, a]."""
-        return self.variations_neg_inf() - self._variations_of(a)
-
     def count_real(self) -> int:
         return self.variations_neg_inf() - self.variations_pos_inf()
 
@@ -236,28 +234,33 @@ def _sturm_test(chain: SturmChain, a: int, den: int):
     return lambda num, den: v_lo - chain.variations_at(num, den) == 1
 
 
-def _refine_lambda(p: IntPoly, bracket: Interval, bits: int) -> Interval:
-    """Bisect a bracket of p's root beyond 1 on until it is at most 2**-bits wide.
+def _continue_bracket(p: IntPoly, bracket: Interval, width: Fraction) -> Interval:
+    """Bisect a bracket of a sign change of p on until it is at most width wide.
 
-    Bisection from (1, B] passes through the same brackets whatever its
-    target, so continuing a bracket it made for a target no finer than
-    2**-bits ends where a fresh run to 2**-bits ends.
+    Bisection passes through the same brackets whatever its target, so
+    continuing a bracket it made for a wider target ends where a fresh run
+    from the first bracket ends.
     """
     a, b, den = _numerators(bracket)
-    return _interval(*_bisect(a, b, den, Fraction(1, 1 << bits), _sign_test(p, b, den)))
+    return _interval(*_bisect(a, b, den, width, _sign_test(p, b, den)))
 
 
-def lambda_interval(p: IntPoly, bits: int = 48) -> Interval:
+def _bits_below(eps: Fraction) -> int:
+    """The least k with 2**-k < eps / 2, for eps > 0."""
+    return (eps.denominator // eps.numerator).bit_length() + 1
+
+
+def lambda_interval(p: IntPoly, bits: int = _LAMBDA_BITS) -> Interval:
     """Certified enclosure of the unique root in (1, inf).
 
     The caller is responsible for p actually being Salem (or at least having
     exactly one simple root beyond 1 and p(1) < 0); CertificationError
     guards misuse.
     """
-    return _refine_lambda(p, Interval(1, cauchy_bound(p)), bits)
+    return _continue_bracket(p, Interval(1, cauchy_bound(p)), Fraction(1, 1 << bits))
 
 
-def is_salem(p: IntPoly, bits: int = 48):
+def is_salem(p: IntPoly):
     """Certify p as a Salem polynomial.
 
     Returns a SalemCertificate (truthy) or NotSalem (falsy) with a reason in
@@ -287,16 +290,17 @@ def is_salem(p: IntPoly, bits: int = 48):
     t_poly = trace_transform(p)
     chain = SturmChain(t_poly)
     e = p.degree // 2
-    n_hi = chain.count_gt(2)
-    n_lo = chain.count_le(-2)
-    n_mid = chain.count_half_open(-2, 2)
+    v_lo, v_hi = chain.variations_at(-2), chain.variations_at(2)
+    n_hi = v_hi - chain.variations_pos_inf()
+    n_lo = chain.variations_neg_inf() - v_lo
+    n_mid = v_lo - v_hi
     if (n_hi, n_lo, n_mid) != (1, 0, e - 1):
         return NotSalem(
             "wrong-circle-count",
             witness=(n_hi, n_lo, n_mid),
             detail=f"trace roots: {n_hi} above 2, {n_lo} below -2, {n_mid} between",
         )
-    lam = lambda_interval(p, bits)
+    lam = lambda_interval(p)
     return SalemCertificate(
         poly=p,
         degree=p.degree,
@@ -318,16 +322,18 @@ def count_real_roots(p: IntPoly, a, b) -> int:
 
 
 def lambda_approx(cert, eps) -> Interval:
-    """Shrink a certificate's root enclosure below a requested width."""
+    """Shrink a certificate's root enclosure below a requested width.
+
+    A wider bracket is continued to 2**-k, the widest power of two below
+    eps / 2, which is where a fresh bisection to 2**-k ends.
+    """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    bits = (eps.denominator // eps.numerator).bit_length() + 1
     iv = cert.root_interval
-    while iv.width > eps:
-        iv = _refine_lambda(cert.poly, iv, bits)
-        bits += 8
-    return iv
+    if iv.width <= eps:
+        return iv
+    return _continue_bracket(cert.poly, iv, Fraction(1, 1 << _bits_below(eps)))
 
 
 @dataclass(frozen=True)
@@ -347,71 +353,44 @@ class RootBox:
         return Box(self.re, self.im)
 
 
-def _integer_roots(p: IntPoly):
-    """Distinct integer roots, the cofactor with those roots removed, and a
-    Sturm chain of the cofactor.
-
-    The candidates come from the Sturm chain of p: (-B, B] is halved on
-    integer points down to the unit intervals (r - 1, r] that hold a root,
-    and each such r is tested, so the work grows with log B and not with the
-    size of the constant term.  When no integer root turns up, the cofactor
-    is p and the chain is the one built here.
-    """
-    chain = SturmChain(p)
-    if len(chain.chain[-1]) > 1:
-        # every entry vanishes at a repeated root; count with the radical
-        chain = SturmChain(squarefree_part(p))
-    b = cauchy_bound(p)
-    c = p.coeffs
-    roots = []
-    work = [(-b, chain.variations_at(-b), b, chain.variations_at(b))]
-    while work:
-        lo, v_lo, hi, v_hi = work.pop()
-        if v_lo == v_hi:
-            continue
-        if hi - lo == 1:
-            if kern.eval_int(c, hi) == 0:
-                roots.append(hi)
-            continue
-        mid = (lo + hi) // 2
-        v_mid = chain.variations_at(mid)
-        work.append((lo, v_lo, mid, v_mid))
-        work.append((mid, v_mid, hi, v_hi))
-    if not roots:
-        return [], p, chain
-    for r in roots:
-        while kern.eval_int(c, r) == 0:
-            c, _ = kern.divmod_monic(c, (-r, 1))
-    g = IntPoly(c)
-    return sorted(roots), g, SturmChain(g)
-
-
 def isolate_real_roots(p: IntPoly, bits: int = 24):
     """Disjoint rational intervals, one per distinct real root.
 
-    Integer roots come back as point intervals; irrational roots as open
+    One Sturm subdivision of (-B, B] finds every root, the work growing with
+    log B.  A bracket that holds one root is halved until it is at most 1
+    wide, where the only integer it can hold is floor(hi); a rational root of
+    a monic p is an integer, so the bracket becomes a point interval when p
+    vanishes there.  The Sturm test counts a midpoint root in the left half,
+    so no midpoint stops the halving.  Irrational roots come back as open
     intervals with non-root dyadic endpoints, shrunk below 2**-bits and
     separated from each other and from the integer roots.
     """
     if not p.is_monic:
         raise NotMonicError("real root isolation needs a monic polynomial")
-    int_roots, g, chain = _integer_roots(p)
-    out = [Interval.point(r) for r in int_roots]
-    if chain.count_real():
-        # brackets are (lo, hi, den): numerators over a power of two
-        b = cauchy_bound(g)
-        work = [(-b, b, 1, chain.variations_at(-b), chain.variations_at(b))]
-        isolated = []
-        while work:
-            lo, hi, den, v_lo, v_hi = work.pop()
-            n = v_lo - v_hi
-            if n == 1:
+    chain = SturmChain(p)
+    if len(chain.chain[-1]) > 1:
+        # every entry vanishes at a repeated root; count with the radical
+        chain = SturmChain(squarefree_part(p))
+    b = cauchy_bound(p)
+    # brackets are (lo, hi, den): numerators over a power of two
+    work = [(-b, b, 1, chain.variations_at(-b), chain.variations_at(b))]
+    int_roots, isolated = [], []
+    while work:
+        lo, hi, den, v_lo, v_hi = work.pop()
+        n = v_lo - v_hi
+        if n > 1 or (n == 1 and hi - lo > den):
+            mid, den = lo + hi, 2 * den
+            v_mid = chain.variations_at(mid, den)
+            work.append((2 * lo, mid, den, v_lo, v_mid))
+            work.append((mid, 2 * hi, den, v_mid, v_hi))
+        elif n == 1:
+            r = hi // den
+            if r * den > lo and kern.eval_int(p.coeffs, r) == 0:
+                int_roots.append(r)
+            else:
                 isolated.append((lo, hi, den))
-            elif n > 1:
-                mid, den = lo + hi, 2 * den
-                v_mid = chain.variations_at(mid, den)
-                work.append((2 * lo, mid, den, v_lo, v_mid))
-                work.append((mid, 2 * hi, den, v_mid, v_hi))
+    out = [Interval.point(r) for r in int_roots]
+    if isolated:
         target = Fraction(1, 1 << bits)
         while True:
             isolated = [_bisect(lo, hi, den, target, _sturm_test(chain, lo, den)) for lo, hi, den in isolated]
@@ -523,14 +502,14 @@ def _newton_box(p: IntPoly, x: Fraction, y: Fraction, bits: int) -> Box:
 
 
 @lru_cache(maxsize=1024)
-def isolate_all_roots(p: IntPoly, width: Fraction = Fraction(1, 1 << 24)):
+def isolate_all_roots(p: IntPoly):
     """Certified boxes isolating every complex root of a squarefree monic p.
 
     Returns RootBox tuples: pairwise disjoint, exactly one root in each, real
     roots flagged with zero imaginary part and listed first in ascending
     order, then each upper-half-plane root followed by its conjugate, the
     upper ones ordered by the (re, im) of their box centres; conjugate_index
-    wires up each pair.  Results are memoised per (p, width).
+    wires up each pair.  Results are memoised per polynomial.
     """
     if p.degree > MAX_DEGREE:
         raise DegreeTooLargeError(f"degree {p.degree} > {MAX_DEGREE}")
@@ -538,14 +517,13 @@ def isolate_all_roots(p: IntPoly, width: Fraction = Fraction(1, 1 << 24)):
         raise NotMonicError("root isolation needs a monic polynomial")
     if not is_squarefree(p):
         raise NotSquarefreeError(f"{p} has repeated roots")
-    # 2**-(_width_bits(width) + 4) is below width, so every real bracket is
-    reals = isolate_real_roots(p, bits=max(24, _width_bits(width) + 4))
+    reals = isolate_real_roots(p, _REAL_BITS)
     n_pairs, odd = divmod(p.degree - len(reals), 2)
     if odd:
         raise CertificationError(f"{len(reals)} real roots for degree {p.degree}")
     uppers = []
     if n_pairs:
-        uppers = _upper_boxes(p, n_pairs, width)
+        uppers = _upper_boxes(p, n_pairs)
     boxes = []
     for iv in reals:
         boxes.append(RootBox(iv, Interval.point(0)))
@@ -562,17 +540,16 @@ def _width_bits(width: Fraction) -> int:
     return width.denominator.bit_length() - width.numerator.bit_length()
 
 
-def _upper_boxes(p: IntPoly, n_pairs: int, width: Fraction):
+def _upper_boxes(p: IntPoly, n_pairs: int):
     # real roots come out of the float iteration with rounding noise in the
     # imaginary part; the n_pairs largest imaginary parts are the complex ones
     seeds = sorted(_float_seeds(p), key=lambda z: -z.imag)[:n_pairs]
-    bits = max(_BOX_BITS, _width_bits(width) + 8)
     boxes = []
     for z in seeds:
         # a root closer to the real axis than 1/2 gets one more bit for each
         # binary place it is closer, so its box stays clear of the axis
-        box = _newton_box(p, Fraction(z.real), Fraction(z.imag), bits - min(0, math.frexp(z.imag)[1]))
-        if box.im.lo <= 0 or box.re.width > width:
+        box = _newton_box(p, Fraction(z.real), Fraction(z.imag), _BOX_BITS - min(0, math.frexp(z.imag)[1]))
+        if box.im.lo <= 0 or box.re.width > _MAX_BOX_WIDTH:
             raise CertificationError(f"complex root isolation failed for {p}: box {box}")
         boxes.append(box)
     boxes.sort(key=lambda b: (b.re.mid, b.im.mid))
@@ -591,9 +568,7 @@ def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
     if rb.re.width <= width and rb.im.width <= width:
         return rb
     if rb.is_real:
-        a, b, den = _numerators(rb.re)
-        re = _interval(*_bisect(a, b, den, width, _sign_test(p, b, den)))
-        return RootBox(re, Interval.point(0), rb.conjugate_index)
+        return RootBox(_continue_bracket(p, rb.re, width), Interval.point(0), rb.conjugate_index)
     target = rb.box
     box = _newton_box(p, target.re.mid, target.im.mid, _width_bits(width) + 8)
     inside = (

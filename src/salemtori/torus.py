@@ -32,8 +32,8 @@ from .errors import (
     ZeroEntropyError,
 )
 from .intervals import Box, Interval, log_interval, sqrt_lb, sqrt_ub
-from .poly import ONE, IntPoly, _is_square, _quadratic_split, split_cyclotomic, squarefree_part
-from .salem import RootBox, _refine_lambda, is_salem, isolate_all_roots, refine_root_box
+from .poly import ONE, IntPoly, _quadratic_split, _square_witness, split_cyclotomic, squarefree_part
+from .salem import RootBox, _bits_below, _continue_bracket, is_salem, isolate_all_roots, refine_root_box
 from .wedge import exterior_square
 
 
@@ -216,9 +216,6 @@ class TorusModel:
     def salem_factor(self) -> IntPoly:
         """Non-cyclotomic part of h2_charpoly; the constant 1 at entropy zero."""
         return split_cyclotomic(self.h2_charpoly)[1]
-
-    def cyclotomic_cofactor(self) -> IntPoly:
-        return self.h2_charpoly // self.salem_factor()
 
     def refined(self, width: Fraction) -> "TorusModel":
         """New model with every root box shrunk below the given width."""
@@ -471,10 +468,6 @@ def is_projective(model: TorusModel) -> bool:
     return which == 1
 
 
-def _bits_for(eps: Fraction) -> int:
-    return (eps.denominator // eps.numerator).bit_length() + 1
-
-
 def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
     """Certified interval of width <= eps around log(max |eigenvalue|^2).
 
@@ -489,12 +482,13 @@ def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
     cert = is_salem(rest)
     if not cert:
         raise CertificationError(f"non-cyclotomic part {rest} failed certification")
-    bits = max(48, _bits_for(eps) + 8)
-    # the certificate's bracket was bisected to 2**-48, so continuing it
-    # gives the bracket of a fresh bisection at every bits >= 48
+    # 2**-8 below the width lambda_approx takes for eps; the certificate's
+    # bracket was bisected to 2**-48, so continuing it gives the bracket of a
+    # fresh bisection at every bits >= 48
+    bits = max(48, _bits_below(eps) + 8)
     lam = cert.root_interval
     while True:
-        lam = _refine_lambda(rest, lam, bits)
+        lam = _continue_bracket(rest, lam, Fraction(1, 1 << bits))
         out = log_interval(lam, bits=bits + 16)
         if out.width <= eps:
             return out
@@ -528,8 +522,7 @@ def picard_rank(model: TorusModel):
         return 4 if is_projective(model) else 2
     if d != 2:
         raise CertificationError(f"Salem factor {rest} has degree {d}, not 2, 4 or 6")
-    q = -rest.coeffs[1]
-    if _is_square(q + 2) or _is_square(q - 2):
+    if _square_witness(-rest.coeffs[1]) is not None:
         return UNCONSTRAINED
     return 4
 
@@ -597,8 +590,7 @@ def ns_charpoly(model: TorusModel):
                 raise CertificationError(f"closed quartic formula {out} disagrees with the exterior square")
             return out
     if rest.degree == 2:
-        q = -rest.coeffs[1]
-        if not (_is_square(q + 2) or _is_square(q - 2)) and is_projective(model):
+        if _square_witness(-rest.coeffs[1]) is None and is_projective(model):
             cof = model.h2_charpoly // rest
             jk = _quadratic_split(cof)
             if jk is None or jk[0] == jk[1]:

@@ -78,6 +78,14 @@ class TestCaseOf:
         assert rep.square_witness == witness
         assert rep.case_tag == (CASE_3B if witness is None else CASE_3A)
 
+    def test_square_witness_matches_brute_force(self):
+        for q in range(3, 401):
+            want = next(
+                ((r, sign) for sign, n in (("+", q + 2), ("-", q - 2)) for r in range(1, 21) if r * r == n),
+                None,
+            )
+            assert case_of(IntPoly((1, -q, 1))).square_witness == want, q
+
     def test_accepts_certificate(self):
         cert = is_salem(S2A)
         assert case_of(cert).case_tag == CASE_3A

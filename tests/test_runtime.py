@@ -1,8 +1,10 @@
-"""salemtori needs nothing beyond the standard library at run time, and no
-certification guard is an assert that python -O would drop."""
+"""salemtori needs nothing beyond the standard library at run time, no
+certification guard is an assert that python -O would drop, and no private
+helper is left without a use."""
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +59,17 @@ def test_no_assert_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_unused_private_helper():
+    # a module-level _function or _Class that the package names only where it
+    # is defined is dead code
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.rglob("*.py"))}
+    text = "\n".join(sources.values())
+    unused = []
+    for path, source in sources.items():
+        for node in ast.parse(source, str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and re.fullmatch(r"_[^_].*", node.name):
+                if len(re.findall(rf"\b{node.name}\b", text)) == 1:
+                    unused.append(f"{path.name}:{node.name}")
+    assert unused == []

@@ -1,5 +1,6 @@
 """Salem certification, trace transform, and certified root isolation."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -228,12 +229,44 @@ class TestRealRoots:
             # repeated roots 0 and 3, where every entry of p's own chain vanishes
             (IntPoly((0, 0, -1, 0, 1)), [-1, 0, 1]),
             (IntPoly((-3, 1)) ** 2 * IntPoly((2, 1)) * IntPoly((-2, 0, 1)), [-2, 3]),
+            # an irrational root 5e-4 above the triple root 1003
+            (IntPoly((-1003, 1)) ** 3 * IntPoly((-999992, -6, 1)) * IntPoly((2, 1)), [-2, 1003]),
+            # an irrational root 5e-7 above the double root 0
+            (IntPoly((0, 0, 1)) * IntPoly((1, -2 * 10**6, 1)), [0]),
         ],
     )
     def test_integer_roots_are_point_intervals(self, p, roots):
         ivs = isolate_real_roots(p)
         assert [iv.lo for iv in ivs if iv.width == 0] == roots
         assert len(ivs) == SturmChain(p).count_real()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-40, max_value=40), max_size=4),
+        st.integers(min_value=-30, max_value=30),
+        st.integers(min_value=-30, max_value=30),
+    )
+    def test_products_of_linear_factors_and_a_quadratic(self, roots, b, c):
+        # repeated linear factors are allowed; the quadratic adds two
+        # integer, two irrational or two complex roots
+        quad = IntPoly((c, b, 1))
+        p = quad
+        for r in roots:
+            p = p * IntPoly((-r, 1))
+        disc = b * b - 4 * c
+        integers = set(roots)
+        irrational = []
+        if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+            integers |= {(-b + math.isqrt(disc)) // 2, (-b - math.isqrt(disc)) // 2}
+        elif disc > 0:
+            irrational = [x for x, _ in _oracle_roots(quad)]
+        ivs = isolate_real_roots(p)
+        assert [iv.lo for iv in ivs if iv.width == 0] == sorted(integers)
+        others = [iv for iv in ivs if iv.width > 0]
+        assert len(others) == len(irrational)
+        for iv in others:
+            assert sum(iv.lo < x < iv.hi for x in irrational) == 1
+            assert not any(iv.lo <= r <= iv.hi for r in integers)
 
 
 class TestIsolateAll:
