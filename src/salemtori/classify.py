@@ -9,12 +9,14 @@ each P decides whether a complex-structure pairing exists.  Every surviving
 
 Case tags follow the Salem degree: 6 and 4 directly, while degree 2 splits
 on whether q = lambda + 1/lambda has q + 2 or q - 2 a perfect square (an
-infinite family of witnesses) or neither (finitely many).
+infinite family of witnesses) or neither (finitely many).  salem_case makes
+that split and RANKS holds the Picard ranks each case forces; torus reads both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isqrt
 from typing import Optional
 
 from .errors import CertificationError, NotRealizableError, NotSalemInputError, WrongDegreeError
@@ -22,9 +24,7 @@ from .poly import (
     ONE,
     IntPoly,
     _quadratic_split,
-    _square_witness,
     cyclotomic,
-    is_irreducible,
     is_squarefree,
     squarefree_part,
 )
@@ -37,6 +37,17 @@ CASE_3A = "Case3a_deg2"
 CASE_3B = "Case3b_deg2"
 
 SHORT_CASE = {CASE_DEG6: "1", CASE_DEG4: "2", CASE_3A: "3a", CASE_3B: "3b"}
+
+UNCONSTRAINED = "unconstrained"
+
+# the Picard rank each case forces, per projectivity type
+RANKS = {
+    CASE_DEG6: (("non_projective", 0),),
+    CASE_DEG4: (("non_projective", 2), ("projective", 4)),
+    CASE_3A: (("projective", UNCONSTRAINED),),
+    CASE_3B: (("projective", 4),),
+}
+_TYPES = {tag: tuple(kind for kind, _ in ranks) for tag, ranks in RANKS.items()}
 
 
 @dataclass(frozen=True)
@@ -81,15 +92,14 @@ class CandidateSet:
     s_poly: IntPoly
     complements: tuple
     admissible_q: tuple
-    quartets: tuple = ()
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
     """Everything decidable about one Salem number's torus realizations.
 
-    picard_ranks maps projectivity type to the forced rank (or the string
-    "unconstrained").  finiteness is None until realizability has run;
+    picard_ranks maps projectivity type to the forced rank (or
+    UNCONSTRAINED).  finiteness is None until realizability has run;
     witnesses empty means log(lambda) is not an automorphism entropy.
     """
 
@@ -120,48 +130,42 @@ def _coerce_cert(s) -> SalemCertificate:
     return cert
 
 
+def salem_case(s_poly: IntPoly):
+    """(case tag, square witness) of a Salem polynomial of degree 2, 4 or 6;
+    only case 3a has a witness, (r, sign) with q -sign- 2 = r^2."""
+    d = s_poly.degree
+    if d == 6:
+        return CASE_DEG6, None
+    if d == 4:
+        return CASE_DEG4, None
+    if d != 2:
+        raise CertificationError(f"Salem factor {s_poly} has degree {d}, not 2, 4 or 6")
+    # T(u) = u - q, so T(x^2 -/+ 2) has an integer root exactly when
+    # q +/- 2 is a square; a Salem quadratic has q >= 3
+    q = -s_poly.coeffs[1]
+    if q <= 2:
+        raise CertificationError(f"{s_poly} is not a Salem quadratic: q = {q}")
+    for n, sign in ((q + 2, "+"), (q - 2, "-")):
+        r = isqrt(n)
+        if r * r == n:
+            return CASE_3A, (r, sign)
+    return CASE_3B, None
+
+
 def case_of(s) -> ClassificationReport:
     """Partial report: case tag, projectivity types and forced ranks.
 
     No witness search; finiteness stays None until realizable() runs.
     """
     cert = _coerce_cert(s)
-    d = cert.degree
-    if d == 6:
-        return ClassificationReport(
-            salem=cert,
-            case_tag=CASE_DEG6,
-            projective_types=("non_projective",),
-            picard_ranks=(("non_projective", 0),),
-        )
-    if d == 4:
-        return ClassificationReport(
-            salem=cert,
-            case_tag=CASE_DEG4,
-            projective_types=("non_projective", "projective"),
-            picard_ranks=(("non_projective", 2), ("projective", 4)),
-        )
-    # degree 2: T(u) = u - q, so T(x^2 -/+ 2) has an integer root exactly
-    # when q +/- 2 is a square; a Salem quadratic has q >= 3
-    q = -cert.poly.coeffs[1]
-    if q <= 2:
-        raise CertificationError(f"{cert.poly} is not a Salem quadratic: q = {q}")
-    sq = _square_witness(q)
-    if sq is not None:
-        return ClassificationReport(
-            salem=cert,
-            case_tag=CASE_3A,
-            q_value=q,
-            square_witness=sq,
-            projective_types=("projective",),
-            picard_ranks=(("projective", "unconstrained"),),
-        )
+    tag, square = salem_case(cert.poly)
     return ClassificationReport(
         salem=cert,
-        case_tag=CASE_3B,
-        q_value=q,
-        projective_types=("projective",),
-        picard_ranks=(("projective", 4),),
+        case_tag=tag,
+        q_value=-cert.poly.coeffs[1] if cert.degree == 2 else None,
+        square_witness=square,
+        projective_types=_TYPES[tag],
+        picard_ranks=RANKS[tag],
     )
 
 
@@ -228,7 +232,6 @@ def realizable(s) -> ClassificationReport:
     cert = report.salem
     cand = enumerate_complements(cert)
     witnesses = []
-    quartets = []
     for q_poly in cand.admissible_q:
         c_poly, rem = divmod(q_poly, cert.poly)
         if not rem.is_zero:
@@ -242,24 +245,30 @@ def realizable(s) -> ClassificationReport:
                 _check_split_complement(c_poly, p_poly)
             witnesses.append(Witness(q_poly, c_poly, p_poly, classes))
     witnesses.sort(key=lambda w: (w.q_poly.coeffs, w.p_poly.coeffs))
-    for w in witnesses:
-        quartets.extend((w.q_poly, w.p_poly, cl) for cl in w.classes)
     verdict = None
     if witnesses:
         if report.square_witness is not None:
             verdict = InfiniteFamily(*report.square_witness)
         else:
-            verdict = Finite(len(quartets))
+            verdict = Finite(sum(len(w.classes) for w in witnesses))
     return replace(report, witnesses=tuple(witnesses), finiteness=verdict)
+
+
+def _split_complement(c_poly: IntPoly) -> tuple:
+    """The distinct quadratics t^2 + jt + 1, j < k, whose product is the
+    cyclotomic complement c_poly of a case-3b Salem quadratic."""
+    split = _quadratic_split(c_poly)
+    if split is None or split[2] != 1 or split[0] == split[1]:
+        raise CertificationError(f"complement {c_poly} does not split distinctly")
+    return IntPoly((1, split[0], 1)), IntPoly((1, split[1], 1))
 
 
 def _check_split_complement(c_poly: IntPoly, p_poly: IntPoly):
     # with both square tests failing, the complement must split into two
-    # distinct quadratics t^2 + jt + 1 and P must be irreducible
-    jk = _quadratic_split(c_poly)
-    if jk is None or jk[0] == jk[1]:
-        raise CertificationError(f"complement {c_poly} does not split distinctly")
-    if not is_irreducible(p_poly):
+    # distinct quadratics t^2 + jt + 1 and P must be irreducible; P has no
+    # real root or is G^2, so P(0) = 1 and P can only split into quadratics
+    _split_complement(c_poly)
+    if _quadratic_split(p_poly) is not None:
         raise CertificationError(f"witness {p_poly} unexpectedly factors")
 
 

@@ -26,7 +26,6 @@ from .salem import is_salem, lambda_approx
 from .torus import (
     NotForced,
     QuadOrderMatrix,
-    UNCONSTRAINED,
     a_form_matrix,
     dyadic_cm_family,
     entropy,
@@ -305,8 +304,7 @@ def _model_json(model, eps: Fraction):
         obj["picard_rank"] = None
     else:
         obj["projective"] = is_projective(model)
-        rank = picard_rank(model)
-        obj["picard_rank"] = "unconstrained" if rank is UNCONSTRAINED else rank
+        obj["picard_rank"] = picard_rank(model)
     return obj
 
 

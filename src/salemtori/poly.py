@@ -227,22 +227,18 @@ def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def _square_witness(q: int):
-    """(r, sign) with q + 2 = r**2 (sign "+") or q - 2 = r**2 (sign "-"), or
-    None; for q > 2 at most one of the two is a square."""
-    for n, sign in ((q + 2, "+"), (q - 2, "-")):
-        if _is_square(n):
-            return (isqrt(n), sign)
-    return None
-
-
 def _quadratic_split(c: IntPoly):
-    """(j, k) with j <= k and c = (t^2 + jt + 1)(t^2 + kt + 1), |j|, |k| <= 2,
-    or None."""
-    for j in range(-2, 3):
-        for k in range(j, 3):
-            if IntPoly((1, j, 1)) * IntPoly((1, k, 1)) == c:
-                return (j, k)
+    """(a, b, s) with a <= b, s = 1 tried before s = -1, and c =
+    (t^2 + at + s)(t^2 + bt + s) = t^4 + (a+b)t^3 + (ab+2s)t^2 + s(a+b)t + 1,
+    or None; a and b are the roots of x^2 - c3*x + c2 - 2s."""
+    if c.degree != 4 or c.coeffs[0] != 1 or c.coeffs[4] != 1:
+        return None
+    _, c1, c2, c3, _ = c.coeffs
+    for s in (1, -1):
+        disc = c3 * c3 - 4 * (c2 - 2 * s)
+        if c1 == s * c3 and _is_square(disc):
+            r = isqrt(disc)
+            return ((c3 - r) // 2, (c3 + r) // 2, s)
     return None
 
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
+from .classify import CASE_3B, RANKS, UNCONSTRAINED, _split_complement, salem_case
 from .errors import (
     BadParametersError,
     CertificationError,
@@ -32,8 +33,8 @@ from .errors import (
     ZeroEntropyError,
 )
 from .intervals import Box, Interval, log_interval, sqrt_lb, sqrt_ub
-from .poly import ONE, IntPoly, _quadratic_split, _square_witness, split_cyclotomic, squarefree_part
-from .salem import RootBox, _bits_below, _continue_bracket, is_salem, isolate_all_roots, refine_root_box
+from .poly import ONE, IntPoly, split_cyclotomic, squarefree_part
+from .salem import _LAMBDA_BITS, RootBox, _bits_below, _continue_bracket, is_salem, isolate_all_roots, refine_root_box
 from .wedge import exterior_square
 
 
@@ -240,10 +241,6 @@ def _make_model(matrix, pairing, origin, reoriented=False):
     h2 = exterior_square(h1)
     root_poly = squarefree_part(h1)
     boxes = isolate_all_roots(root_poly)
-    if pairing is not None:
-        i, j = pairing
-        if not (0 <= i < len(boxes) and 0 <= j < len(boxes)):
-            raise BadParametersError(f"pairing {pairing} out of range for {len(boxes)} roots")
     return TorusModel(matrix, h1, h2, root_poly, boxes, pairing, reoriented, origin)
 
 
@@ -279,15 +276,11 @@ def from_quartic(p: IntPoly, pairing_choice=None) -> TorusModel:
         raise RealRootsError(
             f"{p} has {len(reals)} real roots; this pairing needs none (real spectra pair through gl2z_model)"
         )
-    if sf == p:
+    squarefree = sf == p
+    if squarefree:
         uppers = [i for i, b in enumerate(boxes) if b.im.lo > 0]
         if pairing_choice is None:
             pairing_choice = (uppers[0], uppers[1])
-        i, j = pairing_choice
-        if not (0 <= i < len(boxes) and 0 <= j < len(boxes)):
-            raise BadParametersError(f"pairing {pairing_choice} out of range")
-        if j == i or j == boxes[i].conjugate_index:
-            raise BadParametersError("pairing must take one root from each conjugate pair")
     else:
         # p is the square of a non-real quadratic; both eigenvalue slots
         # range over the same pair
@@ -295,9 +288,11 @@ def from_quartic(p: IntPoly, pairing_choice=None) -> TorusModel:
             raise CertificationError(f"{p} is neither squarefree nor the square of a quadratic")
         if pairing_choice is None:
             pairing_choice = (0, 1)
-        i, j = pairing_choice
-        if not (0 <= i < len(boxes) and 0 <= j < len(boxes)):
-            raise BadParametersError(f"pairing {pairing_choice} out of range")
+    i, j = pairing_choice
+    if not (0 <= i < len(boxes) and 0 <= j < len(boxes)):
+        raise BadParametersError(f"pairing {pairing_choice} out of range")
+    if squarefree and (j == i or j == boxes[i].conjugate_index):
+        raise BadParametersError("pairing must take one root from each conjugate pair")
     model = _make_model(matrix, (i, j), ModelOrigin("quartic", (p, (i, j))))
     if model.h1_charpoly != p:
         raise CertificationError(f"companion model has characteristic polynomial {model.h1_charpoly}, not {p}")
@@ -483,9 +478,9 @@ def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
     if not cert:
         raise CertificationError(f"non-cyclotomic part {rest} failed certification")
     # 2**-8 below the width lambda_approx takes for eps; the certificate's
-    # bracket was bisected to 2**-48, so continuing it gives the bracket of a
-    # fresh bisection at every bits >= 48
-    bits = max(48, _bits_below(eps) + 8)
+    # bracket was bisected to 2**-_LAMBDA_BITS, so continuing it gives the
+    # bracket of a fresh bisection at every bits >= _LAMBDA_BITS
+    bits = max(_LAMBDA_BITS, _bits_below(eps) + 8)
     lam = cert.root_interval
     while True:
         lam = _continue_bracket(rest, lam, Fraction(1, 1 << bits))
@@ -495,36 +490,13 @@ def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
         bits *= 2
 
 
-class _UnconstrainedRank:
-    """Sentinel for Picard ranks the classification does not force."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Unconstrained"
-
-
-UNCONSTRAINED = _UnconstrainedRank()
-
-
 def picard_rank(model: TorusModel):
-    """Rank forced by (Salem degree, projectivity): 0, 2, 4, or UNCONSTRAINED."""
-    rest = _salem_rest(model)
-    d = rest.degree
-    if d == 6:
-        return 0
-    if d == 4:
-        return 4 if is_projective(model) else 2
-    if d != 2:
-        raise CertificationError(f"Salem factor {rest} has degree {d}, not 2, 4 or 6")
-    if _square_witness(-rest.coeffs[1]) is not None:
-        return UNCONSTRAINED
-    return 4
+    """Rank that classify.RANKS forces for the case of the Salem factor and
+    the projectivity of the model: an int, or UNCONSTRAINED."""
+    ranks = RANKS[salem_case(_salem_rest(model))[0]]
+    if len(ranks) == 1:
+        return ranks[0][1]
+    return dict(ranks)["projective" if is_projective(model) else "non_projective"]
 
 
 def verify_jd(model: TorusModel, d_value: int) -> bool:
@@ -590,12 +562,8 @@ def ns_charpoly(model: TorusModel):
                 raise CertificationError(f"closed quartic formula {out} disagrees with the exterior square")
             return out
     if rest.degree == 2:
-        if _square_witness(-rest.coeffs[1]) is None and is_projective(model):
-            cof = model.h2_charpoly // rest
-            jk = _quadratic_split(cof)
-            if jk is None or jk[0] == jk[1]:
-                raise CertificationError(f"unexpected cofactor {cof}")
-            quads = (IntPoly((1, jk[0], 1)), IntPoly((1, jk[1], 1)))
+        if salem_case(rest)[0] == CASE_3B and is_projective(model):
+            quads = _split_complement(model.h2_charpoly // rest)
             which = _locate_product(model, tuple(squarefree_part(f) for f in quads))
             other = quads[1 - which]
             return rest * other

@@ -78,6 +78,21 @@ class TestCaseOf:
         assert rep.square_witness == witness
         assert rep.case_tag == (CASE_3B if witness is None else CASE_3A)
 
+    @pytest.mark.parametrize("q", [10**13, 10**20, 10**30])
+    def test_realizable_3b_is_bounded(self, monkeypatch, q):
+        # the case-3b checks of complement and witness must not search
+        # divisors either, which is_irreducible would do
+        cert = is_salem(IntPoly((1, -q, 1)))
+        assert cert
+
+        def refuse(n):
+            raise AssertionError(f"divisors({n}) called")
+
+        monkeypatch.setattr(poly, "divisors", refuse)
+        rep = realizable(cert)
+        assert rep.case_tag == CASE_3B
+        assert rep.finiteness == Finite(2)
+
     def test_square_witness_matches_brute_force(self):
         for q in range(3, 401):
             want = next(

@@ -1,6 +1,7 @@
 """Exact polynomial layer: arithmetic, parsing, factoring, cyclotomics."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from salemtori.poly import (
     format_poly,
     gcd_poly,
     is_cyclotomic_product,
+    _quadratic_split,
     parse_ints,
     is_irreducible,
     is_squarefree,
@@ -25,6 +27,7 @@ from salemtori.poly import (
     split_cyclotomic,
     squarefree_part,
 )
+from salemtori.salem import SturmChain
 
 from _oracles import o_divmod, o_eval, o_mul
 
@@ -146,6 +149,58 @@ class TestFactor:
         assert not is_squarefree(p)
         assert squarefree_part(p) == IntPoly((1, 1)) * IntPoly((1, -3, 1))
         assert is_squarefree(IntPoly((1, -3, 1)))
+
+
+def _unit_quartics(bound):
+    """Every monic t^4 + c3 t^3 + c2 t^2 + c1 t + 1 with each |ci| <= bound."""
+    for c1, c2, c3 in product(range(-bound, bound + 1), repeat=3):
+        yield IntPoly((1, c1, c2, c3, 1))
+
+
+def _fifteen_products(c):
+    # the search that solving replaced: s = 1 and |j|, |k| <= 2 only
+    for j in range(-2, 3):
+        for k in range(j, 3):
+            if IntPoly((1, j, 1)) * IntPoly((1, k, 1)) == c:
+                return (j, k)
+    return None
+
+
+class TestQuadraticSplit:
+    def test_every_split_reassembles(self):
+        for c in _unit_quartics(6):
+            split = _quadratic_split(c)
+            if split is not None:
+                a, b, s = split
+                assert a <= b and s in (1, -1)
+                assert IntPoly((s, a, 1)) * IntPoly((s, b, 1)) == c
+
+    def test_matches_the_fifteen_products(self):
+        for c in _unit_quartics(6):
+            split = _quadratic_split(c)
+            small = split is not None and split[2] == 1 and max(abs(split[0]), abs(split[1])) <= 2
+            assert (split[:2] if small else None) == _fifteen_products(c), c
+
+    def test_decides_reducibility_without_real_roots(self):
+        seen = 0
+        for c in _unit_quartics(6):
+            if SturmChain(squarefree_part(c)).count_real():
+                continue
+            seen += 1
+            assert (_quadratic_split(c) is None) == is_irreducible(c), c
+        assert seen == 378
+
+    def test_s_one_first(self):
+        # (t^2 - 1)^2 is also (t - 1)^2 (t + 1)^2 = (t^2 - 2t + 1)(t^2 + 2t + 1)
+        assert _quadratic_split(IntPoly((1, 0, -2, 0, 1))) == (-2, 2, 1)
+        assert _quadratic_split(IntPoly((1, 0, 2, 0, 1))) == (0, 0, 1)
+        assert _quadratic_split(IntPoly((1, -3, 0, 3, 1))) == (1, 2, -1)
+
+    def test_rejects_other_shapes(self):
+        assert _quadratic_split(IntPoly((1, 0, 1))) is None
+        assert _quadratic_split(IntPoly((-1, 0, 0, 0, 1))) is None
+        assert _quadratic_split(IntPoly((1, 0, 0, 0, 2))) is None
+        assert _quadratic_split(IntPoly((1, 1, 0, 0, 1))) is None
 
 
 class TestCyclotomic:

@@ -62,14 +62,27 @@ def test_no_assert_in_the_package():
 
 
 def test_no_unused_private_helper():
-    # a module-level _function or _Class that the package names only where it
-    # is defined is dead code
-    sources = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.rglob("*.py"))}
-    text = "\n".join(sources.values())
+    # a module-level _function, _Class or _CONSTANT that no module of the
+    # package loads, as a name or an attribute, is dead code; importing it
+    # or mentioning it in a string does not count as a use
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in PACKAGE.rglob("*.py")}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
     unused = []
-    for path, source in sources.items():
-        for node in ast.parse(source, str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and re.fullmatch(r"_[^_].*", node.name):
-                if len(re.findall(rf"\b{node.name}\b", text)) == 1:
-                    unused.append(f"{path.name}:{node.name}")
+    for path, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private = [name for name in names if re.fullmatch(r"_[^_].*", name)]
+            unused += [f"{path.name}:{name}" for name in private if name not in loaded]
     assert unused == []
