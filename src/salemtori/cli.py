@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -32,10 +33,12 @@ from .torus import (
     from_quartic,
     gl2z_model,
     is_projective,
+    ns_charpoly,
     picard_rank,
     quad_order_model,
     reorient,
 )
+from .wedge import exterior_square, invert_wedge
 
 # enumerate refuses a sweep with more candidates than this, before building any
 MAX_CANDIDATES = 10**6
@@ -150,7 +153,7 @@ def _witness_total(report) -> int:
 # subcommands
 
 
-def cmd_is_salem(args) -> int:
+def cmd_is_salem(args, parser) -> int:
     p = parse_poly(args.poly)
     res = is_salem(p)
     if not res:
@@ -174,7 +177,7 @@ def cmd_is_salem(args) -> int:
     return _dump_json(obj, args.out)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, parser) -> int:
     p = parse_poly(args.poly)
     res = is_salem(p)
     if not res:
@@ -216,17 +219,13 @@ def cmd_classify(args) -> int:
     return _dump_json(obj, args.out)
 
 
-def cmd_wedge(args) -> int:
-    from .wedge import exterior_square
-
+def cmd_wedge(args, parser) -> int:
     p = parse_poly(args.poly)
     q = exterior_square(p)
     return _dump_json({"poly": format_poly(p), "exterior_square": format_poly(q)}, args.out)
 
 
-def cmd_invert_wedge(args) -> int:
-    from .wedge import invert_wedge
-
+def cmd_invert_wedge(args, parser) -> int:
     q = parse_poly(args.poly)
     inv = invert_wedge(q)
     obj = {
@@ -272,11 +271,10 @@ def _build_model(args, parser):
             if len(pairing) != 2:
                 parser.error("--pairing needs two indices i,j")
         return from_quartic(p, pairing)
-    if fam == "dyadic-cm":
-        if args.n is None or args.k is None:
-            parser.error("dyadic-cm needs --n and --k")
-        return dyadic_cm_family(args.n, args.k)
-    parser.error(f"unknown family {fam}")
+    # argparse leaves only dyadic-cm
+    if args.n is None or args.k is None:
+        parser.error("dyadic-cm needs --n and --k")
+    return dyadic_cm_family(args.n, args.k)
 
 
 def _model_json(model, eps: Fraction):
@@ -318,21 +316,19 @@ def _parse_eps(args, parser) -> Fraction:
     return eps
 
 
+def _oriented_model(args, parser):
+    """The model the flags describe, reoriented when the command asks."""
+    model = _build_model(args, parser)
+    return reorient(model) if args.reorient_after else model
+
+
 def cmd_construct(args, parser) -> int:
     eps = _parse_eps(args, parser)
-    model = _build_model(args, parser)
-    if getattr(args, "reorient_after", False):
-        model = reorient(model)
-    return _dump_json(_model_json(model, eps), args.out)
+    return _dump_json(_model_json(_oriented_model(args, parser), eps), args.out)
 
 
 def cmd_ns(args, parser) -> int:
-    from .torus import ns_charpoly
-
-    model = _build_model(args, parser)
-    if getattr(args, "reorient_after", False):
-        model = reorient(model)
-    res = ns_charpoly(model)
+    res = ns_charpoly(_oriented_model(args, parser))
     if isinstance(res, NotForced):
         obj = {"forced": False, "reason": res.reason}
     else:
@@ -345,19 +341,9 @@ def cmd_ns(args, parser) -> int:
 
 
 def _sweep(degree: int, bound: int):
-    rng = range(-bound, bound + 1)
-    if degree == 2:
-        for a in rng:
-            yield (1, a, 1)
-    elif degree == 4:
-        for a in rng:
-            for b in rng:
-                yield (1, a, b, a, 1)
-    else:
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    yield (1, a, b, c, b, a, 1)
+    """Each monic reciprocal polynomial of the degree with coefficients in [-bound, bound]."""
+    for half in itertools.product(range(-bound, bound + 1), repeat=degree // 2):
+        yield (1, *half, *half[-2::-1], 1)
 
 
 def _atlas_row(coeffs):
@@ -427,8 +413,20 @@ def _collect_rows(degree: int, bound: int, workers: int):
     return rows
 
 
-def cmd_enumerate(args) -> int:
-    rows = _collect_rows(args.degree, args.max_coeff, args.workers)
+def cmd_enumerate(args, parser) -> int:
+    if args.max_coeff < 0:
+        parser.error("--max-coeff must be nonnegative")
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
+    count = _candidate_count(args.degree, args.max_coeff)
+    if count > MAX_CANDIDATES:
+        sys.stderr.write(
+            f"salemtori: enumerate: {count} candidates, more than the limit of {MAX_CANDIDATES}\n"
+        )
+        return 1
+    # more processes than CPUs gain nothing; the rows do not depend on it
+    workers = min(args.workers, os.cpu_count() or 1)
+    rows = _collect_rows(args.degree, args.max_coeff, workers)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -460,37 +458,37 @@ def _add_model_flags(sub):
     sub.add_argument("--out", default=None)
 
 
+# the commands that take one polynomial: (name, handler, help)
+_POLY_COMMANDS = (
+    ("is-salem", cmd_is_salem, "certify a polynomial as Salem"),
+    ("classify", cmd_classify, "case, finiteness and witnesses for a Salem polynomial"),
+    ("wedge", cmd_wedge, "exterior square of a monic quartic"),
+    ("invert-wedge", cmd_invert_wedge, "quartic preimages of a monic sextic"),
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="salemtori", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    s = subs.add_parser("is-salem", help="certify a polynomial as Salem")
-    s.add_argument("poly")
-    s.add_argument("--out", default=None)
-
-    s = subs.add_parser("classify", help="case, finiteness and witnesses for a Salem polynomial")
-    s.add_argument("poly")
-    s.add_argument("--out", default=None)
-
-    s = subs.add_parser("wedge", help="exterior square of a monic quartic")
-    s.add_argument("poly")
-    s.add_argument("--out", default=None)
-
-    s = subs.add_parser("invert-wedge", help="quartic preimages of a monic sextic")
-    s.add_argument("poly")
-    s.add_argument("--out", default=None)
+    for name, run, text in _POLY_COMMANDS:
+        s = subs.add_parser(name, help=text)
+        s.add_argument("poly")
+        s.add_argument("--out", default=None)
+        s.set_defaults(run=run)
 
     s = subs.add_parser("construct", help="build an explicit torus model")
     _add_model_flags(s)
-    s.set_defaults(reorient_after=False)
+    s.set_defaults(run=cmd_construct, reorient_after=False)
 
     s = subs.add_parser("reorient", help="build a model, then flip its orientation")
     _add_model_flags(s)
-    s.set_defaults(reorient_after=True)
+    s.set_defaults(run=cmd_construct, reorient_after=True)
 
     s = subs.add_parser("ns", help="divisor-class characteristic polynomial, when forced")
     _add_model_flags(s)
     s.add_argument("--reoriented", dest="reorient_after", action="store_true")
+    s.set_defaults(run=cmd_ns)
 
     s = subs.add_parser("enumerate", help="atlas sweep over bounded reciprocal polynomials")
     s.add_argument("--degree", type=int, choices=(2, 4, 6), required=True)
@@ -498,6 +496,7 @@ def build_parser() -> _Parser:
     s.add_argument("--out", default=None)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--workers", type=int, default=1)
+    s.set_defaults(run=cmd_enumerate)
 
     return parser
 
@@ -506,40 +505,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "is-salem":
-            return cmd_is_salem(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "wedge":
-            return cmd_wedge(args)
-        if args.command == "invert-wedge":
-            return cmd_invert_wedge(args)
-        if args.command in ("construct", "reorient"):
-            return cmd_construct(args, parser)
-        if args.command == "ns":
-            return cmd_ns(args, parser)
-        if args.command == "enumerate":
-            if args.max_coeff < 0:
-                parser.error("--max-coeff must be nonnegative")
-            if args.workers < 1:
-                parser.error("--workers must be at least 1")
-            count = _candidate_count(args.degree, args.max_coeff)
-            if count > MAX_CANDIDATES:
-                sys.stderr.write(
-                    f"salemtori: enumerate: {count} candidates, more than the limit of {MAX_CANDIDATES}\n"
-                )
-                return 1
-            # more processes than CPUs gain nothing; the rows do not depend on it
-            args.workers = min(args.workers, os.cpu_count() or 1)
-            return cmd_enumerate(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args, parser)
     except ParseError as exc:
         sys.stderr.write(f"salemtori: parse error: {exc}\n")
         return 1
     except SalemToriError as exc:
         _dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}, None)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

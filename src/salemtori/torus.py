@@ -236,12 +236,29 @@ def _refine_boxes(root_poly, boxes, width):
     return tuple(out)
 
 
-def _make_model(matrix, pairing, origin, reoriented=False):
+def _make_model(matrix, pairing, origin):
     h1 = _charpoly(matrix)
     h2 = exterior_square(h1)
     root_poly = squarefree_part(h1)
     boxes = isolate_all_roots(root_poly)
-    return TorusModel(matrix, h1, h2, root_poly, boxes, pairing, reoriented, origin)
+    return TorusModel(matrix, h1, h2, root_poly, boxes, pairing, False, origin)
+
+
+def _separate(cands, keep, name):
+    """The one candidate that survives keep(cands, bits) as bits grows.
+
+    keep drops the candidates that boxes refined below 2**-bits rule out;
+    it runs at bits = 24, 32, ... for at most 64 rounds.
+    """
+    bits = 24
+    for _ in range(64):
+        cands = keep(cands, bits)
+        if not cands:
+            raise CertificationError(f"{name} lost every candidate")
+        if len(cands) == 1:
+            return cands[0]
+        bits += 8
+    raise CertificationError(f"{name} did not separate")
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +286,8 @@ def from_quartic(p: IntPoly, pairing_choice=None) -> TorusModel:
         (0, 1, 0, -c2),
         (0, 0, 1, -c3),
     )
-    sf = squarefree_part(p)
-    boxes = isolate_all_roots(sf)
+    model = _make_model(matrix, None, None)
+    sf, boxes = model.root_poly, model.root_boxes
     if any(b.is_real for b in boxes):
         reals = [b for b in boxes if b.is_real]
         raise RealRootsError(
@@ -278,9 +295,8 @@ def from_quartic(p: IntPoly, pairing_choice=None) -> TorusModel:
         )
     squarefree = sf == p
     if squarefree:
-        uppers = [i for i, b in enumerate(boxes) if b.im.lo > 0]
         if pairing_choice is None:
-            pairing_choice = (uppers[0], uppers[1])
+            pairing_choice = tuple(i for i, b in enumerate(boxes) if b.im.lo > 0)
     else:
         # p is the square of a non-real quadratic; both eigenvalue slots
         # range over the same pair
@@ -293,10 +309,9 @@ def from_quartic(p: IntPoly, pairing_choice=None) -> TorusModel:
         raise BadParametersError(f"pairing {pairing_choice} out of range")
     if squarefree and (j == i or j == boxes[i].conjugate_index):
         raise BadParametersError("pairing must take one root from each conjugate pair")
-    model = _make_model(matrix, (i, j), ModelOrigin("quartic", (p, (i, j))))
     if model.h1_charpoly != p:
         raise CertificationError(f"companion model has characteristic polynomial {model.h1_charpoly}, not {p}")
-    return model
+    return replace(model, pairing=(i, j), origin=ModelOrigin("quartic", (p, (i, j))))
 
 
 def quad_order_model(qm: QuadOrderMatrix) -> TorusModel:
@@ -314,45 +329,29 @@ def quad_order_model(qm: QuadOrderMatrix) -> TorusModel:
     model = _make_model(matrix, None, ModelOrigin("quad_order", (), quad=qm))
     if model.h1_charpoly != _norm_charpoly(qm):
         raise CertificationError(f"lifted matrix has characteristic polynomial {model.h1_charpoly}, not the norm's")
-    tau = qm.trace()
-    if tau[1] == 0 and det[1] == 0:
-        # the complex matrix has a rational characteristic polynomial; its
-        # eigenvalues are the (up to) two roots of the squarefree part
-        k = len(model.root_boxes)
-        pairing = (0, min(1, k - 1))
-    else:
-        pairing = _match_pairing(model, tau, det, qm.d_param)
-    return replace(model, pairing=pairing)
+    return replace(model, pairing=_match_pairing(model, qm.trace(), det, qm.d_param))
 
 
 def _match_pairing(model, tau, delta, d):
     """Indices (i <= j) with root_i + root_j = tau and root_i * root_j = delta."""
     allow_equal = model.root_poly != model.h1_charpoly
-    boxes = list(model.root_boxes)
-    k = len(boxes)
-    cands = [(i, j) for i in range(k) for j in range(i, k) if i != j or allow_equal]
-    width = Fraction(1, 1 << 24)
-    bits = 48
-    for _ in range(64):
-        sd = Interval(sqrt_lb(Fraction(d), bits), sqrt_ub(Fraction(d), bits))
+    k = len(model.root_boxes)
+
+    def keep(cands, bits):
+        boxes = _refine_boxes(model.root_poly, model.root_boxes, Fraction(1, 1 << bits))
+        sd = Interval(sqrt_lb(Fraction(d), 2 * bits), sqrt_ub(Fraction(d), 2 * bits))
         tau_box = Box(Interval.point(tau[0]), tau[1] * sd)
         delta_box = Box(Interval.point(delta[0]), delta[1] * sd)
-        keep = []
-        for i, j in cands:
-            ssum = Box(boxes[i].re + boxes[j].re, boxes[i].im + boxes[j].im)
-            prod = boxes[i].box * boxes[j].box
-            if ssum.intersects(tau_box) and prod.intersects(delta_box):
-                keep.append((i, j))
-        if not keep:
-            raise CertificationError("eigenvalue pairing lost during refinement")
-        if len(keep) == 1:
-            return keep[0]
-        cands = keep
-        width /= 1 << 8
-        bits += 32
-        refined = _refine_boxes(model.root_poly, tuple(boxes), width)
-        boxes = list(refined)
-    raise CertificationError("eigenvalue pairing did not separate")
+        return [
+            (i, j)
+            for i, j in cands
+            # the sum is cheap; only a pair whose sum fits pays for a product
+            if Box(boxes[i].re + boxes[j].re, boxes[i].im + boxes[j].im).intersects(tau_box)
+            and (boxes[i].box * boxes[j].box).intersects(delta_box)
+        ]
+
+    cands = [(i, j) for i in range(k) for j in range(i, k) if i != j or allow_equal]
+    return _separate(cands, keep, "eigenvalue pairing")
 
 
 def gl2z_model(r: int, det: int) -> TorusModel:
@@ -423,28 +422,16 @@ def _locate_product(model: TorusModel, polys) -> int:
     The product is an exact root of exactly one entry; boxes are refined
     until a single candidate root box remains.
     """
-    box_sets = [list(isolate_all_roots(f)) for f in polys]
-    g1, g2 = model.gamma1, model.gamma2
-    width = Fraction(1, 1 << 24)
-    for _ in range(64):
+
+    def keep(cands, bits):
+        width = Fraction(1, 1 << bits)
+        g1 = refine_root_box(model.root_poly, model.gamma1, width)
+        g2 = refine_root_box(model.root_poly, model.gamma2, width)
         prod = g1.box * g2.box
-        hits = [
-            (pi, bi)
-            for pi, bset in enumerate(box_sets)
-            for bi, b in enumerate(bset)
-            if prod.intersects(b.box)
-        ]
-        if not hits:
-            raise CertificationError("product box lost every root")
-        if len(hits) == 1:
-            return hits[0][0]
-        width /= 1 << 8
-        g1 = refine_root_box(model.root_poly, g1, width)
-        g2 = refine_root_box(model.root_poly, g2, width)
-        box_sets = [
-            [refine_root_box(f, b, width) for b in bset] for f, bset in zip(polys, box_sets)
-        ]
-    raise CertificationError("projectivity decision did not separate")
+        return [(pi, b) for pi, b in cands if prod.intersects(refine_root_box(polys[pi], b, width).box)]
+
+    cands = [(pi, b) for pi, f in enumerate(polys) for b in isolate_all_roots(f)]
+    return _separate(cands, keep, "location of g1*g2")[0]
 
 
 def is_projective(model: TorusModel) -> bool:
@@ -454,13 +441,8 @@ def is_projective(model: TorusModel) -> bool:
     exact factors, never by floating-point tolerance.
     """
     rest = _salem_rest(model)
-    cof = model.h2_charpoly // rest
-    if cof == ONE:
-        # no cyclotomic factor at all; the product must be a Salem conjugate
-        _locate_product(model, (rest,))
-        return False
-    which = _locate_product(model, (rest, squarefree_part(cof)))
-    return which == 1
+    # with no cyclotomic factor the second entry is 1, which has no roots
+    return _locate_product(model, (rest, squarefree_part(model.h2_charpoly // rest))) == 1
 
 
 def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:

@@ -3,7 +3,12 @@
 The expected output in golden_cli.json was generated by running
 `python tests/test_golden.py --write` against the library as it stood before
 complex root seeding moved from mpmath.polyroots to float Aberth seeds
-refined by exact Newton steps, and is not regenerated by later changes.
+refined by exact Newton steps, and is not regenerated by later changes:
+`--write` keeps every stored entry as it is and adds entries only for
+commands that have none, so a command is added, and its entry written,
+before the change it guards.  The SEPARATION_COMMANDS and REJECTED_COMMANDS
+entries were written before the pairing and projectivity decisions moved to
+one refinement routine.
 Certified box endpoints (`lo`, `hi`) are stripped before the comparison:
 they may move when the isolation changes, while every other field, every
 `decimal` string and the exit code must stay byte-identical.  Decimals became
@@ -41,7 +46,39 @@ GRID_COMMANDS = tuple(
     for d in range(1, 6)
     for b2 in (-3, -2, -1, 1, 2, 3)
 )
-COMMANDS = README_COMMANDS + GRID_COMMANDS
+# the paths that decide which root is which: a rational trace and
+# determinant (b2 = 0, with one root box at b1 = +-2), the case-3b split of
+# ns on a reoriented model, quartic pairings, a doubled quadratic, a
+# degree-6 Salem factor and real spectra
+SEPARATION_COMMANDS = (
+    tuple(
+        (cmd, "quad-order", "--d", str(d), "--b1", str(b1), "--b2", "0")
+        for cmd in ("construct", "ns")
+        for d in range(1, 4)
+        for b1 in (-3, -2, 0, 2, 3)
+    )
+    + tuple(
+        ("ns", "quad-order", "--d", str(d), "--b1", str(b1), "--b2", str(b2), "--reoriented")
+        for d, b1, b2 in ((2, 0, 1), (2, -3, 1), (3, 0, -1))
+    )
+    + tuple(
+        ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing", pairing) for pairing in ("0,2", "1,3")
+    )
+    + (
+        ("construct", "quartic", "--poly", "1,2,3,2,1"),
+        ("construct", "quartic", "--poly", "1,0,0,1,1"),
+        ("construct", "gl2z", "--r", "3", "--det", "1"),
+        ("construct", "gl2z", "--r", "-4", "--det", "-1"),
+        ("reorient", "gl2z", "--r", "5", "--det", "1"),
+    )
+)
+# every command here prints a model; test_decimals.py checks its decimals
+COMMANDS = README_COMMANDS + GRID_COMMANDS + SEPARATION_COMMANDS
+# pairings that from_quartic refuses, with exit code 2
+REJECTED_COMMANDS = tuple(
+    ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing", pairing) for pairing in ("0,1", "0,5")
+)
+GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS
 
 
 def _strip_endpoints(value):
@@ -66,10 +103,10 @@ def _expected():
 
 
 def test_golden_file_covers_every_command():
-    assert set(_expected()) == set(COMMANDS)
+    assert set(_expected()) == set(GOLDEN_COMMANDS)
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
 def test_golden_output(argv):
     code, output = stripped_output(argv)
     want_code, want_output = _expected()[argv]
@@ -80,8 +117,11 @@ def test_golden_output(argv):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
-    entries = []
-    for argv in COMMANDS:
-        code, output = stripped_output(argv)
-        entries.append({"argv": list(argv), "exit": code, "output": output})
+    # stored entries stay as they are; only commands without one are run
+    entries = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    stored = {tuple(entry["argv"]) for entry in entries}
+    for argv in GOLDEN_COMMANDS:
+        if argv not in stored:
+            code, output = stripped_output(argv)
+            entries.append({"argv": list(argv), "exit": code, "output": output})
     GOLDEN.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
