@@ -27,6 +27,7 @@ from .salem import is_salem, lambda_approx
 from .torus import (
     NotForced,
     QuadOrderMatrix,
+    _picard_rank,
     a_form_matrix,
     dyadic_cm_family,
     entropy,
@@ -34,7 +35,6 @@ from .torus import (
     gl2z_model,
     is_projective,
     ns_charpoly,
-    picard_rank,
     quad_order_model,
     reorient,
 )
@@ -302,7 +302,7 @@ def _model_json(model, eps: Fraction):
         obj["picard_rank"] = None
     else:
         obj["projective"] = is_projective(model)
-        obj["picard_rank"] = picard_rank(model)
+        obj["picard_rank"] = _picard_rank(model, obj["projective"])
     return obj
 
 
@@ -501,9 +501,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _as_values(argv):
+    """argv with each argument after the first that starts with "-" and a
+    digit, such as -1,3,-1, put where argparse reads it as a value, not an
+    option: after an option it joins it as --option=value, anywhere else it
+    moves behind a "--", after which every argument is positional."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    out, moved = [], []
+    for arg in argv[:end]:
+        if not (out and arg[:1] == "-" and arg[1:2].isdigit()):
+            out.append(arg)
+        elif out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + arg
+        else:
+            moved.append(arg)
+    if moved or end < len(argv):
+        out += ["--", *moved, *argv[end + 1 :]]
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_as_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.run(args, parser)
     except ParseError as exc:

@@ -13,6 +13,7 @@ seed complex root boxes, which are then certified exactly.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,45 +104,31 @@ class SturmChain:
         self.chain = chain
 
     @staticmethod
-    def _variations(signs) -> int:
+    def _variations(values) -> int:
+        """Sign changes along a sequence of integers, zeros skipped."""
         out = 0
         last = 0
-        for s in signs:
-            if s == 0:
-                continue
-            if last and s != last:
-                out += 1
-            last = s
+        for v in values:
+            if v:
+                if last and (v > 0) != (last > 0):
+                    out += 1
+                last = v
         return out
 
     def variations_at(self, num: int, den: int = 1) -> int:
         """V(num/den), for integers num and den > 0."""
-        signs = []
-        for f in self.chain:
-            v = kern.eval_qq(f, num, den)
-            signs.append((v > 0) - (v < 0))
-        return self._variations(signs)
-
-    def _variations_of(self, x) -> int:
-        """V(x) at an int or Fraction x."""
-        x = Fraction(x)
-        return self.variations_at(x.numerator, x.denominator)
+        return self._variations(kern.eval_qq(f, num, den) for f in self.chain)
 
     def variations_pos_inf(self) -> int:
-        return self._variations((1 if f[-1] > 0 else -1) for f in self.chain)
+        return self._variations(f[-1] for f in self.chain)
 
     def variations_neg_inf(self) -> int:
-        signs = []
-        for f in self.chain:
-            s = 1 if f[-1] > 0 else -1
-            if (len(f) - 1) % 2:
-                s = -s
-            signs.append(s)
-        return self._variations(signs)
+        return self._variations(f[-1] * (-1) ** (len(f) - 1) for f in self.chain)
 
     def count_half_open(self, a, b) -> int:
-        """Distinct real roots in (a, b]."""
-        return self._variations_of(a) - self._variations_of(b)
+        """Distinct real roots in (a, b], for ints or Fractions a and b."""
+        a, b = Fraction(a), Fraction(b)
+        return self.variations_at(a.numerator, a.denominator) - self.variations_at(b.numerator, b.denominator)
 
     def count_real(self) -> int:
         return self.variations_neg_inf() - self.variations_pos_inf()
@@ -178,71 +165,37 @@ def cauchy_bound(p: IntPoly) -> int:
     return 1 + max(abs(c) for c in p.coeffs)
 
 
-def _bisect(a: int, b: int, den: int, width: Fraction, root_left):
-    """Halve (a/den, b/den] around its one root until it is at most width wide.
+def _continue_bracket(p: IntPoly, bracket: Interval, width: Fraction) -> Interval:
+    """Halve a bracket of a sign change of p until it is at most width wide.
 
-    The bracket stays a pair of integer numerators over one denominator, which
-    doubles at each halving: the midpoint is a + b over 2*den, the same point
-    as halving Fractions, and b - a never changes.  root_left(num, den) is
-    True when the root lies in (a/den, num/den], False when it lies beyond,
-    and None when num/den is itself a root.  Returns the final (a, b, den).
-    Raises CertificationError unless root_left is False at a and True at b,
-    or if a midpoint is a root.
+    The ends are integer numerators a, b over their lcm den, which doubles
+    at each halving: the midpoint is a + b over 2*den, and b - a never
+    changes.  Each halving is one sign test of p.  Raises CertificationError
+    unless p has opposite nonzero signs at the ends, or if a midpoint is a
+    root.  Bisection passes through the same brackets whatever its target,
+    so continuing a bracket ends where a fresh run from the first one ends.
     """
-    if root_left(a, den) is not False or root_left(b, den) is not True:
-        raise CertificationError(f"({Fraction(a, den)}, {Fraction(b, den)}] does not bracket a root")
+    c = p.coeffs
+    lo, hi = bracket.lo, bracket.hi
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    v_lo, v_hi = kern.eval_qq(c, a, den), kern.eval_qq(c, b, den)
+    if v_lo == 0 or v_hi == 0 or (v_lo > 0) == (v_hi > 0):
+        raise CertificationError(f"({lo}, {hi}] does not bracket a root")
+    hi_positive = v_hi > 0
     gap = (b - a) * width.denominator
     wn = width.numerator
     while gap > wn * den:
         mid = a + b
         den *= 2
-        left = root_left(mid, den)
-        if left is None:
+        v = kern.eval_qq(c, mid, den)
+        if v == 0:
             raise CertificationError(f"rational root {Fraction(mid, den)} hit during bisection")
-        if left:
+        if (v > 0) == hi_positive:
             a, b = 2 * a, mid
         else:
             a, b = mid, 2 * b
-    return a, b, den
-
-
-def _numerators(iv: Interval):
-    """(a, b, den) with iv = [a/den, b/den] over the least common denominator."""
-    den = math.lcm(iv.lo.denominator, iv.hi.denominator)
-    return iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator), den
-
-
-def _interval(a: int, b: int, den: int) -> Interval:
     return Interval(Fraction(a, den), Fraction(b, den))
-
-
-def _sign_test(p: IntPoly, b: int, den: int):
-    """root_left for a sign change of p below b/den: p has the sign of p(b/den)."""
-    c = p.coeffs
-    hi_positive = kern.eval_qq(c, b, den) > 0
-
-    def root_left(num, den):
-        v = kern.eval_qq(c, num, den)
-        return None if v == 0 else (v > 0) == hi_positive
-
-    return root_left
-
-
-def _sturm_test(chain: SturmChain, a: int, den: int):
-    """root_left for the one root of the chain's polynomial in (a/den, b/den]."""
-    v_lo = chain.variations_at(a, den)
-    return lambda num, den: v_lo - chain.variations_at(num, den) == 1
-
-
-def _continue_bracket(p: IntPoly, bracket: Interval, width: Fraction) -> Interval:
-    """Bisect a bracket of a sign change of p on until it is at most width wide.
-
-    Bisection passes through the same brackets whatever its target, so
-    continuing a bracket it made for a wider target ends where a fresh run
-    from the first bracket ends.
-    """
-    a, b, den = _numerators(bracket)
-    return _interval(*_bisect(a, b, den, width, _sign_test(p, b, den)))
 
 
 def _bits_below(eps: Fraction) -> int:
@@ -360,10 +313,11 @@ def isolate_real_roots(p: IntPoly, bits: int = 24):
     log B.  A bracket that holds one root is halved until it is at most 1
     wide, where the only integer it can hold is floor(hi); a rational root of
     a monic p is an integer, so the bracket becomes a point interval when p
-    vanishes there.  The Sturm test counts a midpoint root in the left half,
-    so no midpoint stops the halving.  Irrational roots come back as open
-    intervals with non-root dyadic endpoints, shrunk below 2**-bits and
-    separated from each other and from the integer roots.
+    vanishes there.  The other brackets are halved by sign tests of the
+    radical with the integer roots divided out, which has no rational root,
+    so neither an end nor a midpoint is a root.  Irrational roots come back
+    as open intervals with non-root dyadic endpoints, shrunk below 2**-bits
+    and separated from each other and from the integer roots.
     """
     if not p.is_monic:
         raise NotMonicError("real root isolation needs a monic polynomial")
@@ -388,22 +342,23 @@ def isolate_real_roots(p: IntPoly, bits: int = 24):
             if r * den > lo and kern.eval_int(p.coeffs, r) == 0:
                 int_roots.append(r)
             else:
-                isolated.append((lo, hi, den))
-    out = [Interval.point(r) for r in int_roots]
+                isolated.append(Interval(Fraction(lo, den), Fraction(hi, den)))
     if isolated:
+        # without its integer roots the radical, the chain's first entry, has
+        # no rational root: it changes sign across each irrational root and
+        # vanishes at no end of a bracket
+        radical = IntPoly(chain.chain[0])
+        for r in int_roots:
+            radical //= IntPoly((-r, 1))
         target = Fraction(1, 1 << bits)
         while True:
-            isolated = [_bisect(lo, hi, den, target, _sturm_test(chain, lo, den)) for lo, hi, den in isolated]
-            den = max(d for _, _, d in isolated)
-            ends = sorted((lo * (den // d), hi * (den // d)) for lo, hi, d in isolated)
-            if all(a_hi < b_lo for (_, a_hi), (b_lo, _) in zip(ends, ends[1:])) and not any(
-                lo <= r * den <= hi for lo, hi in ends for r in int_roots
+            isolated = sorted((_continue_bracket(radical, iv, target) for iv in isolated), key=lambda iv: iv.lo)
+            if all(x.hi < y.lo for x, y in zip(isolated, isolated[1:])) and not any(
+                iv.contains(r) for iv in isolated for r in int_roots
             ):
                 break
             target /= 2
-        out.extend(_interval(lo, hi, den) for lo, hi in ends)
-    out.sort(key=lambda iv: (iv.lo, iv.hi))
-    return out
+    return sorted([Interval.point(r) for r in int_roots] + isolated, key=lambda iv: iv.lo)
 
 
 def _float_seeds(p: IntPoly):
@@ -521,17 +476,14 @@ def isolate_all_roots(p: IntPoly):
     n_pairs, odd = divmod(p.degree - len(reals), 2)
     if odd:
         raise CertificationError(f"{len(reals)} real roots for degree {p.degree}")
-    uppers = []
-    if n_pairs:
-        uppers = _upper_boxes(p, n_pairs)
-    boxes = []
-    for iv in reals:
-        boxes.append(RootBox(iv, Interval.point(0)))
+    uppers = _upper_boxes(p, n_pairs) if n_pairs else []
+    boxes = [RootBox(iv, Interval.point(0)) for iv in reals]
     for up in uppers:
         i = len(boxes)
         boxes.append(RootBox(up.re, up.im, conjugate_index=i + 1))
         boxes.append(RootBox(up.re, -up.im, conjugate_index=i))
-    _check_disjoint(boxes)
+    if any(a.box.intersects(b.box) for a, b in itertools.combinations(boxes, 2)):
+        raise CertificationError("root boxes overlap")
     return tuple(boxes)
 
 
@@ -554,13 +506,6 @@ def _upper_boxes(p: IntPoly, n_pairs: int):
         boxes.append(box)
     boxes.sort(key=lambda b: (b.re.mid, b.im.mid))
     return boxes
-
-
-def _check_disjoint(boxes):
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if boxes[i].box.intersects(boxes[j].box):
-                raise CertificationError("root boxes overlap")
 
 
 def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:

@@ -475,10 +475,18 @@ def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
 def picard_rank(model: TorusModel):
     """Rank that classify.RANKS forces for the case of the Salem factor and
     the projectivity of the model: an int, or UNCONSTRAINED."""
+    return _picard_rank(model, None)
+
+
+def _picard_rank(model: TorusModel, projective: Optional[bool]):
+    """picard_rank, given is_projective(model) once it is decided; a case
+    with one projectivity type does not need it."""
     ranks = RANKS[salem_case(_salem_rest(model))[0]]
     if len(ranks) == 1:
         return ranks[0][1]
-    return dict(ranks)["projective" if is_projective(model) else "non_projective"]
+    if projective is None:
+        projective = is_projective(model)
+    return dict(ranks)["projective" if projective else "non_projective"]
 
 
 def verify_jd(model: TorusModel, d_value: int) -> bool:

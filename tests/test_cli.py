@@ -1,12 +1,14 @@
 """End-to-end CLI checks through the installed console script."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 
-from salemtori import cli
+from salemtori import cli, torus
 from salemtori.poly import IntPoly, format_poly
 from salemtori.salem import is_salem
 
@@ -192,6 +194,29 @@ class TestConstruct:
         assert out.returncode == 1
         assert out.stdout == ""
         assert out.stderr == f"salemtori: parse error: {message}\n"
+
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # case 3a, whose two projectivity types have different ranks
+            ("--d", "1", "--b1", "1", "--b2", "1"),
+            # a case with one projectivity type, whose rank needs no decision
+            ("--d", "2", "--b1", "0", "--b2", "1"),
+        ],
+    )
+    def test_projectivity_decided_once(self, monkeypatch, params):
+        calls = []
+        locate = torus._locate_product
+
+        def spy(model, polys):
+            calls.append(polys)
+            return locate(model, polys)
+
+        monkeypatch.setattr(torus, "_locate_product", spy)
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["construct", "quad-order", *params]) == 0
+        assert len(calls) == 1
 
 
 class TestReorientAndNs:

@@ -8,7 +8,8 @@ refined by exact Newton steps, and is not regenerated by later changes:
 commands that have none, so a command is added, and its entry written,
 before the change it guards.  The SEPARATION_COMMANDS and REJECTED_COMMANDS
 entries were written before the pairing and projectivity decisions moved to
-one refinement routine.
+one refinement routine.  The NEGATIVE_COMMANDS entries were written before
+the parser read a bare argument that starts with "-" as a value.
 Certified box endpoints (`lo`, `hi`) are stripped before the comparison:
 they may move when the isolation changes, while every other field, every
 `decimal` string and the exit code must stay byte-identical.  Decimals became
@@ -78,7 +79,18 @@ COMMANDS = README_COMMANDS + GRID_COMMANDS + SEPARATION_COMMANDS
 REJECTED_COMMANDS = tuple(
     ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing", pairing) for pairing in ("0,1", "0,5")
 )
-GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS
+# arguments that start with "-", stored in the forms that argparse reads as
+# values whatever the parser does with a bare one: after "--", and as
+# "--pairing=i,j"; test_negative_arguments runs the bare forms against them
+NEGATIVE_COMMANDS = (
+    ("is-salem", "--", "-1,3,-1"),
+    ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing=-1,0"),
+)
+BARE_NEGATIVE_COMMANDS = (
+    ("is-salem", "-1,3,-1"),
+    ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing", "-1,0"),
+)
+GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS + NEGATIVE_COMMANDS
 
 
 def _strip_endpoints(value):
@@ -110,6 +122,14 @@ def test_golden_file_covers_every_command():
 def test_golden_output(argv):
     code, output = stripped_output(argv)
     want_code, want_output = _expected()[argv]
+    assert code == want_code
+    assert json.dumps(output, sort_keys=True) == json.dumps(want_output, sort_keys=True)
+
+
+@pytest.mark.parametrize("bare, stored", zip(BARE_NEGATIVE_COMMANDS, NEGATIVE_COMMANDS), ids=" ".join)
+def test_negative_arguments(bare, stored):
+    code, output = stripped_output(bare)
+    want_code, want_output = _expected()[stored]
     assert code == want_code
     assert json.dumps(output, sort_keys=True) == json.dumps(want_output, sort_keys=True)
 

@@ -60,6 +60,8 @@ def test_forged_certificate_raises_under_O():
         ("construct", "quad-order", "--d", "1", "--b1", "0", "--b2", "1"),
         ("ns", "quad-order", "--d", "1", "--b1", "1", "--b2", "1"),
         ("enumerate", "--degree", "4", "--max-coeff", "3"),
+        # real root isolation, and real boxes refined for the decimals
+        ("construct", "gl2z", "--r", "3", "--det", "1"),
     ],
 )
 def test_cli_output_unchanged_under_O(argv):

@@ -15,6 +15,7 @@ from salemtori.poly import IntPoly, cyclotomic, is_squarefree, split_cyclotomic,
 from salemtori.salem import (
     RootBox,
     SturmChain,
+    _continue_bracket,
     cauchy_bound,
     count_real_roots,
     is_salem,
@@ -192,6 +193,12 @@ class TestLambda:
         with pytest.raises(CertificationError, match="does not bracket"):
             lambda_interval(IntPoly((3, 0, 1)))
 
+    @pytest.mark.parametrize("lo, hi", [(2, 3), (1, 2)])
+    def test_root_at_an_end_raises(self, lo, hi):
+        # t^2 - 4 vanishes at 2, an end of the bracket
+        with pytest.raises(CertificationError, match="does not bracket"):
+            _continue_bracket(IntPoly((-4, 0, 1)), Interval(lo, hi), Fraction(1, 8))
+
 
 class TestRealRoots:
     def test_count_window(self):
@@ -239,6 +246,14 @@ class TestRealRoots:
         ivs = isolate_real_roots(p)
         assert [iv.lo for iv in ivs if iv.width == 0] == roots
         assert len(ivs) == SturmChain(p).count_real()
+        # the brackets are halved by sign tests of the radical without its
+        # integer roots, which has opposite nonzero signs at their two ends
+        rest = squarefree_part(p)
+        for r in roots:
+            rest //= IntPoly((-r, 1))
+        for iv in ivs:
+            if iv.width:
+                assert rest(iv.lo) * rest(iv.hi) < 0
 
     @settings(max_examples=60, deadline=None)
     @given(
