@@ -20,14 +20,7 @@ from math import isqrt
 from typing import Optional
 
 from .errors import CertificationError, NotRealizableError, NotSalemInputError, WrongDegreeError
-from .poly import (
-    ONE,
-    IntPoly,
-    _quadratic_split,
-    cyclotomic,
-    is_squarefree,
-    squarefree_part,
-)
+from .poly import ONE, IntPoly, _quadratic_split, cyclotomic
 from .salem import NotSalem, SalemCertificate, SturmChain, is_salem
 from .wedge import invert_wedge, square_values
 
@@ -206,14 +199,15 @@ def pairing_classes(p: IntPoly) -> tuple:
     """
     if p.degree != 4:
         raise WrongDegreeError(f"expected a quartic, got degree {p.degree}")
-    if is_squarefree(p):
-        if SturmChain(p).count_real():
+    chain = SturmChain(p)
+    if chain.squarefree:
+        if chain.count_real():
             return ()
         return (
             PairingClass("conjugate", indices=(0, 2)),
             PairingClass("conjugate", indices=(0, 3)),
         )
-    g = squarefree_part(p)
+    g = chain.radical()
     if g.degree == 2 and g * g == p:
         c0, c1, _ = g.coeffs
         if (c0 == 1 and abs(c1) > 2) or (c0 == -1 and c1 != 0):

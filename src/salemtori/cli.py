@@ -27,7 +27,6 @@ from .salem import is_salem, lambda_approx
 from .torus import (
     NotForced,
     QuadOrderMatrix,
-    _picard_rank,
     a_form_matrix,
     dyadic_cm_family,
     entropy,
@@ -35,6 +34,7 @@ from .torus import (
     gl2z_model,
     is_projective,
     ns_charpoly,
+    picard_rank,
     quad_order_model,
     reorient,
 )
@@ -281,7 +281,7 @@ def _model_json(model, eps: Fraction):
     rest = model.salem_factor()
     zero = rest.degree == 0
     ent = entropy(model, eps)
-    obj = {
+    return {
         "family": model.origin.family if model.origin else None,
         "matrix": [list(row) for row in model.matrix],
         "h1_charpoly": format_poly(model.h1_charpoly),
@@ -296,14 +296,9 @@ def _model_json(model, eps: Fraction):
         "gamma2": _box_json(model.gamma2.box, lambda width: model.refined(width).gamma2.box),
         # the product of the refined gammas
         "h20_product": _box_json(model.h20_product, lambda width: model.refined(width).h20_product),
+        "projective": None if zero else is_projective(model),
+        "picard_rank": None if zero else picard_rank(model),
     }
-    if zero:
-        obj["projective"] = None
-        obj["picard_rank"] = None
-    else:
-        obj["projective"] = is_projective(model)
-        obj["picard_rank"] = _picard_rank(model, obj["projective"])
-    return obj
 
 
 def _parse_eps(args, parser) -> Fraction:

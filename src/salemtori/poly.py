@@ -404,39 +404,47 @@ def is_irreducible(p: IntPoly) -> bool:
     return p.degree >= 1 and factor_bounded(p) == ((p, 1),)
 
 
+def remainder_sequence(a: IntPoly, b: IntPoly) -> list:
+    """Primitive pseudo-remainders a, b, r1, ... as coefficient tuples, zeros
+    left out, for deg a >= deg b.  Each r has the sign of minus the true
+    remainder, so for b = a' this is a Sturm chain of a; the last entry is
+    +-gcd(a, b) all the same."""
+    seq = [f for f in (a.primitive().coeffs, b.primitive().coeffs) if f]
+    while len(seq) > 1:
+        prev, cur = seq[-2], seq[-1]
+        r = kern.prem(prev, cur)
+        if not r:
+            break
+        if cur[-1] > 0 or (len(prev) - len(cur)) % 2:
+            r = kern.neg(r)
+        cont = kern.content(r)
+        seq.append(kern.div_scalar_exact(r, cont) if cont > 1 else r)
+    return seq
+
+
 def gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd over the integers, positive leading coefficient."""
-    fa = a.primitive().coeffs if not a.is_zero else ()
-    fb = b.primitive().coeffs if not b.is_zero else ()
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        r = kern.prem(fa, fb)
-        cont = kern.content(r)
-        if cont > 1:
-            r = kern.div_scalar_exact(r, cont)
-        fa, fb = fb, r
-    if not fa:
-        return ZERO
-    if fa[-1] < 0:
-        fa = kern.neg(fa)
-    return IntPoly(fa)
+    seq = remainder_sequence(a, b) if a.degree >= b.degree else remainder_sequence(b, a)
+    g = IntPoly(seq[-1]) if seq else ZERO
+    return -g if g.leading < 0 else g
 
 
 def is_squarefree(p: IntPoly) -> bool:
-    if p.degree <= 1:
-        return True
-    return gcd_poly(p, p.derivative()).degree == 0
+    return p.degree <= 1 or gcd_poly(p, p.derivative()).degree == 0
+
+
+def _radical(p: IntPoly, g: IntPoly) -> IntPoly:
+    """p divided by g = +-gcd(p, p'); the monic radical for monic p."""
+    if g.degree == 0:
+        return p
+    if abs(g.leading) != 1:
+        raise NotMonicError("radical of a non-monic polynomial")
+    return p // (g * g.leading)
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
     """p divided by gcd(p, p'); the monic radical for monic input."""
-    g = gcd_poly(p, p.derivative())
-    if g.degree == 0:
-        return p
-    if not g.is_monic:
-        raise NotMonicError("radical of a non-monic polynomial")
-    return p // g
+    return _radical(p, gcd_poly(p, p.derivative()))
 
 
 # every n with totient(n) <= 6; no other cyclotomic polynomial can divide

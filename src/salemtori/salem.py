@@ -30,10 +30,10 @@ from .errors import (
     OddDegreeError,
 )
 from .intervals import Box, Interval
-from .poly import IntPoly, factor_bounded, is_squarefree, squarefree_part
+from .poly import IntPoly, _radical, factor_bounded, remainder_sequence
 
 MAX_DEGREE = 8
-# is_salem brackets lambda to 2**-48, and isolate_all_roots the real roots to
+# is_salem brackets lambda to 2**-48, and isolate_real_roots the real roots to
 # 2**-28
 _LAMBDA_BITS = 48
 _REAL_BITS = 28
@@ -72,36 +72,25 @@ def trace_transform(p: IntPoly) -> IntPoly:
 class SturmChain:
     """Signed pseudo-remainder chain with exact variation counts.
 
-    Variation counts skip zero entries, which makes V(x) the right limit
-    V(x+); hence count(a, b] = V(a) - V(b) for any rational a <= b.
+    The chain is poly.remainder_sequence(p, p'), so its last entry is
+    +-gcd(p, p').  Variation counts skip zero entries, which makes V(x) the
+    right limit V(x+); hence count(a, b] = V(a) - V(b) for any rational
+    a <= b.
     """
 
     def __init__(self, p: IntPoly):
         if p.is_zero:
             raise ValueError("Sturm chain of zero polynomial")
-        f0 = p.primitive().coeffs
-        chain = [f0]
-        f1 = kern.deriv(f0)
-        if f1:
-            cont = kern.content(f1)
-            if cont > 1:
-                f1 = kern.div_scalar_exact(f1, cont)
-            chain.append(f1)
-            while chain[-1]:
-                prev, cur = chain[-2], chain[-1]
-                r = kern.prem(prev, cur)
-                if not r:
-                    break
-                # prem scales the true remainder by lc(cur)**(delta+1);
-                # flip so the entry has the sign of -remainder
-                delta = (len(prev) - 1) - (len(cur) - 1)
-                if cur[-1] > 0 or delta % 2 == 1:
-                    r = kern.neg(r)
-                cont = kern.content(r)
-                if cont > 1:
-                    r = kern.div_scalar_exact(r, cont)
-                chain.append(r)
-        self.chain = chain
+        self.chain = remainder_sequence(p, p.derivative())
+
+    @property
+    def squarefree(self) -> bool:
+        """True when gcd(p, p'), the last entry, is a constant."""
+        return len(self.chain[-1]) == 1
+
+    def radical(self) -> IntPoly:
+        """The first entry, p without its content, over gcd(p, p')."""
+        return _radical(IntPoly(self.chain[0]), IntPoly(self.chain[-1]))
 
     @staticmethod
     def _variations(values) -> int:
@@ -213,6 +202,16 @@ def lambda_interval(p: IntPoly, bits: int = _LAMBDA_BITS) -> Interval:
     return _continue_bracket(p, Interval(1, cauchy_bound(p)), Fraction(1, 1 << bits))
 
 
+def trace_layout(p: IntPoly):
+    """The trace polynomial T of a monic reciprocal p of even degree 2e, and
+    how many distinct roots T has above 2, below -2 and between, (n_hi,
+    n_lo, n_mid).  A Salem p has the layout (1, 0, e - 1)."""
+    t_poly = trace_transform(p)
+    chain = SturmChain(t_poly)
+    v_lo, v_hi = chain.variations_at(-2), chain.variations_at(2)
+    return t_poly, (v_hi - chain.variations_pos_inf(), chain.variations_neg_inf() - v_lo, v_lo - v_hi)
+
+
 def is_salem(p: IntPoly):
     """Certify p as a Salem polynomial.
 
@@ -240,17 +239,12 @@ def is_salem(p: IntPoly):
     if factors != ((p, 1),):
         g = factors[0][0]
         return NotSalem("reducible", witness=g, detail=f"factor {g}")
-    t_poly = trace_transform(p)
-    chain = SturmChain(t_poly)
-    e = p.degree // 2
-    v_lo, v_hi = chain.variations_at(-2), chain.variations_at(2)
-    n_hi = v_hi - chain.variations_pos_inf()
-    n_lo = chain.variations_neg_inf() - v_lo
-    n_mid = v_lo - v_hi
-    if (n_hi, n_lo, n_mid) != (1, 0, e - 1):
+    t_poly, layout = trace_layout(p)
+    if layout != (1, 0, p.degree // 2 - 1):
+        n_hi, n_lo, n_mid = layout
         return NotSalem(
             "wrong-circle-count",
-            witness=(n_hi, n_lo, n_mid),
+            witness=layout,
             detail=f"trace roots: {n_hi} above 2, {n_lo} below -2, {n_mid} between",
         )
     lam = lambda_interval(p)
@@ -265,13 +259,13 @@ def is_salem(p: IntPoly):
 
 def count_real_roots(p: IntPoly, a, b) -> int:
     """Number of real roots in the half-open interval (a, b], exactly."""
-    if p.is_zero or not is_squarefree(p):
+    if p.is_zero or not (chain := SturmChain(p)).squarefree:
         raise NotSquarefreeError(f"{p} has repeated roots")
     a = Fraction(a)
     b = Fraction(b)
     if a >= b:
         return 0
-    return SturmChain(p).count_half_open(a, b)
+    return chain.count_half_open(a, b)
 
 
 def lambda_approx(cert, eps) -> Interval:
@@ -306,7 +300,7 @@ class RootBox:
         return Box(self.re, self.im)
 
 
-def isolate_real_roots(p: IntPoly, bits: int = 24):
+def isolate_real_roots(p: IntPoly):
     """Disjoint rational intervals, one per distinct real root.
 
     One Sturm subdivision of (-B, B] finds every root, the work growing with
@@ -316,15 +310,19 @@ def isolate_real_roots(p: IntPoly, bits: int = 24):
     vanishes there.  The other brackets are halved by sign tests of the
     radical with the integer roots divided out, which has no rational root,
     so neither an end nor a midpoint is a root.  Irrational roots come back
-    as open intervals with non-root dyadic endpoints, shrunk below 2**-bits
-    and separated from each other and from the integer roots.
+    as open intervals with non-root dyadic endpoints, at most 2**-_REAL_BITS
+    wide and separated from each other and from the integer roots.
     """
     if not p.is_monic:
         raise NotMonicError("real root isolation needs a monic polynomial")
-    chain = SturmChain(p)
-    if len(chain.chain[-1]) > 1:
+    return _real_roots(p, SturmChain(p))
+
+
+def _real_roots(p: IntPoly, chain: SturmChain):
+    """isolate_real_roots(p), given the Sturm chain of p."""
+    if not chain.squarefree:
         # every entry vanishes at a repeated root; count with the radical
-        chain = SturmChain(squarefree_part(p))
+        chain = SturmChain(chain.radical())
     b = cauchy_bound(p)
     # brackets are (lo, hi, den): numerators over a power of two
     work = [(-b, b, 1, chain.variations_at(-b), chain.variations_at(b))]
@@ -350,7 +348,7 @@ def isolate_real_roots(p: IntPoly, bits: int = 24):
         radical = IntPoly(chain.chain[0])
         for r in int_roots:
             radical //= IntPoly((-r, 1))
-        target = Fraction(1, 1 << bits)
+        target = Fraction(1, 1 << _REAL_BITS)
         while True:
             isolated = sorted((_continue_bracket(radical, iv, target) for iv in isolated), key=lambda iv: iv.lo)
             if all(x.hi < y.lo for x, y in zip(isolated, isolated[1:])) and not any(
@@ -470,9 +468,10 @@ def isolate_all_roots(p: IntPoly):
         raise DegreeTooLargeError(f"degree {p.degree} > {MAX_DEGREE}")
     if not p.is_monic:
         raise NotMonicError("root isolation needs a monic polynomial")
-    if not is_squarefree(p):
+    chain = SturmChain(p)
+    if not chain.squarefree:
         raise NotSquarefreeError(f"{p} has repeated roots")
-    reals = isolate_real_roots(p, _REAL_BITS)
+    reals = _real_roots(p, chain)
     n_pairs, odd = divmod(p.degree - len(reals), 2)
     if odd:
         raise CertificationError(f"{len(reals)} real roots for degree {p.degree}")

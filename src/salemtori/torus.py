@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import Optional
 
@@ -34,7 +35,8 @@ from .errors import (
 )
 from .intervals import Box, Interval, log_interval, sqrt_lb, sqrt_ub
 from .poly import ONE, IntPoly, split_cyclotomic, squarefree_part
-from .salem import _LAMBDA_BITS, RootBox, _bits_below, _continue_bracket, is_salem, isolate_all_roots, refine_root_box
+from .salem import _LAMBDA_BITS, RootBox, _bits_below, _continue_bracket, isolate_all_roots, lambda_interval
+from .salem import refine_root_box, trace_layout
 from .wedge import exterior_square
 
 
@@ -217,6 +219,14 @@ class TorusModel:
     def salem_factor(self) -> IntPoly:
         """Non-cyclotomic part of h2_charpoly; the constant 1 at entropy zero."""
         return split_cyclotomic(self.h2_charpoly)[1]
+
+    @cached_property
+    def _projective(self) -> bool:
+        """is_projective's verdict, decided once per model; a model made by
+        replace, as reorient and refined make theirs, decides afresh."""
+        rest = _salem_rest(self)
+        # with no cyclotomic factor the second entry is 1, which has no roots
+        return _locate_product(self, (rest, squarefree_part(self.h2_charpoly // rest))) == 1
 
     def refined(self, width: Fraction) -> "TorusModel":
         """New model with every root box shrunk below the given width."""
@@ -438,11 +448,9 @@ def is_projective(model: TorusModel) -> bool:
     """True iff g1*g2 is a root of unity (a root of the cyclotomic cofactor).
 
     Decided by certified box membership against the isolated roots of the
-    exact factors, never by floating-point tolerance.
+    exact factors, never by floating-point tolerance, and once per model.
     """
-    rest = _salem_rest(model)
-    # with no cyclotomic factor the second entry is 1, which has no roots
-    return _locate_product(model, (rest, squarefree_part(model.h2_charpoly // rest))) == 1
+    return model._projective
 
 
 def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
@@ -456,14 +464,16 @@ def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
     rest = model.salem_factor()
     if rest == ONE:
         return Interval.point(0)
-    cert = is_salem(rest)
-    if not cert:
+    # with the Salem layout of its trace roots, lambda is the one root of
+    # rest outside the unit disc; a factor without it would have every root
+    # in the closed disc and so, by Kronecker's theorem, be cyclotomic, which
+    # rest has none of: rest is Salem, and nothing is factored
+    if not (rest.is_reciprocal and rest.degree % 2 == 0 and trace_layout(rest)[1] == (1, 0, rest.degree // 2 - 1)):
         raise CertificationError(f"non-cyclotomic part {rest} failed certification")
-    # 2**-8 below the width lambda_approx takes for eps; the certificate's
-    # bracket was bisected to 2**-_LAMBDA_BITS, so continuing it gives the
-    # bracket of a fresh bisection at every bits >= _LAMBDA_BITS
+    # 2**-8 below the width lambda_approx takes for eps; continuing the
+    # 2**-_LAMBDA_BITS bracket ends where a fresh bisection to 2**-bits does
     bits = max(_LAMBDA_BITS, _bits_below(eps) + 8)
-    lam = cert.root_interval
+    lam = lambda_interval(rest)
     while True:
         lam = _continue_bracket(rest, lam, Fraction(1, 1 << bits))
         out = log_interval(lam, bits=bits + 16)
@@ -474,19 +484,12 @@ def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
 
 def picard_rank(model: TorusModel):
     """Rank that classify.RANKS forces for the case of the Salem factor and
-    the projectivity of the model: an int, or UNCONSTRAINED."""
-    return _picard_rank(model, None)
-
-
-def _picard_rank(model: TorusModel, projective: Optional[bool]):
-    """picard_rank, given is_projective(model) once it is decided; a case
-    with one projectivity type does not need it."""
+    the projectivity of the model: an int, or UNCONSTRAINED.  A case with one
+    projectivity type does not decide it."""
     ranks = RANKS[salem_case(_salem_rest(model))[0]]
     if len(ranks) == 1:
         return ranks[0][1]
-    if projective is None:
-        projective = is_projective(model)
-    return dict(ranks)["projective" if projective else "non_projective"]
+    return dict(ranks)["projective" if is_projective(model) else "non_projective"]
 
 
 def verify_jd(model: TorusModel, d_value: int) -> bool:

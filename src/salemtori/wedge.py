@@ -100,7 +100,7 @@ class InversionCandidates:
     n: Optional[int]
     candidates: tuple
     verified: tuple
-    obstruction: Optional[str]  # None | "not-square" | "parity"
+    obstruction: Optional[str]  # None | "not-square"
 
 
 def invert_wedge(q: IntPoly) -> InversionCandidates:
@@ -120,8 +120,8 @@ def invert_wedge(q: IntPoly) -> InversionCandidates:
     if not sv:
         return InversionCandidates(q, a5, None, None, (), (), "not-square")
     m, n = sv.m, sv.n
-    if (m + n) % 2:
-        return InversionCandidates(q, a5, m, n, (), (), "parity")
+    # m = n (mod 2), so j and k are integers: n*n - m*m = q(-1) + q(1) is
+    # twice the sum of the even-index coefficients of q
     j = (n + m) // 2
     k = (n - m) // 2
     mid = -a5

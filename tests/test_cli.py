@@ -178,6 +178,24 @@ class TestConstruct:
         assert out.stderr == ""
         assert json.loads(out.stdout)["error"]["type"] == "CertificationError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "quad-order", "--d", str(10**21), "--b1", "1", "--b2", "1"),
+            ("construct", "dyadic-cm", "--n", "200", "--k", "3"),
+        ],
+        ids=" ".join,
+    )
+    def test_huge_salem_factor_ends_quickly(self, argv):
+        # Salem factors with coefficients near 10**21 and 10**120: entropy
+        # certifies them without factoring, whose trial division grows with
+        # the square root of the coefficients
+        out = run(*argv, timeout=5)
+        assert out.returncode == 2
+        assert out.stderr == ""
+        doc = json.loads(out.stdout)
+        assert list(doc) == ["error"] and doc["error"]["type"] == "CertificationError"
+
     def test_eps_validation(self):
         out = run("construct", "gl2z", "--r", "1", "--det", "-1", "--eps", "0")
         assert out.returncode == 1

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from salemtori import cli
+from salemtori import cli, poly
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -73,8 +73,9 @@ SEPARATION_COMMANDS = (
         ("reorient", "gl2z", "--r", "5", "--det", "1"),
     )
 )
-# every command here prints a model; test_decimals.py checks its decimals
-COMMANDS = README_COMMANDS + GRID_COMMANDS + SEPARATION_COMMANDS
+# every command here prints a model; test_decimals.py checks its decimals.
+# The grid repeats the first README command; each command is listed once.
+COMMANDS = tuple(dict.fromkeys(README_COMMANDS + GRID_COMMANDS + SEPARATION_COMMANDS))
 # pairings that from_quartic refuses, with exit code 2
 REJECTED_COMMANDS = tuple(
     ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing", pairing) for pairing in ("0,1", "0,5")
@@ -114,12 +115,19 @@ def _expected():
     return {tuple(entry["argv"]): (entry["exit"], entry["output"]) for entry in entries}
 
 
+def _refuse_divisors(n):
+    raise AssertionError(f"trial division of {n}")
+
+
 def test_golden_file_covers_every_command():
     assert set(_expected()) == set(GOLDEN_COMMANDS)
 
 
 @pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
-def test_golden_output(argv):
+def test_golden_output(argv, monkeypatch):
+    # no golden command reaches trial division: the model commands never
+    # factor, and the one is-salem input is not monic
+    monkeypatch.setattr(poly, "divisors", _refuse_divisors)
     code, output = stripped_output(argv)
     want_code, want_output = _expected()[argv]
     assert code == want_code

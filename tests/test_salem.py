@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from salemtori import poly, torus
+from salemtori import poly, salem, torus
 from salemtori.errors import CertificationError, DegreeTooLargeError, NotReciprocalError, NotSquarefreeError
 from salemtori.intervals import Interval
 from salemtori.poly import IntPoly, cyclotomic, is_squarefree, split_cyclotomic, squarefree_part
@@ -254,6 +254,29 @@ class TestRealRoots:
         for iv in ivs:
             if iv.width:
                 assert rest(iv.lo) * rest(iv.hi) < 0
+
+    def test_separation_retry(self, monkeypatch):
+        # t^3 + 2^30 t^2 - t has the roots 0, about 2^-30 and about -2^30;
+        # at 2**-28 the bracket of the root near 2^-30 still holds 0, so
+        # every bracket is halved further until they separate
+        p = IntPoly((0, -1, 1 << 30, 1))
+        widths = []
+        continue_bracket = salem._continue_bracket
+
+        def spy(q, iv, width):
+            widths.append(width)
+            return continue_bracket(q, iv, width)
+
+        monkeypatch.setattr(salem, "_continue_bracket", spy)
+        ivs = isolate_real_roots(p)
+        assert min(widths) < Fraction(1, 1 << 28)
+        assert [iv for iv in ivs if iv.width == 0] == [Interval.point(0)]
+        assert all(x.hi < y.lo for x, y in zip(ivs, ivs[1:]))
+        assert all(iv.width <= Fraction(1, 1 << 28) for iv in ivs)
+        irrational = sorted(x for x, _ in _oracle_roots(p, dps=80) if abs(x) > Fraction(1, 10**40))
+        assert len(irrational) == 2
+        for iv, x in zip([iv for iv in ivs if iv.width], irrational):
+            assert iv.lo < x < iv.hi
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from salemtori import torus
 from salemtori.errors import (
     BadParametersError,
     NotApplicableError,
@@ -228,6 +229,37 @@ class TestReorient:
 
 
 class TestProjectivity:
+    @pytest.mark.parametrize(
+        "params, flip",
+        [
+            # case 3a, where picard_rank needs the verdict
+            ((1, 1, 1), False),
+            # case 3b reoriented, where ns_charpoly needs it
+            ((2, 0, 1), True),
+        ],
+    )
+    def test_decided_once_per_model(self, monkeypatch, params, flip):
+        calls = []
+        locate = torus._locate_product
+
+        def spy(model, polys):
+            # the projectivity call; ns_charpoly's case-3b split is another
+            if polys[0] == model.salem_factor():
+                calls.append(model)
+            return locate(model, polys)
+
+        monkeypatch.setattr(torus, "_locate_product", spy)
+        model = quad_order_model(a_form_matrix(*params))
+        if flip:
+            model = reorient(model)
+        is_projective(model)
+        picard_rank(model)
+        ns_charpoly(model)
+        assert len(calls) == 1
+        # a model made by reorient decides afresh
+        is_projective(reorient(model))
+        assert len(calls) == 2
+
     def test_xor_on_grid(self):
         checked = 0
         for m in _grid_models():

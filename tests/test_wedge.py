@@ -110,6 +110,18 @@ class TestInvertWedge:
         inv = invert_wedge(exterior_square(p))
         assert p in inv.verified
 
+    @given(st.tuples(*[st.integers(min_value=-6, max_value=6)] * 5))
+    @example((0, -1, -1, -1, 0))  # SEXTIC at a0 = 1
+    @settings(max_examples=60, deadline=None)
+    def test_square_values_have_equal_parity(self, middle):
+        # every constant term in a window, so that some sextics pass
+        for a0 in range(-60, 61):
+            q = IntPoly((a0, *middle, 1))
+            sv = square_values(q)
+            if sv:
+                assert (sv.m + sv.n) % 2 == 0, q
+                assert invert_wedge(q).obstruction is None
+
     def test_degree_gate(self):
         with pytest.raises(WrongDegreeError):
             invert_wedge(IntPoly((1, -3, 1)))
