@@ -224,14 +224,11 @@ def realizable(s) -> ClassificationReport:
     """
     report = case_of(s)
     cert = report.salem
-    cand = enumerate_complements(cert)
     witnesses = []
-    for q_poly in cand.admissible_q:
-        c_poly, rem = divmod(q_poly, cert.poly)
-        if not rem.is_zero:
-            raise CertificationError(f"{cert.poly} does not divide the admissible {q_poly}")
-        inv = invert_wedge(q_poly)
-        for p_poly in inv.verified:
+    for c_poly in _complement_pool(cert.degree):
+        q_poly = cert.poly * c_poly
+        # a Q that fails the square filter has no verified preimage
+        for p_poly in invert_wedge(q_poly).verified:
             classes = pairing_classes(p_poly)
             if not classes:
                 continue

@@ -449,7 +449,6 @@ def _add_model_flags(sub):
     sub.add_argument("--pairing", default=None, help="two root indices i,j")
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--eps", default="1/1000000000", help="entropy interval width target")
     sub.add_argument("--out", default=None)
 
 
@@ -472,13 +471,14 @@ def build_parser() -> _Parser:
         s.add_argument("--out", default=None)
         s.set_defaults(run=run)
 
-    s = subs.add_parser("construct", help="build an explicit torus model")
-    _add_model_flags(s)
-    s.set_defaults(run=cmd_construct, reorient_after=False)
-
-    s = subs.add_parser("reorient", help="build a model, then flip its orientation")
-    _add_model_flags(s)
-    s.set_defaults(run=cmd_construct, reorient_after=True)
+    for name, text, flip in (
+        ("construct", "build an explicit torus model", False),
+        ("reorient", "build a model, then flip its orientation", True),
+    ):
+        s = subs.add_parser(name, help=text)
+        _add_model_flags(s)
+        s.add_argument("--eps", default="1/1000000000", help="entropy interval width target")
+        s.set_defaults(run=cmd_construct, reorient_after=flip)
 
     s = subs.add_parser("ns", help="divisor-class characteristic polynomial, when forced")
     _add_model_flags(s)

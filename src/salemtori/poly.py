@@ -263,100 +263,74 @@ def _trial(c, g):
 
 
 def _find_factor(c):
-    """Smallest monic nonlinear factor of c (tuple form, no integer roots).
+    """A monic irreducible factor of c of degree 2 .. deg//2 (tuple form, c
+    with no integer roots), or None when c is irreducible.
 
-    Searches degree m = 2..deg//2 and returns the lexicographically least
-    coefficient tuple among degree-m hits, or None.  Candidate generation is
-    driven by the exact divisor constraints g(x) | c(x) at x = 0, 1, -1, 2
-    (and, for quartic g, x = -2).  Before trial division a candidate must
-    also pass the Mignotte bounds and g(x) != 0, g(x) | c(x) at x = -2, 3,
-    -3.  Each of these is a necessary condition for g | c (c(x) != 0 since c
-    has no integer roots), so they only prune: no factor can be missed, and
-    trial division confirms every hit.
+    One walk over the divisor triples (a0, u, v) = (g(0), g(1), g(-1)) of
+    c(0), c(1) and c(-1) solves every degree.  With e and o the sums of g's
+    even- and odd-index coefficients, leading 1 included, u = e + o and
+    v = e - o: a quadratic is fixed by (a0, u), a cubic by the triple, and a
+    quartic up to a3, which pairing g(2) with g(-2) settles after the walk.
+    Before trial division a candidate must also pass the Mignotte bounds and
+    g(x) != 0, g(x) | c(x) at x = -2, 3, -3.  Each of these is a necessary
+    condition for g | c (c(x) != 0 since c has no integer roots), so they
+    only prune: no factor can be missed, and trial division confirms every
+    hit.  A quadratic or cubic hit is irreducible as c has no linear factor,
+    and a quartic hit as the walk has ruled out every quadratic factor.
     """
     deg = len(c) - 1
-    p0 = c[0]
-    p1 = kern.eval_int(c, 1)
+    # the bounds for degree deg//2 dominate those for every smaller degree
+    bound = _mignotte_bounds(c, deg // 2)
     pm1 = kern.eval_int(c, -1)
-    p2 = kern.eval_int(c, 2)
-    pm2 = kern.eval_int(c, -2)
-    checks = ((-2, pm2), (3, kern.eval_int(c, 3)), (-3, kern.eval_int(c, -3)))
+    checks = tuple((x, kern.eval_int(c, x)) for x in (-2, 3, -3))
 
-    def divides(g, points):
+    def divides(g, points=checks):
         for x, cx in points:
             gx = kern.eval_int(g, x)
             if gx == 0 or cx % gx:
                 return False
         return _trial(c, g) is not None
 
-    d0s = _signed_divisors(p0)
-    d1s = _signed_divisors(p1)
-    dm1s = _signed_divisors(pm1)
-    for m in range(2, deg // 2 + 1):
-        bound = _mignotte_bounds(c, m)
-        hits = set()
-        if m == 2:
-            for a0 in d0s:
-                if abs(a0) > bound[0]:
+    us = _signed_divisors(kern.eval_int(c, 1))
+    vs = _signed_divisors(pm1) if deg >= 6 else ()
+    seeds = []  # (a0, a2, a1 + a3) of the quartic candidates
+    for a0 in _signed_divisors(c[0]):
+        if abs(a0) > bound[0]:
+            continue
+        for u in us:
+            a1 = u - 1 - a0
+            gm1 = a0 - a1 + 1
+            if abs(a1) <= bound[1] and gm1 and pm1 % gm1 == 0 and divides((a0, a1, 1)):
+                return (a0, a1, 1)
+            for v in vs:
+                if (u + v) & 1:
                     continue
-                for d1 in d1s:
-                    a1 = d1 - 1 - a0
-                    if abs(a1) > bound[1]:
-                        continue
-                    gm1 = 1 - a1 + a0
-                    if gm1 == 0 or pm1 % gm1:
-                        continue
-                    g = (a0, a1, 1)
-                    if divides(g, checks):
-                        hits.add(g)
-        elif m == 3:
-            for a0 in d0s:
-                if abs(a0) > bound[0]:
-                    continue
-                for d1 in d1s:
-                    for dm1 in dm1s:
-                        if (d1 + dm1) & 1:
-                            continue
-                        a2 = (d1 + dm1) // 2 - a0
-                        a1 = (d1 - dm1 - 2) // 2
-                        if abs(a2) > bound[2] or abs(a1) > bound[1]:
-                            continue
-                        g = (a0, a1, a2, 1)
-                        if divides(g, checks):
-                            hits.add(g)
-        else:
-            d2s = _signed_divisors(p2)
-            # g(2) + g(-2) = 32 + 8*a2 + 2*a0, so (a0, a2) pairs each
-            # divisor d2 = g(2) with g(-2); keep the d2 whose partner divides
-            # c(-2), once per value of the sum
-            paired = {}
-            for a0 in d0s:
-                if abs(a0) > bound[0]:
-                    continue
-                for d1 in d1s:
-                    for dm1 in dm1s:
-                        if (d1 + dm1) & 1:
-                            continue
-                        a2 = (d1 + dm1) // 2 - 1 - a0
-                        if abs(a2) > bound[2]:
-                            continue
-                        s = (d1 - dm1) // 2
-                        k = 32 + 8 * a2 + 2 * a0
-                        if k not in paired:
-                            paired[k] = [d2 for d2 in d2s if d2 != k and pm2 % (k - d2) == 0]
-                        for d2 in paired[k]:
-                            num = d2 - 16 - 4 * a2 - 2 * s - a0
-                            if num % 6:
-                                continue
-                            a3 = num // 6
-                            a1 = s - a3
-                            if abs(a3) > bound[3] or abs(a1) > bound[1]:
-                                continue
-                            g = (a0, a1, a2, a3, 1)
-                            if divides(g, checks[1:]):  # g(-2) | c(-2) by pairing
-                                hits.add(g)
-        if hits:
-            return min(hits)
+                e, o = (u + v) // 2, (u - v) // 2
+                if abs(e - a0) <= bound[2] and abs(o - 1) <= bound[1] and divides((a0, o - 1, e - a0, 1)):
+                    return (a0, o - 1, e - a0, 1)
+                if deg == 8 and abs(e - 1 - a0) <= bound[2]:
+                    seeds.append((a0, e - 1 - a0, o))
+    if not seeds:
+        return None
+    pm2 = checks[0][1]
+    d2s = _signed_divisors(kern.eval_int(c, 2))
+    # g(2) + g(-2) = 32 + 8*a2 + 2*a0, so (a0, a2) pairs each divisor
+    # d2 = g(2) with g(-2); keep the d2 whose partner divides c(-2), once per
+    # value of the sum
+    paired = {}
+    for a0, a2, s in seeds:
+        k = 32 + 8 * a2 + 2 * a0
+        if k not in paired:
+            paired[k] = [d2 for d2 in d2s if d2 != k and pm2 % (k - d2) == 0]
+        for d2 in paired[k]:
+            num = d2 - 16 - 4 * a2 - 2 * s - a0
+            if num % 6:
+                continue
+            a3 = num // 6
+            g = (a0, s - a3, a2, a3, 1)
+            # g(-2) | c(-2) by the pairing
+            if abs(a3) <= bound[3] and abs(s - a3) <= bound[1] and divides(g, checks[1:]):
+                return g
     return None
 
 

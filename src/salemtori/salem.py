@@ -486,11 +486,6 @@ def isolate_all_roots(p: IntPoly):
     return tuple(boxes)
 
 
-def _width_bits(width: Fraction) -> int:
-    """About log2(1/width)."""
-    return width.denominator.bit_length() - width.numerator.bit_length()
-
-
 def _upper_boxes(p: IntPoly, n_pairs: int):
     # real roots come out of the float iteration with rounding noise in the
     # imaginary part; the n_pairs largest imaginary parts are the complex ones
@@ -514,7 +509,7 @@ def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
     if rb.is_real:
         return RootBox(_continue_bracket(p, rb.re, width), Interval.point(0), rb.conjugate_index)
     target = rb.box
-    box = _newton_box(p, target.re.mid, target.im.mid, _width_bits(width) + 8)
+    box = _newton_box(p, target.re.mid, target.im.mid, _bits_below(width) + 6)
     inside = (
         target.re.lo <= box.re.lo
         and box.re.hi <= target.re.hi

@@ -200,6 +200,13 @@ class TestConstruct:
         out = run("construct", "gl2z", "--r", "1", "--det", "-1", "--eps", "0")
         assert out.returncode == 1
 
+    def test_ns_has_no_eps(self):
+        # ns prints no entropy, so an --eps it would never read is refused
+        out = run("ns", "gl2z", "--r", "3", "--det", "1", "--eps", "0")
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == "salemtori: error: unrecognized arguments: --eps 0\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
