@@ -43,6 +43,11 @@ from .wedge import exterior_square, invert_wedge
 # enumerate refuses a sweep with more candidates than this, before building any
 MAX_CANDIDATES = 10**6
 
+# construct and reorient refuse an entropy width below this: the work grows
+# with the digits of 1/eps, and well before 10**-10000 the printed interval
+# ends pass the 4300-digit limit of Python's int-to-str conversion
+MIN_EPS = Fraction(1, 10**1000)
+
 CSV_HEADER = (
     "s_poly",
     "degree",
@@ -308,6 +313,8 @@ def _parse_eps(args, parser) -> Fraction:
         parser.error(f"--eps must be a rational, got {args.eps!r}")
     if eps <= 0:
         parser.error("--eps must be positive")
+    if eps < MIN_EPS:
+        parser.error("--eps must be at least 1e-1000")
     return eps
 
 
@@ -342,16 +349,20 @@ def _sweep(degree: int, bound: int):
 
 
 def _atlas_row(coeffs):
-    """One CSV row (tuple of 9 strings) for a candidate, or None if not Salem."""
-    p = IntPoly.from_descending(coeffs)
+    """One CSV row (tuple of 9 strings) for a candidate, or None if not Salem.
+
+    coeffs are the candidate's coefficients, highest first; its degree is
+    even."""
     # A sign prefilter that no Salem p fails.  Such p of degree 2e is
     # t**e * T(t + 1/t) with T monic of degree e, one simple root above 2 and
     # the other e - 1 in [-2, 2]; p(1) and p(-1) are nonzero, p being
     # irreducible of degree >= 2.  So p(1) = T(2) < 0, and
     # p(-1) = (-1)**e * T(-2) > 0 because T(-2), taken below every root of T,
-    # has the sign (-1)**e.
-    if not p(1) < 0 < p(-1):
+    # has the sign (-1)**e.  The degree is even, so p(-1) is the alternating
+    # sum of the coefficients in either order.
+    if not sum(coeffs) < 0 < sum(coeffs[::2]) - sum(coeffs[1::2]):
         return None
+    p = IntPoly.from_descending(coeffs)
     cert = is_salem(p)
     if not cert:
         return None

@@ -155,14 +155,24 @@ def cauchy_bound(p: IntPoly) -> int:
 
 
 def _continue_bracket(p: IntPoly, bracket: Interval, width: Fraction) -> Interval:
-    """Halve a bracket of a sign change of p until it is at most width wide.
+    """Narrow a bracket of one root of p to the cell where bisection to at
+    most width ends.
 
-    The ends are integer numerators a, b over their lcm den, which doubles
-    at each halving: the midpoint is a + b over 2*den, and b - a never
-    changes.  Each halving is one sign test of p.  Raises CertificationError
-    unless p has opposite nonzero signs at the ends, or if a midpoint is a
-    root.  Bisection passes through the same brackets whatever its target,
-    so continuing a bracket ends where a fresh run from the first one ends.
+    Bisection would halve the bracket k times, k fixed by the widths, so it
+    ends in one of the 2**k equal cells of the bracket and tests only cell
+    ends.  With the bracket ends as integer numerators a, b over their lcm
+    den, cell end i is a * 2**k + i * (b - a) over den * 2**k.  Quadratic
+    interval refinement (Abbott, 2006) keeps a sign change between cell
+    ends l < r, with the values of p over that one denominator, until
+    r = l + 1.  Each step tests the ends of a window of (r - l) // N cells
+    around the secant guess, skipping an end that is l or r: a window that
+    holds the sign change becomes the bracket and N is squared; otherwise
+    the side that holds it is kept and N falls to its square root, never
+    below 2.  A root at a cell end raises CertificationError.  Bisection
+    raises there too, and refinement cannot miss it, as the final cell has
+    nonzero values at both ends.  So continuing a bracket ends where a
+    fresh run from the first one ends.  Raises CertificationError unless p
+    has opposite nonzero signs at the bracket ends.
     """
     c = p.coeffs
     lo, hi = bracket.lo, bracket.hi
@@ -171,20 +181,40 @@ def _continue_bracket(p: IntPoly, bracket: Interval, width: Fraction) -> Interva
     v_lo, v_hi = kern.eval_qq(c, a, den), kern.eval_qq(c, b, den)
     if v_lo == 0 or v_hi == 0 or (v_lo > 0) == (v_hi > 0):
         raise CertificationError(f"({lo}, {hi}] does not bracket a root")
-    hi_positive = v_hi > 0
-    gap = (b - a) * width.denominator
-    wn = width.numerator
-    while gap > wn * den:
-        mid = a + b
-        den *= 2
-        v = kern.eval_qq(c, mid, den)
-        if v == 0:
-            raise CertificationError(f"rational root {Fraction(mid, den)} hit during bisection")
-        if (v > 0) == hi_positive:
-            a, b = 2 * a, mid
+    # the least k with (b - a) / (den * 2**k) <= width
+    k = (-(-(b - a) * width.denominator // (width.numerator * den)) - 1).bit_length()
+    step, a, den = b - a, a << k, den << k
+    # cell ends 0 and 2**k, with their values over den * 2**k
+    shift = k * (len(c) - 1)
+    l, r, v_l, v_r = 0, 1 << k, v_lo << shift, v_hi << shift
+    n = 2
+    while r - l > 1:
+        h = max(1, (r - l) // n)
+        guess = l + (r - l) * v_l // (v_l - v_r)
+        w0 = min(max(guess - (h - 1) // 2, l), r - h)
+        w1 = w0 + h
+        v0, v1 = v_l, v_r
+        # a sign change between l and w0 needs no test at w1
+        if w0 != l:
+            v0 = _cell_end_value(c, a + w0 * step, den)
+            if (v0 > 0) != (v_l > 0):
+                r, v_r, n = w0, v0, max(2, math.isqrt(n))
+                continue
+        if w1 != r:
+            v1 = _cell_end_value(c, a + w1 * step, den)
+        if (v1 > 0) != (v0 > 0):
+            l, r, v_l, v_r, n = w0, w1, v0, v1, n * n
         else:
-            a, b = mid, 2 * b
-    return Interval(Fraction(a, den), Fraction(b, den))
+            l, v_l, n = w1, v1, max(2, math.isqrt(n))
+    return Interval(Fraction(a + l * step, den), Fraction(a + r * step, den))
+
+
+def _cell_end_value(c, num: int, den: int) -> int:
+    """kern.eval_qq(c, num, den), raising CertificationError when it is 0."""
+    v = kern.eval_qq(c, num, den)
+    if v == 0:
+        raise CertificationError(f"rational root {Fraction(num, den)} hit during bisection")
+    return v
 
 
 def _bits_below(eps: Fraction) -> int:
@@ -307,9 +337,9 @@ def isolate_real_roots(p: IntPoly):
     log B.  A bracket that holds one root is halved until it is at most 1
     wide, where the only integer it can hold is floor(hi); a rational root of
     a monic p is an integer, so the bracket becomes a point interval when p
-    vanishes there.  The other brackets are halved by sign tests of the
+    vanishes there.  The other brackets are refined by sign tests of the
     radical with the integer roots divided out, which has no rational root,
-    so neither an end nor a midpoint is a root.  Irrational roots come back
+    so no point tested is a root.  Irrational roots come back
     as open intervals with non-root dyadic endpoints, at most 2**-_REAL_BITS
     wide and separated from each other and from the integer roots.
     """

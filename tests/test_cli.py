@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -199,6 +200,20 @@ class TestConstruct:
     def test_eps_validation(self):
         out = run("construct", "gl2z", "--r", "1", "--det", "-1", "--eps", "0")
         assert out.returncode == 1
+
+    @pytest.mark.parametrize("command", ("construct", "reorient"))
+    def test_eps_floor(self, command):
+        # a width below 1e-1000 is refused at once; at 1e-10000 the work
+        # would take minutes and the interval ends would pass the 4300-digit
+        # limit of int-to-str conversion
+        argv = (command, "quad-order", "--d", "1", "--b1", "1", "--b2", "1", "--eps")
+        out = run(*argv, "1e-10000", timeout=5)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == "salemtori: error: --eps must be at least 1e-1000\n"
+        doc = run_json(*argv, "1e-1000")
+        assert Fraction(doc["entropy"]["hi"]) - Fraction(doc["entropy"]["lo"]) <= Fraction(1, 10**1000)
+        assert doc["entropy"]["decimal"] == run_json(*argv[:-1])["entropy"]["decimal"]
 
     def test_ns_has_no_eps(self):
         # ns prints no entropy, so an --eps it would never read is refused

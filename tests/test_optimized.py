@@ -19,6 +19,18 @@ except CertificationError as exc:
     print("CertificationError:", exc)
 """
 
+# t^2 - 4 changes sign on (1, 5], and 2 is the second midpoint of bisection
+MIDPOINT_ROOT = """
+from salemtori.errors import CertificationError
+from salemtori.poly import IntPoly
+from salemtori.salem import lambda_interval
+
+try:
+    lambda_interval(IntPoly((-4, 0, 1)))
+except CertificationError as exc:
+    print("CertificationError:", exc)
+"""
+
 # a certificate whose trace polynomial t + 2 vanishes at -2, so the square
 # test of the classification meets x^2 as T(x^2 - 2)
 FORGED_CERTIFICATE = """
@@ -44,6 +56,12 @@ def test_non_bracketing_call_raises_under_O():
     out = python("-O", "-c", NOT_BRACKETING)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("CertificationError: ")
+
+
+def test_midpoint_root_raises_under_O():
+    out = python("-O", "-c", MIDPOINT_ROOT)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "CertificationError: rational root 2 hit during bisection\n"
 
 
 def test_forged_certificate_raises_under_O():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from salemtori import _kernels as kern
 from salemtori import poly, salem, torus
 from salemtori.errors import CertificationError, DegreeTooLargeError, NotReciprocalError, NotSquarefreeError
 from salemtori.intervals import Interval
@@ -119,6 +120,26 @@ class TestIsSalem:
             assert is_salem(IntPoly((1, a, 1)))
 
 
+@st.composite
+def _one_root_brackets(draw):
+    """A monic (t - a)**2 - s times quadratics with no real root, and a
+    bracket of one root a + sqrt(s) or, mirrored, a - sqrt(s) whose ends
+    have denominators 3, 5 or 7: (coeffs, lo, hi).  A square s gives an
+    integer root."""
+    s = draw(st.integers(min_value=2, max_value=400))
+    a = draw(st.integers(min_value=-3, max_value=3))
+    p = IntPoly((a * a - s, -2 * a, 1))
+    for b, c in draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 40)), max_size=2)):
+        p = p * IntPoly((c + b * b // 4, b, 1))
+    d_lo, d_hi = draw(st.sampled_from((3, 5, 7))), draw(st.sampled_from((3, 5, 7)))
+    # the ends lie strictly below and above a + sqrt(s), and above a - sqrt(s)
+    lo = Fraction(a * d_lo + math.isqrt(s * d_lo * d_lo - 1) - draw(st.integers(0, 5)), d_lo)
+    hi = Fraction(a * d_hi + math.isqrt(s * d_hi * d_hi) + 1 + draw(st.integers(0, 5)), d_hi)
+    if draw(st.booleans()):
+        return p.coeffs, lo, hi
+    return tuple(c * (-1) ** i for i, c in enumerate(p.coeffs)), -hi, -lo
+
+
 class TestLambda:
     def test_golden_quartic_value(self):
         # oracle bisection on (1, 4): frozen 2.890053638264 to 12 places
@@ -183,6 +204,51 @@ class TestLambda:
                 assert iv == lambda_interval(model.salem_factor(), bits - 16)
             checked += len(seen) == 2
         assert checked >= 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _one_root_brackets(),
+        st.builds(Fraction, st.integers(1, 1000), st.integers(1, 10**15)),
+        st.integers(min_value=1, max_value=1 << 30),
+    )
+    # the root 3 is the midpoint of (1, 5], the second one bisection tests
+    @example(((-9, 0, 1), Fraction(1), Fraction(9)), Fraction(1, 1 << 20), 1)
+    # the root 2 of t^2 - 4 is 3 * (2/3), on no dyadic grid of (0, 3]
+    @example(((-4, 0, 1), Fraction(0), Fraction(3)), Fraction(1, 1 << 20), 1)
+    def test_continue_bracket_matches_plain_bisection(self, case, width, finer):
+        # refinement ends in the cell where plain bisection ends, and a
+        # continued bracket where bisection to the finer width ends; it
+        # raises iff bisection meets the root at a midpoint
+        coeffs, lo, hi = case
+        p = IntPoly(coeffs)
+        finest = width / finer
+        try:
+            want = o_bisect(coeffs, lo, hi, width), o_bisect(coeffs, lo, hi, finest)
+        except AssertionError:
+            with pytest.raises(CertificationError, match="rational root") as info:
+                _continue_bracket(p, _continue_bracket(p, Interval(lo, hi), width), finest)
+            root = Fraction(str(info.value).split()[2])
+            assert lo < root < hi and o_eval(coeffs, root) == 0
+            return
+        iv = _continue_bracket(p, Interval(lo, hi), width)
+        assert (iv.lo, iv.hi) == want[0]
+        iv = _continue_bracket(p, iv, finest)
+        assert (iv.lo, iv.hi) == want[1]
+
+    def test_sign_test_budget(self, monkeypatch):
+        # bisection to 2**-48 makes about 52 sign tests per lambda
+        polys = _salem_polys(3)
+        calls = []
+        eval_qq = kern.eval_qq
+
+        def counting(*args):
+            calls.append(args)
+            return eval_qq(*args)
+
+        monkeypatch.setattr(kern, "eval_qq", counting)
+        for p in polys:
+            lambda_interval(p)
+        assert len(calls) <= 24 * len(polys)
 
     def test_midpoint_root_raises(self):
         # t^2 - 4 changes sign on (1, 5], and the second midpoint is its root 2
