@@ -5,9 +5,11 @@ root outside the unit circle (real, > 1) and its inverse inside; everything
 else on the circle.  Degree 2 is allowed, with an empty circle part.
 
 The test runs entirely in integer arithmetic: the substitution u = t + 1/t
-halves the degree, and Sturm counts of the image polynomial on (-inf, -2),
-(-2, 2), (2, inf) decide the root layout.  Floating point appears only to
-seed complex root boxes, which are then certified exactly.
+halves the degree, Sturm counts of the image polynomial on (-inf, -2),
+(-2, 2), (2, inf) decide the root layout, and under the Salem layout
+Kronecker's theorem reduces irreducibility to a few exact divisions of the
+image.  Floating point appears only to seed complex root boxes, which are
+then certified exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     OddDegreeError,
 )
 from .intervals import Box, Interval
-from .poly import IntPoly, _radical, factor_bounded, remainder_sequence
+from .poly import CYCLOTOMIC_INDICES, IntPoly, _radical, cyclotomic, factor_bounded, remainder_sequence
 
 MAX_DEGREE = 8
 # is_salem brackets lambda to 2**-48, and isolate_real_roots the real roots to
@@ -59,14 +61,19 @@ def trace_transform(p: IntPoly) -> IntPoly:
     if p.degree % 2:
         raise OddDegreeError(f"degree {p.degree} is odd")
     e = p.degree // 2
-    c = p.coeffs
-    # t**k + t**-k = V_k(u): V_0 = 2, V_1 = u, V_{k+1} = u V_k - V_{k-1}
-    out = (c[e],)
-    v_prev, v_cur = (2,), (0, 1)
-    for k in range(1, e + 1):
-        out = kern.add(out, kern.mul_scalar(v_cur, c[e + k]))
-        v_prev, v_cur = v_cur, kern.sub(kern.shift(v_cur, 1), v_prev)
-    return IntPoly(out)
+    top = p.coeffs[e:]
+    return IntPoly(tuple(sum(map(int.__mul__, row, top[j:])) for j, row in enumerate(_trace_basis(e))))
+
+
+@lru_cache(maxsize=None)
+def _trace_basis(e: int):
+    """Row j holds the u**j coefficients of W_j, ..., W_e, where W_0 = 1 and
+    t**k + t**-k = W_k(u) for k >= 1, so that T = sum_k c[e + k] * W_k."""
+    # W_{k+1} = u W_k - W_{k-1}, with 2 in place of W_0 for k = 1
+    basis = [(1,), (0, 1)][: e + 1]
+    for k in range(1, e):
+        basis.append(kern.sub(kern.shift(basis[k], 1), basis[k - 1] if k > 1 else (2,)))
+    return tuple(tuple(w[j] for w in basis[j:]) for j in range(e + 1))
 
 
 class SturmChain:
@@ -237,9 +244,38 @@ def trace_layout(p: IntPoly):
     how many distinct roots T has above 2, below -2 and between, (n_hi,
     n_lo, n_mid).  A Salem p has the layout (1, 0, e - 1)."""
     t_poly = trace_transform(p)
-    chain = SturmChain(t_poly)
-    v_lo, v_hi = chain.variations_at(-2), chain.variations_at(2)
-    return t_poly, (v_hi - chain.variations_pos_inf(), chain.variations_neg_inf() - v_lo, v_lo - v_hi)
+    at_lo, at_hi, at_neg_inf, at_pos_inf = [], [], [], []
+    for f in SturmChain(t_poly).chain:
+        # f(2) and f(-2) from one pass: the even and odd parts of f at 2
+        even = odd = 0
+        for x in reversed(f):
+            even, odd = 2 * odd + x, 2 * even
+        at_lo.append(even - odd)
+        at_hi.append(even + odd)
+        at_neg_inf.append(f[-1] if len(f) % 2 else -f[-1])
+        at_pos_inf.append(f[-1])
+    count = SturmChain._variations
+    v_lo, v_hi = count(at_lo), count(at_hi)
+    return t_poly, (v_hi - count(at_pos_inf), count(at_neg_inf) - v_lo, v_lo - v_hi)
+
+
+@lru_cache(maxsize=None)
+def _trace_cyclotomics(e: int):
+    """(n, T_n) for every n in CYCLOTOMIC_INDICES but 2 with phi(n) <= 2(e - 1),
+    where T_n, the minimal polynomial of 2cos(2pi/n), is the trace polynomial
+    of Phi_n, and of Phi_1**2 = t**2 - 2t + 1 for n = 1.
+
+    If the trace polynomial T of p (degree 2e) has the Salem layout, a
+    cyclotomic factor Phi_n of p has its trace roots in (-2, 2] beside the
+    root of T above 2, so phi(n) <= 2(e - 1); and n != 2, as no root of T
+    is -2.  Phi_n divides p exactly when T_n divides T, and Phi_1 does so
+    only squared, as u - 2 = (t - 1)**2 / t.
+    """
+    return tuple(
+        (n, (-2, 1) if n == 1 else trace_transform(cyclotomic(n)).coeffs)
+        for n in CYCLOTOMIC_INDICES
+        if n != 2 and cyclotomic(n).degree <= 2 * (e - 1)
+    )
 
 
 def is_salem(p: IntPoly):
@@ -247,6 +283,9 @@ def is_salem(p: IntPoly):
 
     Returns a SalemCertificate (truthy) or NotSalem (falsy) with a reason in
     {not-monic, not-reciprocal, reducible, wrong-circle-count} and a witness.
+    A p whose trace polynomial has the Salem layout and no cyclotomic factor
+    is certified without factoring; every other p is factored, and a
+    reducible one is reported as such before its layout.
     """
     if p.degree > MAX_DEGREE:
         raise DegreeTooLargeError(f"degree {p.degree} > {MAX_DEGREE}")
@@ -265,25 +304,32 @@ def is_salem(p: IntPoly):
         return NotSalem("reducible", witness=IntPoly((1, 1)), detail="odd degree forces the factor t + 1")
     if p.degree < 2:
         return NotSalem("wrong-circle-count", witness=(0, 0, 0), detail="degree below 2")
+    t_poly, layout = trace_layout(p)
+    e = p.degree // 2
+    salem_layout = layout == (1, 0, e - 1)
+    # Kronecker's rule: under the Salem layout, p over the minimal polynomial
+    # of its root above 1 has every root on the unit circle, so it is a
+    # product of cyclotomic polynomials, and p is irreducible when no T_n
+    # divides T
+    if salem_layout and all(kern.divmod_monic(t_poly.coeffs, t_n)[1] for _, t_n in _trace_cyclotomics(e)):
+        return SalemCertificate(
+            poly=p,
+            degree=p.degree,
+            trace_poly=t_poly,
+            root_interval=lambda_interval(p),
+            circle_root_count=p.degree - 2,
+        )
     factors = factor_bounded(p)
     if factors != ((p, 1),):
         g = factors[0][0]
         return NotSalem("reducible", witness=g, detail=f"factor {g}")
-    t_poly, layout = trace_layout(p)
-    if layout != (1, 0, p.degree // 2 - 1):
-        n_hi, n_lo, n_mid = layout
-        return NotSalem(
-            "wrong-circle-count",
-            witness=layout,
-            detail=f"trace roots: {n_hi} above 2, {n_lo} below -2, {n_mid} between",
-        )
-    lam = lambda_interval(p)
-    return SalemCertificate(
-        poly=p,
-        degree=p.degree,
-        trace_poly=t_poly,
-        root_interval=lam,
-        circle_root_count=p.degree - 2,
+    if salem_layout:
+        raise CertificationError(f"{p} has a cyclotomic factor yet factors as irreducible")
+    n_hi, n_lo, n_mid = layout
+    return NotSalem(
+        "wrong-circle-count",
+        witness=layout,
+        detail=f"trace roots: {n_hi} above 2, {n_lo} below -2, {n_mid} between",
     )
 
 

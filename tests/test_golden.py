@@ -9,7 +9,9 @@ commands that have none, so a command is added, and its entry written,
 before the change it guards.  The SEPARATION_COMMANDS and REJECTED_COMMANDS
 entries were written before the pairing and projectivity decisions moved to
 one refinement routine.  The NEGATIVE_COMMANDS entries were written before
-the parser read a bare argument that starts with "-" as a value.
+the parser read a bare argument that starts with "-" as a value, and the
+SALEM_COMMANDS entries before is_salem certified the Salem layout by
+Kronecker's rule instead of by factoring.
 Certified box endpoints (`lo`, `hi`) are stripped before the comparison:
 they may move when the isolation changes, while every other field, every
 `decimal` string and the exit code must stay byte-identical.  Decimals became
@@ -91,7 +93,19 @@ BARE_NEGATIVE_COMMANDS = (
     ("is-salem", "-1,3,-1"),
     ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing", "-1,0"),
 )
-GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS + NEGATIVE_COMMANDS
+# Salem polynomials of degree 2, 4, 6 and 8, and a quartic whose
+# coefficients near 10**12 would cost trial division about 10**6 steps
+SALEM_COMMANDS = tuple(
+    ("is-salem", poly)
+    for poly in (
+        "1,-3,1",
+        "1,-1,-1,-1,1",
+        "1,0,-1,-1,-1,0,1",
+        "1,0,0,-1,-1,-1,0,0,1",
+        "1,-1000000000000,12345,-1000000000000,1",
+    )
+)
+GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS + NEGATIVE_COMMANDS + SALEM_COMMANDS
 
 
 def _strip_endpoints(value):
@@ -126,7 +140,8 @@ def test_golden_file_covers_every_command():
 @pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
 def test_golden_output(argv, monkeypatch):
     # no golden command reaches trial division: the model commands never
-    # factor, and the one is-salem input is not monic
+    # factor, one is-salem input is not monic, and the others are Salem,
+    # which Kronecker's rule certifies without factoring
     monkeypatch.setattr(poly, "divisors", _refuse_divisors)
     code, output = stripped_output(argv)
     want_code, want_output = _expected()[argv]

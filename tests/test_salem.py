@@ -14,9 +14,12 @@ from salemtori.errors import CertificationError, DegreeTooLargeError, NotRecipro
 from salemtori.intervals import Interval
 from salemtori.poly import IntPoly, cyclotomic, is_squarefree, split_cyclotomic, squarefree_part
 from salemtori.salem import (
+    NotSalem,
     RootBox,
+    SalemCertificate,
     SturmChain,
     _continue_bracket,
+    _trace_cyclotomics,
     cauchy_bound,
     count_real_roots,
     is_salem,
@@ -25,6 +28,7 @@ from salemtori.salem import (
     lambda_approx,
     lambda_interval,
     refine_root_box,
+    trace_layout,
     trace_transform,
 )
 from salemtori.torus import _norm_charpoly, a_form_matrix, entropy, is_projective, quad_order_model, reorient
@@ -118,6 +122,113 @@ class TestIsSalem:
             assert not is_salem(IntPoly((1, a, 1)))
         for a in (-3, -4, -7):
             assert is_salem(IntPoly((1, a, 1)))
+
+
+def _factor_first(p):
+    """is_salem's verdict for monic reciprocal p of even degree >= 2, in the
+    order that always factors: factor_bounded, then trace_layout."""
+    factors = poly.factor_bounded(p)
+    if factors != ((p, 1),):
+        g = factors[0][0]
+        return NotSalem("reducible", witness=g, detail=f"factor {g}")
+    t_poly, layout = trace_layout(p)
+    if layout != (1, 0, p.degree // 2 - 1):
+        n_hi, n_lo, n_mid = layout
+        return NotSalem(
+            "wrong-circle-count",
+            witness=layout,
+            detail=f"trace roots: {n_hi} above 2, {n_lo} below -2, {n_mid} between",
+        )
+    return SalemCertificate(p, p.degree, t_poly, lambda_interval(p), p.degree - 2)
+
+
+SALEM_2 = IntPoly((1, -3, 1))
+# the Salem polynomials the README shows
+README_SALEM = (SALEM_2, IntPoly((1, -4, 1)), GOLDEN_QUARTIC, GOLDEN_SEXTIC)
+SMALL_SALEM = README_SALEM + (IntPoly((1, -1, -1, -1, 1)),)
+
+
+def _hostile_quartic(a):
+    """t^4 - a t^3 + 12345 t^2 - a t + 1, Salem for a >= 10**5."""
+    return IntPoly((1, -a, 12345, -a, 1))
+
+
+def _with_cyclotomic(n, p):
+    """p times Phi_n, squared for n = 1, 2 so that the product stays reciprocal
+    of even degree."""
+    return p * cyclotomic(n) ** (2 if n <= 2 else 1)
+
+
+def _each_cyclotomic_factor(test):
+    """An @example Phi_n (t^2 - 3t + 1) for every n in CYCLOTOMIC_INDICES,
+    with Phi_1 and Phi_2 squared: (t - 1)^2 exercises the table entry u - 2,
+    and (t + 1)^2 leaves the Salem layout.  Each other product keeps the
+    layout, so only the table entry for n tells it from a Salem polynomial."""
+    for n in poly.CYCLOTOMIC_INDICES:
+        test = example(_with_cyclotomic(n, SALEM_2))(test)
+    return test
+
+
+@st.composite
+def _reciprocal_polys(draw):
+    e = draw(st.integers(min_value=1, max_value=4))
+    half = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=e, max_size=e))
+    c = (1,) + tuple(half[:-1])
+    return IntPoly(c + (half[-1],) + tuple(reversed(c)))
+
+
+@st.composite
+def _cyclotomic_products(draw):
+    n = draw(st.sampled_from(poly.CYCLOTOMIC_INDICES))
+    return draw(st.sampled_from([q for s in SMALL_SALEM if (q := _with_cyclotomic(n, s)).degree <= 8]))
+
+
+class TestKronecker:
+    """is_salem certifies the Salem layout by Kronecker's rule, never by
+    factoring, and reports what factoring first would report."""
+
+    def test_salem_path_never_factors(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"factoring {args}")
+
+        polys = _salem_polys(3) + list(README_SALEM)
+        monkeypatch.setattr(salem, "factor_bounded", refuse)
+        monkeypatch.setattr(poly, "divisors", refuse)
+        for p in polys:
+            assert is_salem(p)
+        # trial division of p(1) near 2 * 10**30 would take 10**15 steps
+        for a in (10**12, 10**16, 10**30):
+            p = _hostile_quartic(a)
+            cert = is_salem(p)
+            assert cert and cert.trace_poly == IntPoly((12343, -a, 1))
+            # lambda = a - 12344 / a + O(a**-2), from T(u) = u^2 - a u + 12343
+            iv = cert.root_interval
+            assert p(iv.lo) < 0 < p(iv.hi) and a - 1 < iv.lo < a and iv.width <= Fraction(1, 1 << 48)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_reciprocal_polys(), _cyclotomic_products()))
+    @_each_cyclotomic_factor
+    def test_same_output_as_factor_first(self, p):
+        assert is_salem(p) == _factor_first(p)
+
+    def test_table_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for e in range(1, 5):
+            table = dict(_trace_cyclotomics(e))
+            want = [n for n in range(1, 100) if n != 2 and sympy.totient(n) <= 2 * (e - 1)]
+            assert sorted(table) == want
+            for n, t_n in table.items():
+                mp = sympy.minimal_polynomial(2 * sympy.cos(2 * sympy.pi / n), x)
+                assert tuple(int(c) for c in reversed(sympy.Poly(mp, x).all_coeffs())) == t_n
+
+    def test_irreducible_table_hit_raises(self, monkeypatch):
+        # a factoriser that wrongly calls (t - 1)^2 (t^2 - 3t + 1) irreducible
+        # contradicts the table hit, which must not be taken on trust
+        p = IntPoly((-1, 1)) ** 2 * SALEM_2
+        monkeypatch.setattr(salem, "factor_bounded", lambda q: ((q, 1),))
+        with pytest.raises(CertificationError, match="cyclotomic factor"):
+            is_salem(p)
 
 
 @st.composite
