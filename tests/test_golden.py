@@ -105,7 +105,17 @@ SALEM_COMMANDS = tuple(
         "1,-1000000000000,12345,-1000000000000,1",
     )
 )
-GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS + NEGATIVE_COMMANDS + SALEM_COMMANDS
+# models of the paper's families whose root isolation failed when their
+# entries were written: dyadic Salem factors with a circle pair near -1 at
+# n = 38, 48 and 200, and a quad-order model with D = 10**21
+ROOT_COMMANDS = (
+    ("construct", "dyadic-cm", "--n", "38", "--k", "1"),
+    ("construct", "dyadic-cm", "--n", "48", "--k", "1"),
+    ("construct", "dyadic-cm", "--n", "200", "--k", "1"),
+    ("ns", "dyadic-cm", "--n", "48", "--k", "1"),
+    ("construct", "quad-order", "--d", str(10**21), "--b1", "1", "--b2", "1"),
+)
+GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS + NEGATIVE_COMMANDS + SALEM_COMMANDS + ROOT_COMMANDS
 
 
 def _strip_endpoints(value):
