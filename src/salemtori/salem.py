@@ -8,8 +8,9 @@ The test runs entirely in integer arithmetic: the substitution u = t + 1/t
 halves the degree, Sturm counts of the image polynomial on (-inf, -2),
 (-2, 2), (2, inf) decide the root layout, and under the Salem layout
 Kronecker's theorem reduces irreducibility to a few exact divisions of the
-image.  Floating point appears only to seed complex root boxes, which are
-then certified exactly.
+image.  The same image gives the circle roots of a reciprocal polynomial
+whose image has only real roots.  Floating point appears only to seed the
+boxes of other complex roots, which are then certified exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     NotSquarefreeError,
     OddDegreeError,
 )
-from .intervals import Box, Interval
+from .intervals import Box, Interval, sqrt_lb, sqrt_ub
 from .poly import CYCLOTOMIC_INDICES, IntPoly, _radical, cyclotomic, factor_bounded, remainder_sequence
 
 MAX_DEGREE = 8
@@ -39,9 +40,10 @@ MAX_DEGREE = 8
 # 2**-28
 _LAMBDA_BITS = 48
 _REAL_BITS = 28
-# complex root boxes are certified at 2**-200, about the width of a 60-digit
-# seed, so their 12-place decimals are those of the roots themselves; one
-# wider than 2**-24 fails
+# float-seeded complex root boxes, and the closed-form boxes of torus, are
+# certified at 2**-200 or finer, so their 12-place decimals are those of the
+# roots themselves; a seeded box wider than 2**-24 fails, and circle boxes
+# start at 2**-24
 _BOX_BITS = 200
 _MAX_BOX_WIDTH = Fraction(1, 1 << 24)
 _ABERTH_STEPS = 500
@@ -285,7 +287,9 @@ def is_salem(p: IntPoly):
     {not-monic, not-reciprocal, reducible, wrong-circle-count} and a witness.
     A p whose trace polynomial has the Salem layout and no cyclotomic factor
     is certified without factoring; every other p is factored, and a
-    reducible one is reported as such before its layout.
+    reducible one is reported as such before its layout.  The layout is not
+    computed for a p whose signs at 1 and -1 already rule the Salem layout
+    out, until an irreducible p needs it as its witness.
     """
     if p.degree > MAX_DEGREE:
         raise DegreeTooLargeError(f"degree {p.degree} > {MAX_DEGREE}")
@@ -304,26 +308,34 @@ def is_salem(p: IntPoly):
         return NotSalem("reducible", witness=IntPoly((1, 1)), detail="odd degree forces the factor t + 1")
     if p.degree < 2:
         return NotSalem("wrong-circle-count", witness=(0, 0, 0), detail="degree below 2")
-    t_poly, layout = trace_layout(p)
     e = p.degree // 2
-    salem_layout = layout == (1, 0, e - 1)
-    # Kronecker's rule: under the Salem layout, p over the minimal polynomial
-    # of its root above 1 has every root on the unit circle, so it is a
-    # product of cyclotomic polynomials, and p is irreducible when no T_n
-    # divides T
-    if salem_layout and all(kern.divmod_monic(t_poly.coeffs, t_n)[1] for _, t_n in _trace_cyclotomics(e)):
-        return SalemCertificate(
-            poly=p,
-            degree=p.degree,
-            trace_poly=t_poly,
-            root_interval=lambda_interval(p),
-            circle_root_count=p.degree - 2,
-        )
+    salem_layout = (1, 0, e - 1)
+    layout = None
+    # a Salem p has p(1) = T(2) < 0 < p(-1) = (-1)**e T(-2), so other signs
+    # rule out the Salem layout before it is computed
+    if sum(p.coeffs) < 0 < kern.eval_int(p.coeffs, -1):
+        t_poly, layout = trace_layout(p)
+        # Kronecker's rule: under the Salem layout, p over the minimal
+        # polynomial of its root above 1 has every root on the unit circle,
+        # so it is a product of cyclotomic polynomials, and p is irreducible
+        # when no T_n divides T
+        if layout == salem_layout and all(
+            kern.divmod_monic(t_poly.coeffs, t_n)[1] for _, t_n in _trace_cyclotomics(e)
+        ):
+            return SalemCertificate(
+                poly=p,
+                degree=p.degree,
+                trace_poly=t_poly,
+                root_interval=lambda_interval(p),
+                circle_root_count=p.degree - 2,
+            )
     factors = factor_bounded(p)
     if factors != ((p, 1),):
         g = factors[0][0]
         return NotSalem("reducible", witness=g, detail=f"factor {g}")
-    if salem_layout:
+    if layout is None:
+        layout = trace_layout(p)[1]
+    if layout == salem_layout:
         raise CertificationError(f"{p} has a cyclotomic factor yet factors as irreducible")
     n_hi, n_lo, n_mid = layout
     return NotSalem(
@@ -494,8 +506,9 @@ def _newton_box(p: IntPoly, x: Fraction, y: Fraction, bits: int) -> Box:
     The iterate is a Gaussian integer over 2**k.  Each Newton step is exact
     and rounds to the nearest point over 2**min(2k, bits), so the precision
     doubles up to 2**-bits; there the steps go on until they move the
-    iterate by at most one unit.  k starts at 53 bits below the leading bit
-    of the start point, as for a float.  The box is the inclusion disc of
+    iterate by at most one unit.  k starts at the precision of the start
+    point, with 2**k the larger denominator when x and y are dyadic, so the
+    start point is taken exactly at any size.  The box is the inclusion disc of
     radius n*|p/p'| at the last iterate, rounded outward to whole units of
     2**-bits with one unit to spare, so the root it holds lies at least
     2**-bits inside every edge.
@@ -503,7 +516,7 @@ def _newton_box(p: IntPoly, x: Fraction, y: Fraction, bits: int) -> Box:
     c = p.coeffs
     dc = kern.deriv(c)
     n = p.degree
-    k = max(1, min(bits, 53 - math.frexp(float(max(abs(x), abs(y))))[1]))
+    k = max(1, min(bits, max(x.denominator, y.denominator).bit_length() - 1))
     X, Y = round(x * (1 << k)), round(y * (1 << k))
     settled = False
     for _ in range(_NEWTON_STEPS):
@@ -538,7 +551,10 @@ def isolate_all_roots(p: IntPoly):
     roots flagged with zero imaginary part and listed first in ascending
     order, then each upper-half-plane root followed by its conjugate, the
     upper ones ordered by the (re, im) of their box centres; conjugate_index
-    wires up each pair.  Results are memoised per polynomial.
+    wires up each pair.  The real roots come from the Sturm chain of p, the
+    upper ones from the trace polynomial when _circle_trace finds that they
+    lie on the unit circle, and from float seeds otherwise.  Results are
+    memoised per polynomial.
     """
     if p.degree > MAX_DEGREE:
         raise DegreeTooLargeError(f"degree {p.degree} > {MAX_DEGREE}")
@@ -563,6 +579,13 @@ def isolate_all_roots(p: IntPoly):
 
 
 def _upper_boxes(p: IntPoly, n_pairs: int):
+    circle = _circle_trace(p)
+    if circle is not None:
+        t_poly, brackets = circle
+        if len(brackets) != n_pairs:
+            raise CertificationError(f"{len(brackets)} circle roots for {n_pairs} conjugate pairs of {p}")
+        # the brackets ascend, and so do the real parts u/2
+        return [_circle_box(t_poly, iv, _MAX_BOX_WIDTH) for iv in brackets]
     # real roots come out of the float iteration with rounding noise in the
     # imaginary part; the n_pairs largest imaginary parts are the complex ones
     seeds = sorted(_float_seeds(p), key=lambda z: -z.imag)[:n_pairs]
@@ -578,12 +601,100 @@ def _upper_boxes(p: IntPoly, n_pairs: int):
     return boxes
 
 
+@lru_cache(maxsize=1024)
+def _circle_trace(p: IntPoly):
+    """(T, brackets) when every non-real root of p lies on the unit circle,
+    read off the trace polynomial; None otherwise.
+
+    With t - 1 and t + 1 divided out once each, p must leave a reciprocal
+    quotient r of positive even degree whose trace polynomial T has only
+    real roots.  A root t of r is then real or on the circle, over the root
+    u = t + 1/t of T: |u| > 2 for a real pair, u in (-2, 2) for the circle
+    pair (u +- i sqrt(4 - u**2))/2.  brackets holds one bracket within
+    [-2, 2] for each root of T in (-2, 2), ascending; T is nonzero at +-2,
+    as r has no root +-1 when p is squarefree.
+    """
+    r = p
+    for x in (1, -1):
+        if kern.eval_int(r.coeffs, x) == 0:
+            r //= IntPoly((-x, 1))
+    if r.degree == 0 or r.degree % 2 or not r.is_reciprocal:
+        return None
+    t_poly = trace_transform(r)
+    roots = _real_roots(t_poly, SturmChain(t_poly))
+    if len(roots) != t_poly.degree:
+        return None
+    c = t_poly.coeffs
+    brackets = []
+    for iv in roots:
+        lo, hi = max(iv.lo, -2), min(iv.hi, 2)
+        if iv.width == 0:
+            if -2 < lo < 2:
+                brackets.append(iv)
+        # T changes sign across the part of the bracket within [-2, 2]
+        elif lo < hi and (_sign_at(c, lo) > 0) != (_sign_at(c, hi) > 0):
+            brackets.append(Interval(lo, hi))
+    return t_poly, tuple(brackets)
+
+
+def _sign_at(c, x: Fraction) -> int:
+    """An integer with the sign of the polynomial c at x."""
+    return kern.eval_qq(c, x.numerator, x.denominator)
+
+
+def _circle_box(t_poly: IntPoly, iv: Interval, width: Fraction) -> Box:
+    """Box, at most width wide, around the upper circle root
+    (u + i sqrt(4 - u**2))/2 over the root u in (-2, 2) of t_poly that iv,
+    within [-2, 2], brackets.
+
+    The bracket is continued by _continue_bracket on t_poly until it lies
+    inside (-2, 2), squaring its width each time, and until the box over it
+    is narrow enough: u/2 over the bracket, and over its ends the square
+    root bounds of 4 - u**2, nearest and farthest from 0.
+    """
+    target = 2 * width
+    while True:
+        if iv.width > target:
+            iv = _continue_bracket(t_poly, iv, target)
+        if -2 < iv.lo and iv.hi < 2:
+            far, near = max(-iv.lo, iv.hi), max(0, iv.lo, -iv.hi)
+            v = 4 - far * far
+            # 2**-bits is below width / 4 and below sqrt(v) / 2
+            bits = max(_bits_below(width) + 1, (v.denominator // v.numerator).bit_length() // 2 + 2)
+            im = Interval(sqrt_lb(v, bits) / 2, sqrt_ub(4 - near * near, bits) / 2)
+            if im.width <= width:
+                return Box(Interval(iv.lo / 2, iv.hi / 2), im)
+            # sqrt(4 - u**2)/2 has slope below 1/(2 im.lo) on the bracket, so
+            # a bracket width * im.lo / 2 wide spreads it by width/4 at most
+            target = min(target / 2, width * im.lo / 2)
+        else:
+            target = min(target / 2, target * target)
+
+
 def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
-    """Shrink a certified box around its root to the requested width."""
+    """Shrink a certified box around its root to the requested width.
+
+    A real box is continued by _continue_bracket on p, a circle box by
+    _continue_bracket on the trace polynomial, and any other box by Newton's
+    method from its centre.
+    """
     if rb.re.width <= width and rb.im.width <= width:
         return rb
     if rb.is_real:
         return RootBox(_continue_bracket(p, rb.re, width), Interval.point(0), rb.conjugate_index)
+    circle = _circle_trace(p)
+    if circle is not None:
+        # a circle root's real part is u/2, so 2 * re holds u, and so does the
+        # one isolating bracket of a root of T in (-2, 2) that 2 * re meets
+        t_poly, brackets = circle
+        u = Interval(2 * rb.re.lo, 2 * rb.re.hi)
+        hits = [iv for iv in brackets if iv.intersects(u)]
+        if len(hits) != 1:
+            raise CertificationError(f"box {rb.box} meets {len(hits)} trace roots of {p} in (-2, 2)")
+        box = _circle_box(t_poly, Interval(max(u.lo, hits[0].lo), min(u.hi, hits[0].hi)), width)
+        if rb.im.hi < 0:
+            box = box.conjugate()
+        return RootBox(box.re, box.im, rb.conjugate_index)
     target = rb.box
     box = _newton_box(p, target.re.mid, target.im.mid, _bits_below(width) + 6)
     inside = (

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import isqrt
 from typing import Optional
 
@@ -33,10 +34,10 @@ from .errors import (
     WrongDegreeError,
     ZeroEntropyError,
 )
-from .intervals import Box, Interval, log_interval, sqrt_lb, sqrt_ub
+from .intervals import Box, Interval, log_interval
 from .poly import ONE, IntPoly, split_cyclotomic, squarefree_part
-from .salem import _LAMBDA_BITS, RootBox, _bits_below, _continue_bracket, isolate_all_roots, lambda_interval
-from .salem import refine_root_box, trace_layout
+from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, _bits_below, _continue_bracket, isolate_all_roots
+from .salem import lambda_interval, refine_root_box, trace_layout
 from .wedge import exterior_square
 
 
@@ -327,41 +328,114 @@ def from_quartic(p: IntPoly, pairing_choice=None) -> TorusModel:
 def quad_order_model(qm: QuadOrderMatrix) -> TorusModel:
     """Lift a unit-determinant matrix over Z[sqrt(-D)] to a 4x4 lattice model.
 
-    The pairing is chosen so that (g1, g2) are the eigenvalues of the 2x2
-    complex matrix itself, located by exact interval matching of their sum
-    and product against trace and determinant.
+    The pairing (g1, g2) is the eigenvalues of the 2x2 complex matrix itself,
+    the roots of q = t**2 - tau t + delta, and the root boxes are theirs and
+    their conjugates', all read off q in closed form (_q_roots).
     """
     det = qm.det()
     n = _qo_norm(det, qm.d_param)
     if n != 1:
         raise NotUnitError(f"determinant {det} has norm {n}, not a unit")
     matrix = qm.lift()
-    model = _make_model(matrix, None, ModelOrigin("quad_order", (), quad=qm))
-    if model.h1_charpoly != _norm_charpoly(qm):
-        raise CertificationError(f"lifted matrix has characteristic polynomial {model.h1_charpoly}, not the norm's")
-    return replace(model, pairing=_match_pairing(model, qm.trace(), det, qm.d_param))
+    h1 = _charpoly(matrix)
+    if h1 != _norm_charpoly(qm):
+        raise CertificationError(f"lifted matrix has characteristic polynomial {h1}, not the norm's")
+    root_poly = squarefree_part(h1)
+    boxes, pairing = _q_roots(qm, root_poly)
+    return TorusModel(
+        matrix, h1, exterior_square(h1), root_poly, boxes, pairing, False, ModelOrigin("quad_order", (), quad=qm)
+    )
 
 
-def _match_pairing(model, tau, delta, d):
-    """Indices (i <= j) with root_i + root_j = tau and root_i * root_j = delta."""
-    allow_equal = model.root_poly != model.h1_charpoly
-    k = len(model.root_boxes)
+def _q_roots(qm: QuadOrderMatrix, root_poly: IntPoly):
+    """The root boxes of root_poly in isolate_all_roots' order, and the
+    sorted indices of the roots g+ and g- of q.
 
-    def keep(cands, bits):
-        boxes = _refine_boxes(model.root_poly, model.root_boxes, Fraction(1, 1 << bits))
-        sd = Interval(sqrt_lb(Fraction(d), 2 * bits), sqrt_ub(Fraction(d), 2 * bits))
-        tau_box = Box(Interval.point(tau[0]), tau[1] * sd)
-        delta_box = Box(Interval.point(delta[0]), delta[1] * sd)
-        return [
-            (i, j)
-            for i, j in cands
-            # the sum is cheap; only a pair whose sum fits pays for a product
-            if Box(boxes[i].re + boxes[j].re, boxes[i].im + boxes[j].im).intersects(tau_box)
-            and (boxes[i].box * boxes[j].box).intersects(delta_box)
-        ]
+    The roots of root_poly are g+, g- and their conjugates, once each.  The
+    closed form gives equal boxes to equal roots: g- and g+ when q has a
+    double root, conj(g-) and g+ when q is real; and a real root gets the
+    point 0 as imaginary part.  The boxes certify the roots once they are
+    pairwise disjoint and as many as the degree of root_poly; until then
+    the precision doubles.  Boxes are (re_lo, re_hi, im_lo, im_hi)
+    numerators over 2**(bits + 1) until the last step.
+    """
+    bits = _BOX_BITS + _q_disc(qm)[2].bit_length() // 2
+    for _ in range(4):
+        gs = _q_root_boxes(qm, bits)
+        den = 1 << (bits + 1)
+        bits *= 2
+        if any(g[2] <= 0 <= g[3] and g[2:] != (0, 0) for g in gs):
+            continue
+        reals = sorted({g for g in gs if g[2:] == (0, 0)})
+        uppers = {g if g[2] > 0 else _conj(g) for g in gs if g[2:] != (0, 0)}
+        uppers = sorted(uppers, key=lambda g: (g[0] + g[1], g[2] + g[3]))
+        ends = reals + [h for g in uppers for h in (g, _conj(g))]
+        if len(ends) == root_poly.degree and not any(_meet(a, b) for a, b in combinations(ends, 2)):
+            index = {g: i for i, g in enumerate(ends)}
+            boxes = [RootBox(_interval(g[0], g[1], den), Interval.point(0)) for g in reals]
+            for g in uppers:
+                i = len(boxes)
+                re, im = _interval(g[0], g[1], den), _interval(g[2], g[3], den)
+                boxes += [RootBox(re, im, i + 1), RootBox(re, -im, i)]
+            return tuple(boxes), tuple(sorted(index[g] for g in gs))
+    raise CertificationError(f"the roots of {root_poly} did not separate")
 
-    cands = [(i, j) for i in range(k) for j in range(i, k) if i != j or allow_equal]
-    return _separate(cands, keep, "eigenvalue pairing")
+
+def _conj(g):
+    return g[0], g[1], -g[3], -g[2]
+
+
+def _meet(a, b) -> bool:
+    return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
+
+
+def _interval(lo: int, hi: int, den: int) -> Interval:
+    return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _q_disc(qm: QuadOrderMatrix):
+    """(x, y, m): s**2 = tau**2 - 4 delta = x + y sqrt(-D), m = |s**2|**2."""
+    ta, tb = qm.trace()
+    da, db = qm.det()
+    d = qm.d_param
+    x = ta * ta - tb * tb * d - 4 * da
+    y = 2 * ta * tb - 4 * db
+    return x, y, x * x + y * y * d
+
+
+def _isqrt_bounds(n: int):
+    """floor and ceil of sqrt(n)."""
+    r = isqrt(n)
+    return r, r + (r * r < n)
+
+
+def _q_root_boxes(qm: QuadOrderMatrix, bits: int):
+    """Boxes of g+- = (tau +- s)/2, the roots of q, as numerators
+    (re_lo, re_hi, im_lo, im_hi) over 2**(bits + 1).
+
+    Re s = sqrt((sqrt(m) + x)/2) and Im s = sign(y) sqrt((sqrt(m) - x)/2),
+    with sign(0) = 1, and Im tau = tb sqrt(D).  Every square root is taken
+    by isqrt in units of 2**-bits, floored for a lower end and raised for an
+    upper one, so an exact dyadic coordinate, 0 above all, is a point.
+    """
+    x, y, m = _q_disc(qm)
+    ta, tb = qm.trace()
+    shift = 2 * bits - 1
+    # sqrt(m) and then (sqrt(m) +- x)/2 in units of 2**-(2 bits)
+    m_lo, m_hi = _isqrt_bounds(m << 2 * shift)
+    xs = x << shift
+    re_lo, re_hi = isqrt(m_lo + xs), _isqrt_bounds(m_hi + xs)[1]
+    im_lo, im_hi = isqrt(m_lo - xs), _isqrt_bounds(m_hi - xs)[1]
+    if y < 0:
+        im_lo, im_hi = -im_hi, -im_lo
+    tau_lo, tau_hi = _isqrt_bounds(tb * tb * qm.d_param << 2 * bits)
+    if tb < 0:
+        tau_lo, tau_hi = -tau_hi, -tau_lo
+    a = ta << bits
+    return (
+        (a + re_lo, a + re_hi, tau_lo + im_lo, tau_hi + im_hi),
+        (a - re_hi, a - re_lo, tau_lo - im_hi, tau_hi - im_lo),
+    )
 
 
 def gl2z_model(r: int, det: int) -> TorusModel:

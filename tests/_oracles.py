@@ -136,16 +136,26 @@ def o_wedge_charpoly(quartic):
     return o_charpoly(o_second_compound(o_companion(quartic)))
 
 
+class MidpointRoot(ArithmeticError):
+    """o_bisect met the root at a midpoint."""
+
+
 def o_bisect(coeffs, lo, hi, min_width):
-    """Bisection enclosure of a sign-changing root over exact Fractions."""
+    """Bisection enclosure of a sign-changing root over exact Fractions.
+
+    Raises ValueError unless the ends have opposite nonzero signs, and
+    MidpointRoot when a midpoint is a root; both hold under python -O.
+    """
     lo, hi = Fraction(lo), Fraction(hi)
     s_lo = o_eval(coeffs, lo)
     s_hi = o_eval(coeffs, hi)
-    assert s_lo * s_hi < 0
+    if s_lo * s_hi >= 0:
+        raise ValueError(f"({lo}, {hi}) does not bracket a sign change")
     while hi - lo > min_width:
         mid = (lo + hi) / 2
         v = o_eval(coeffs, mid)
-        assert v != 0
+        if v == 0:
+            raise MidpointRoot(f"root {mid} at a midpoint")
         if (v < 0) == (s_lo < 0):
             lo = mid
         else:

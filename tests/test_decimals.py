@@ -1,5 +1,6 @@
 """Every printed decimal is the correctly rounded value of the number it
-stands for, checked against mpmath at 60 digits, a test-only oracle.
+stands for, checked against mpmath, a test-only oracle, at 60 digits plus
+the digits of the largest coefficient of the printed polynomials.
 
 Entropies are logs of the largest real root of the printed Salem factor,
 box decimals are the coordinates of the roots of the printed root
@@ -32,10 +33,16 @@ def _main(argv):
     return buf.getvalue()
 
 
+def _digits(*poly_texts):
+    """Decimal digits of the largest coefficient of printed polynomials."""
+    return max(len(c.lstrip("-")) for text in poly_texts for c in text.split(","))
+
+
 def _roots(poly_text):
     """Every complex root of a polynomial printed highest degree first."""
     coeffs = [int(c) for c in poly_text.split(",")]
-    return mpmath.polyroots(coeffs, maxsteps=200, extraprec=400)
+    # roots that span many orders of magnitude take more steps to settle
+    return mpmath.polyroots(coeffs, maxsteps=200 + 4 * _digits(poly_text), extraprec=400)
 
 
 def _largest_real_root(poly_text):
@@ -65,7 +72,9 @@ def _check_box(box, z):
 @pytest.mark.parametrize("argv", [a for a in COMMANDS if a[0] != "ns"], ids=" ".join)
 def test_golden_model_decimals(argv):
     doc = json.loads(_main(argv))
-    with mpmath.workdps(DPS):
+    # the digits of the largest coefficient bound those of the largest root
+    # and of lambda, whose decimals need DPS digits after the point
+    with mpmath.workdps(DPS + _digits(doc["root_poly"], doc["salem_factor"] or "0")):
         if doc["zero_entropy"]:
             assert doc["entropy"]["decimal"] == "0.000000000000"
         else:

@@ -11,7 +11,10 @@ entries were written before the pairing and projectivity decisions moved to
 one refinement routine.  The NEGATIVE_COMMANDS entries were written before
 the parser read a bare argument that starts with "-" as a value, and the
 SALEM_COMMANDS entries before is_salem certified the Salem layout by
-Kronecker's rule instead of by factoring.
+Kronecker's rule instead of by factoring.  The ROOT_COMMANDS entries were
+written while float-seeded isolation refused four of them with exit 2;
+those four were rewritten, as the one recorded move, when circle roots came
+from the trace polynomial and quad-order models read their roots off q.
 Certified box endpoints (`lo`, `hi`) are stripped before the comparison:
 they may move when the isolation changes, while every other field, every
 `decimal` string and the exit code must stay byte-identical.  Decimals became
@@ -75,9 +78,19 @@ SEPARATION_COMMANDS = (
         ("reorient", "gl2z", "--r", "5", "--det", "1"),
     )
 )
+# models of the paper's families whose root isolation failed when their
+# entries were written: dyadic Salem factors with a circle pair near -1 at
+# n = 38, 48 and 200, and a quad-order model with D = 10**21
+ROOT_COMMANDS = (
+    ("construct", "dyadic-cm", "--n", "38", "--k", "1"),
+    ("construct", "dyadic-cm", "--n", "48", "--k", "1"),
+    ("construct", "dyadic-cm", "--n", "200", "--k", "1"),
+    ("ns", "dyadic-cm", "--n", "48", "--k", "1"),
+    ("construct", "quad-order", "--d", str(10**21), "--b1", "1", "--b2", "1"),
+)
 # every command here prints a model; test_decimals.py checks its decimals.
 # The grid repeats the first README command; each command is listed once.
-COMMANDS = tuple(dict.fromkeys(README_COMMANDS + GRID_COMMANDS + SEPARATION_COMMANDS))
+COMMANDS = tuple(dict.fromkeys(README_COMMANDS + GRID_COMMANDS + SEPARATION_COMMANDS + ROOT_COMMANDS))
 # pairings that from_quartic refuses, with exit code 2
 REJECTED_COMMANDS = tuple(
     ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing", pairing) for pairing in ("0,1", "0,5")
@@ -105,17 +118,7 @@ SALEM_COMMANDS = tuple(
         "1,-1000000000000,12345,-1000000000000,1",
     )
 )
-# models of the paper's families whose root isolation failed when their
-# entries were written: dyadic Salem factors with a circle pair near -1 at
-# n = 38, 48 and 200, and a quad-order model with D = 10**21
-ROOT_COMMANDS = (
-    ("construct", "dyadic-cm", "--n", "38", "--k", "1"),
-    ("construct", "dyadic-cm", "--n", "48", "--k", "1"),
-    ("construct", "dyadic-cm", "--n", "200", "--k", "1"),
-    ("ns", "dyadic-cm", "--n", "48", "--k", "1"),
-    ("construct", "quad-order", "--d", str(10**21), "--b1", "1", "--b2", "1"),
-)
-GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS + NEGATIVE_COMMANDS + SALEM_COMMANDS + ROOT_COMMANDS
+GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS + NEGATIVE_COMMANDS + SALEM_COMMANDS
 
 
 def _strip_endpoints(value):

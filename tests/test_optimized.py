@@ -80,6 +80,8 @@ def test_forged_certificate_raises_under_O():
         ("enumerate", "--degree", "4", "--max-coeff", "3"),
         # real root isolation, and real boxes refined for the decimals
         ("construct", "gl2z", "--r", "3", "--det", "1"),
+        # circle roots from the trace polynomial, quad-order roots from q
+        ("construct", "dyadic-cm", "--n", "48", "--k", "1"),
     ],
 )
 def test_cli_output_unchanged_under_O(argv):

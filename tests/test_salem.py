@@ -34,7 +34,7 @@ from salemtori.salem import (
 from salemtori.torus import _norm_charpoly, a_form_matrix, entropy, is_projective, quad_order_model, reorient
 from salemtori.wedge import exterior_square
 
-from _oracles import o_bisect, o_eval
+from _oracles import MidpointRoot, o_bisect, o_eval
 
 GOLDEN_QUARTIC = IntPoly((1, -2, -2, -2, 1))
 GOLDEN_SEXTIC = IntPoly((1, 0, -1, -1, -1, 0, 1))
@@ -224,11 +224,31 @@ class TestKronecker:
 
     def test_irreducible_table_hit_raises(self, monkeypatch):
         # a factoriser that wrongly calls (t - 1)^2 (t^2 - 3t + 1) irreducible
-        # contradicts the table hit, which must not be taken on trust
+        # contradicts its Salem layout, which must not be taken on trust;
+        # p(1) = 0 sends it to factoring before the table
         p = IntPoly((-1, 1)) ** 2 * SALEM_2
         monkeypatch.setattr(salem, "factor_bounded", lambda q: ((q, 1),))
         with pytest.raises(CertificationError, match="cyclotomic factor"):
             is_salem(p)
+
+    def test_irreducible_table_hit_with_salem_signs_raises(self, monkeypatch):
+        # Phi_3 (t^2 - 3t + 1) has p(1) < 0 < p(-1), and T_3 divides T
+        monkeypatch.setattr(salem, "factor_bounded", lambda q: ((q, 1),))
+        with pytest.raises(CertificationError, match="cyclotomic factor"):
+            is_salem(cyclotomic(3) * SALEM_2)
+
+    def test_signs_skip_the_layout(self, monkeypatch):
+        # p(1) >= 0 or p(-1) <= 0 rules the Salem layout out: a reducible p
+        # is reported without its layout, and an irreducible one computes it
+        # once, for its witness
+        calls = []
+        layout = salem.trace_layout
+        monkeypatch.setattr(salem, "trace_layout", lambda p: calls.append(p) or layout(p))
+        assert is_salem(cyclotomic(3) * cyclotomic(4)).reason == "reducible"
+        assert is_salem(_with_cyclotomic(2, SALEM_2)).reason == "reducible"
+        assert calls == []
+        assert is_salem(cyclotomic(5)).witness == (0, 0, 2)
+        assert calls == [cyclotomic(5)]
 
 
 @st.composite
@@ -335,7 +355,7 @@ class TestLambda:
         finest = width / finer
         try:
             want = o_bisect(coeffs, lo, hi, width), o_bisect(coeffs, lo, hi, finest)
-        except AssertionError:
+        except MidpointRoot:
             with pytest.raises(CertificationError, match="rational root") as info:
                 _continue_bracket(p, _continue_bracket(p, Interval(lo, hi), width), finest)
             root = Fraction(str(info.value).split()[2])
@@ -484,6 +504,16 @@ class TestRealRoots:
             assert not any(iv.lo <= r <= iv.hi for r in integers)
 
 
+def _check_refinable(p):
+    boxes = isolate_all_roots(p)
+    for target in (Fraction(1, 1 << 60), Fraction(1, 1 << 300)):
+        for b in boxes:
+            rb = refine_root_box(p, b, target)
+            assert rb.re.width <= target and rb.im.width <= target
+            assert b.re.lo <= rb.re.lo <= rb.re.hi <= b.re.hi
+            assert b.im.lo <= rb.im.lo <= rb.im.hi <= b.im.hi
+
+
 class TestIsolateAll:
     def test_no_real_quartic(self):
         p = IntPoly((1, 1, 0, 0, 1))
@@ -517,15 +547,24 @@ class TestIsolateAll:
             refine_root_box(IntPoly((-1, 1)), RootBox(Interval(0, 2), Interval.point(0)), Fraction(1, 8))
 
     def test_disjoint_and_refinable(self):
-        boxes = isolate_all_roots(GOLDEN_QUARTIC)
-        # 2**-300 is below the width the complex boxes start at, so their
-        # refinement runs Newton's method from the box centre
-        for target in (Fraction(1, 1 << 60), Fraction(1, 1 << 300)):
-            for b in boxes:
-                rb = refine_root_box(GOLDEN_QUARTIC, b, target)
-                assert rb.re.width <= target and rb.im.width <= target
-                assert b.re.lo <= rb.re.lo <= rb.re.hi <= b.re.hi
-                assert b.im.lo <= rb.im.lo <= rb.im.hi <= b.im.hi
+        # the Salem quartic's circle pair is refined on its trace polynomial
+        _check_refinable(GOLDEN_QUARTIC)
+
+    def test_refinable_off_the_circle(self):
+        # the pairs of t^4 - 2t^3 + 4t^2 - 2t + 1 are refined by Newton's
+        # method from the box centre: 2**-300 is below the width they start at
+        _check_refinable(IntPoly((1, -2, 4, -2, 1)))
+
+    def test_newton_starts_at_the_centre_precision(self):
+        # roots 2**1100 +- i, beyond the float range: Newton's method takes
+        # the box centre as it is, with no float in between
+        big = 1 << 1100
+        p = IntPoly((big * big + 1, -2 * big, 1))
+        half = Fraction(1, 1 << 20)
+        rb = RootBox(Interval(big - half, big + half), Interval(1 - half, 1 + half), 1)
+        out = refine_root_box(p, rb, Fraction(1, 1 << 60))
+        assert out.re.width <= Fraction(1, 1 << 60) and out.im.width <= Fraction(1, 1 << 60)
+        assert out.re.contains(big) and out.im.contains(1)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
@@ -542,43 +581,41 @@ class TestIsolateAll:
 
 
 # Oracle for isolate_all_roots: mpmath's roots at 50 digits, computed here and
-# nowhere in the library.  The boxes are about 2**-195 wide, finer than the
-# oracle, so each box is widened by ORACLE_SLACK before the roots in it are
-# counted; the roots of these polynomials lie much further apart than that.
+# nowhere in the library.  The boxes may be finer than the oracle, so each
+# box is widened by ORACLE_SLACK before the roots in it are counted; the
+# roots of these polynomials lie much further apart than that.
 ORACLE_SLACK = Fraction(1, 10**40)
 DEFAULT_WIDTH = Fraction(1, 1 << 24)
 
 
+def _mp_fraction(x):
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp
+
+
 def _oracle_roots(p, dps=50):
+    """mpmath's roots of p as (re, im) Fractions; roots that span many
+    orders of magnitude take more steps to settle."""
+    digits = max(len(str(abs(c))) for c in p.coeffs)
     with mpmath.workdps(dps):
-        roots = mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=200, extraprec=200)
-    out = []
-    for z in roots:
-        parts = []
-        for x in (mpmath.re(z), mpmath.im(z)):
-            sign, man, exp, _ = x._mpf_
-            parts.append((-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp)
-        out.append(tuple(parts))
-    return out
+        roots = mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=200 + 4 * digits, extraprec=200)
+    return [(_mp_fraction(mpmath.re(z)), _mp_fraction(mpmath.im(z))) for z in roots]
 
 
-def _in_widened(b, root):
+def _in_widened(b, root, slack=ORACLE_SLACK):
     x, y = root
-    return (
-        b.re.lo - ORACLE_SLACK <= x <= b.re.hi + ORACLE_SLACK
-        and b.im.lo - ORACLE_SLACK <= y <= b.im.hi + ORACLE_SLACK
-    )
+    return b.re.lo - slack <= x <= b.re.hi + slack and b.im.lo - slack <= y <= b.im.hi + slack
 
 
-def _check_against_oracle(p, dps=50):
+def _check_against_oracle(p, dps=50, slack=ORACLE_SLACK):
     boxes = isolate_all_roots(p)
     roots = _oracle_roots(p, dps)
     assert len(boxes) == p.degree
     for b in boxes:
         assert b.re.width <= DEFAULT_WIDTH and b.im.width <= DEFAULT_WIDTH
-        assert sum(_in_widened(b, z) for z in roots) == 1, f"{p}: box {b.box} holds no single root"
+        assert sum(_in_widened(b, z, slack) for z in roots) == 1, f"{p}: box {b.box} holds no single root"
     for z in roots:
-        assert sum(_in_widened(b, z) for b in boxes) == 1, f"{p}: root {z} not in exactly one box"
+        assert sum(_in_widened(b, z, slack) for b in boxes) == 1, f"{p}: root {z} not in exactly one box"
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
             assert not boxes[i].box.intersects(boxes[j].box)
@@ -675,14 +712,96 @@ class TestIsolationOracle:
         assert ims == pytest.approx([0.6180339887, -0.6180339887, 1.6180339887, -1.6180339887])
 
     def test_models_without_mpmath_seeds(self, monkeypatch):
+        # nor float seeds: quad-order roots come from q, the roots of the
+        # factors of h2 from the trace polynomial; the models are the
+        # benchmark's 80 and a dyadic one
         def refuse(*args, **kwargs):
-            raise RuntimeError("mpmath.polyroots called")
+            raise RuntimeError(f"seeds for {args}")
 
         monkeypatch.setattr(mpmath, "polyroots", refuse)
+        monkeypatch.setattr(salem, "_float_seeds", refuse)
         isolate_all_roots.cache_clear()
+        salem._circle_trace.cache_clear()
         model = quad_order_model(a_form_matrix(1, 1, 1))
         assert is_projective(model) is True
         assert is_projective(reorient(model)) is False
         model = quad_order_model(a_form_matrix(2, 0, 1))
         assert model.pairing == (1, 2)
         assert is_projective(model) is True
+        models = [quad_order_model(a_form_matrix(d, b1, b2)) for d in range(1, 6) for b1 in range(4) for b2 in range(4)]
+        models.append(torus.dyadic_cm_family(48, 1))
+        decided = 0
+        for model in models:
+            entropy(model)
+            if model.salem_factor().degree:
+                is_projective(model), is_projective(reorient(model))
+                torus.picard_rank(model), torus.ns_charpoly(model), torus.ns_charpoly(reorient(model))
+                decided += 1
+        assert decided == 66
+
+
+def _dyadic_salem(n):
+    """The Salem factor of dyadic_cm_family(n, k), ascending, for any k."""
+    return (1, -(1 + 4**n), -(2 ** (2 * n + 1)), -(1 + 4**n), 1)
+
+
+class TestExactRoots:
+    """Circle roots come from the trace polynomial and quad-order roots from
+    q in closed form; both are checked against mpmath roots at a precision
+    scaled to the coefficients."""
+
+    @pytest.mark.parametrize("n", (33, 48, 80, 200))
+    def test_dyadic_salem_factor(self, n):
+        # the circle pair sits near -1, about 2**(1 - n) off the real axis,
+        # beside lambda near 4**n: mpmath needs 2n digits beyond 60, and
+        # the slack must stay far below the pair's distance
+        coeffs = _dyadic_salem(n)
+        _check_against_oracle(IntPoly(coeffs), dps=60 + 2 * n, slack=Fraction(1, 10 ** (n + 20)))
+        circle = [b for b in isolate_all_roots(IntPoly(coeffs)) if not b.is_real]
+        assert len(circle) == 2 and 0 < circle[0].im.lo < Fraction(1, 1 << (n - 2))
+
+    @pytest.mark.parametrize("n", (33, 200))
+    def test_refined_circle_boxes_keep_their_half_plane(self, n):
+        p = IntPoly(_dyadic_salem(n))
+        roots = _oracle_roots(p, dps=60 + 2 * n)
+        width = Fraction(1, 1 << (n + 80))
+        for b in isolate_all_roots(p):
+            rb = refine_root_box(p, b, width)
+            assert rb.re.width <= width and rb.im.width <= width
+            assert rb.conjugate_index == b.conjugate_index
+            assert (rb.im.lo > 0, rb.im.hi < 0) == (b.im.lo > 0, b.im.hi < 0)
+            slack = Fraction(1, 10 ** (2 * n + 40))
+            assert sum(_in_widened(rb, z, slack) for z in roots) == 1
+
+    def test_circle_box_refines_a_cyclotomic_point(self):
+        # Phi_4 = t^2 + 1 has the integer trace root 0, so the real part of
+        # its circle boxes is the point 0
+        boxes = isolate_all_roots(cyclotomic(4) * IntPoly((-1, 1)))
+        assert [b.re for b in boxes[1:]] == [Interval.point(0)] * 2
+        rb = refine_root_box(cyclotomic(4) * IntPoly((-1, 1)), boxes[2], Fraction(1, 1 << 100))
+        assert rb.re == Interval.point(0) and rb.im.contains(-1) and rb.im.width <= Fraction(1, 1 << 100)
+
+    def test_closed_form_boxes(self):
+        # g+- = (tau +- sqrt(tau^2 - 4))/2 with tau = b1 + b2 sqrt(-D), the
+        # eigenvalues of [[0, -1], [1, tau]], lie in the boxes at the pairing;
+        # every box holds one of them or of their conjugates
+        params = [(d, b1, b2) for d in range(1, 6) for b1 in range(-3, 4) for b2 in range(-3, 4)]
+        params += [(4**1, 1, 2 ** (n - 1)) for n in (33, 48, 80, 200)]
+        slack = Fraction(1, 10**150)
+        with mpmath.workdps(250):
+            for d, b1, b2 in params:
+                model = quad_order_model(a_form_matrix(d, b1, b2))
+                tau = b1 + b2 * mpmath.sqrt(d) * 1j
+                root = mpmath.sqrt(tau * tau - 4)
+                gs = [((tau + sign * root) / 2) for sign in (1, -1)]
+                gs = [(_mp_fraction(mpmath.re(g)), _mp_fraction(mpmath.im(g))) for g in gs]
+                boxes = model.root_boxes
+                i, j = model.pairing
+                assert _in_widened(boxes[i], gs[0], slack) and _in_widened(boxes[j], gs[1], slack) or (
+                    _in_widened(boxes[i], gs[1], slack) and _in_widened(boxes[j], gs[0], slack)
+                ), (d, b1, b2)
+                roots = set(gs) | {(x, -y) for x, y in gs}
+                for b in boxes:
+                    assert b.re.width <= Fraction(1, 1 << 200) and b.im.width <= Fraction(1, 1 << 200)
+                    assert sum(_in_widened(b, z, slack) for z in roots) == 1, (d, b1, b2)
+

@@ -1,11 +1,12 @@
 """The one refinement routine behind every which-root decision of torus.
 
-torus._separate drives the eigenvalue pairing of quad_order_model and the
-location of g1*g2 behind is_projective and ns_charpoly.  On the models the
-CLI builds every decision settles in the first round, so the later rounds
-are exercised here with synthetic filters and with root boxes widened far
-beyond what isolation returns.  An mpmath oracle then checks the decisions
-themselves over the 245-model grid, in both orientations.
+torus._separate drives the location of g1*g2 behind is_projective and
+ns_charpoly; quad_order_model reads its pairing off q in closed form.  On
+the models the CLI builds every decision settles in the first round, so the
+later rounds are exercised here with synthetic filters and with root boxes
+widened far beyond what isolation returns.  An mpmath oracle then checks
+the pairings and the decisions over the 245-model grid, in both
+orientations.
 """
 
 from dataclasses import replace
@@ -19,7 +20,6 @@ from salemtori.intervals import Interval
 from salemtori.poly import IntPoly
 from salemtori.salem import RootBox
 from salemtori.torus import (
-    _match_pairing,
     _separate,
     a_form_matrix,
     gl2z_model,
@@ -85,10 +85,6 @@ def test_decisions_refine_wide_boxes(name):
     model = WIDE_MODELS[name]()
     wide = _widened(model)
     assert all(b.re.width == Fraction(1, 1 << 11) for b in wide.root_boxes)
-    qm = model.origin.quad
-    if qm is not None:
-        pairing = quad_order_model(qm).pairing
-        assert _match_pairing(wide, qm.trace(), qm.det(), qm.d_param) == pairing
     assert is_projective(wide) == is_projective(model)
     assert ns_charpoly(wide) == ns_charpoly(model)
 
