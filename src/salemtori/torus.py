@@ -230,21 +230,18 @@ class TorusModel:
         return _locate_product(self, (rest, squarefree_part(self.h2_charpoly // rest))) == 1
 
     def refined(self, width: Fraction) -> "TorusModel":
-        """New model with every root box shrunk below the given width."""
-        boxes = _refine_boxes(self.root_poly, self.root_boxes, Fraction(width))
-        return replace(self, root_boxes=boxes)
-
-
-def _refine_boxes(root_poly, boxes, width):
-    out = list(boxes)
-    for i, b in enumerate(boxes):
-        if b.is_real or b.im.lo > 0:
-            out[i] = refine_root_box(root_poly, b, width)
-    for i, b in enumerate(boxes):
-        if not (b.is_real or b.im.lo > 0):
-            up = out[b.conjugate_index]
-            out[i] = RootBox(up.re, -up.im, b.conjugate_index)
-    return tuple(out)
+        """New model with every root box shrunk below the given width; a
+        lower box mirrors its refined upper one."""
+        width = Fraction(width)
+        out = list(self.root_boxes)
+        for i, b in enumerate(self.root_boxes):
+            if b.is_real or b.im.lo > 0:
+                out[i] = refine_root_box(self.root_poly, b, width)
+        for i, b in enumerate(self.root_boxes):
+            if not (b.is_real or b.im.lo > 0):
+                up = out[b.conjugate_index]
+                out[i] = RootBox(up.re, -up.im, b.conjugate_index)
+        return replace(self, root_boxes=tuple(out))
 
 
 def _make_model(matrix, pairing, origin):
