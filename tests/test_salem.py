@@ -786,7 +786,8 @@ class TestExactRoots:
         # eigenvalues of [[0, -1], [1, tau]], lie in the boxes at the pairing;
         # every box holds one of them or of their conjugates
         params = [(d, b1, b2) for d in range(1, 6) for b1 in range(-3, 4) for b2 in range(-3, 4)]
-        params += [(4**1, 1, 2 ** (n - 1)) for n in (33, 48, 80, 200)]
+        # dyadic_cm_family(n, 1) is a_form_matrix(4, 1, 2**(n - 1))
+        params += [(4, 1, 2 ** (n - 1)) for n in (33, 48, 80, 200)]
         slack = Fraction(1, 10**150)
         with mpmath.workdps(250):
             for d, b1, b2 in params:
