@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 from math import isqrt
 from typing import Optional
 
-from .errors import CertificationError, NotRealizableError, NotSalemInputError, WrongDegreeError
+from .errors import CertificationError, NotSalemInputError, WrongDegreeError
 from .poly import ONE, IntPoly, _quadratic_split, cyclotomic
 from .salem import NotSalem, SalemCertificate, SturmChain, is_salem
-from .wedge import invert_wedge, square_values
+from .wedge import invert_wedge
 
 CASE_DEG6 = "Case1_deg6"
 CASE_DEG4 = "Case2_deg4"
@@ -78,13 +78,6 @@ class Witness:
     c_poly: IntPoly
     p_poly: IntPoly
     classes: tuple
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    s_poly: IntPoly
-    complements: tuple
-    admissible_q: tuple
 
 
 @dataclass(frozen=True)
@@ -173,20 +166,6 @@ def _complement_pool(degree: int) -> tuple:
     return split + irred
 
 
-def enumerate_complements(s) -> CandidateSet:
-    """All cyclotomic complements of the right degree, then the square filter.
-
-    Complement roots must satisfy x^2 + bx + 1 with b in [-2, 2]; degree 2
-    needs two such quadratics (split options plus the four irreducible
-    quartics whose roots pair up that way).  A candidate Q = S*C survives
-    only if -Q(1) and Q(-1) are perfect squares.
-    """
-    cert = _coerce_cert(s)
-    comps = _complement_pool(cert.degree)
-    admissible = tuple(q for q in (cert.poly * c for c in comps) if square_values(q))
-    return CandidateSet(cert.poly, comps, admissible)
-
-
 def pairing_classes(p: IntPoly) -> tuple:
     """Complex-structure choices on the companion torus of P, up to conjugation.
 
@@ -261,11 +240,3 @@ def _check_split_complement(c_poly: IntPoly, p_poly: IntPoly):
     _split_complement(c_poly)
     if _quadratic_split(p_poly) is not None:
         raise CertificationError(f"witness {p_poly} unexpectedly factors")
-
-
-def finiteness(s):
-    """Finite(count) or InfiniteFamily(r, sign); raises if nothing realizes S."""
-    report = realizable(s)
-    if not report.witnesses:
-        raise NotRealizableError(f"{report.salem.poly} is not realized by any torus automorphism")
-    return report.finiteness

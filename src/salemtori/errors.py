@@ -64,10 +64,6 @@ class NotSalemInputError(SalemToriError):
     """A pipeline stage required a certified Salem polynomial."""
 
 
-class NotRealizableError(SalemToriError):
-    """A construction was requested for a Salem number no torus realizes."""
-
-
 class ParseError(SalemToriError):
     """Malformed polynomial text.  Carries the offending position."""
 

@@ -92,10 +92,6 @@ class Box:
     re: Interval
     im: Interval
 
-    @classmethod
-    def point(cls, re, im=0) -> "Box":
-        return cls(Interval.point(re), Interval.point(im))
-
     def conjugate(self) -> "Box":
         return Box(self.re, -self.im)
 
@@ -104,10 +100,6 @@ class Box:
 
     def contains(self, re, im) -> bool:
         return self.re.contains(re) and self.im.contains(im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im.lo == 0 == self.im.hi
 
     def __mul__(self, other: "Box") -> "Box":
         # (a+bi)(c+di) with interval coordinates

@@ -374,10 +374,6 @@ def factor_bounded(p: IntPoly):
     )
 
 
-def is_irreducible(p: IntPoly) -> bool:
-    return p.degree >= 1 and factor_bounded(p) == ((p, 1),)
-
-
 def remainder_sequence(a: IntPoly, b: IntPoly) -> list:
     """Primitive pseudo-remainders a, b, r1, ... as coefficient tuples, zeros
     left out, for deg a >= deg b.  Each r has the sign of minus the true
@@ -401,10 +397,6 @@ def gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:
     seq = remainder_sequence(a, b) if a.degree >= b.degree else remainder_sequence(b, a)
     g = IntPoly(seq[-1]) if seq else ZERO
     return -g if g.leading < 0 else g
-
-
-def is_squarefree(p: IntPoly) -> bool:
-    return p.degree <= 1 or gcd_poly(p, p.derivative()).degree == 0
 
 
 def _radical(p: IntPoly, g: IntPoly) -> IntPoly:
@@ -464,7 +456,3 @@ def split_cyclotomic(p: IntPoly):
         if m:
             parts.append((n, m))
     return tuple(parts), rest
-
-
-def is_cyclotomic_product(p: IntPoly) -> bool:
-    return split_cyclotomic(p)[1] == ONE

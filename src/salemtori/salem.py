@@ -123,11 +123,6 @@ class SturmChain:
     def variations_neg_inf(self) -> int:
         return self._variations(f[-1] * (-1) ** (len(f) - 1) for f in self.chain)
 
-    def count_half_open(self, a, b) -> int:
-        """Distinct real roots in (a, b], for ints or Fractions a and b."""
-        a, b = Fraction(a), Fraction(b)
-        return self.variations_at(a.numerator, a.denominator) - self.variations_at(b.numerator, b.denominator)
-
     def count_real(self) -> int:
         return self.variations_neg_inf() - self.variations_pos_inf()
 
@@ -343,17 +338,6 @@ def is_salem(p: IntPoly):
         witness=layout,
         detail=f"trace roots: {n_hi} above 2, {n_lo} below -2, {n_mid} between",
     )
-
-
-def count_real_roots(p: IntPoly, a, b) -> int:
-    """Number of real roots in the half-open interval (a, b], exactly."""
-    if p.is_zero or not (chain := SturmChain(p)).squarefree:
-        raise NotSquarefreeError(f"{p} has repeated roots")
-    a = Fraction(a)
-    b = Fraction(b)
-    if a >= b:
-        return 0
-    return chain.count_half_open(a, b)
 
 
 def lambda_approx(cert, eps) -> Interval:

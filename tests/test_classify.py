@@ -1,4 +1,4 @@
-"""Case table, complement enumeration, witness search, finiteness."""
+"""Case table, complement pool and square filter, witness search, finiteness."""
 
 import pytest
 
@@ -9,17 +9,16 @@ from salemtori.classify import (
     CASE_DEG6,
     Finite,
     InfiniteFamily,
+    _complement_pool,
     case_of,
-    enumerate_complements,
-    finiteness,
     pairing_classes,
     realizable,
 )
-from salemtori.errors import NotRealizableError, NotSalemInputError, WrongDegreeError
+from salemtori.errors import NotSalemInputError, WrongDegreeError
 from salemtori import poly
-from salemtori.poly import IntPoly, cyclotomic, is_cyclotomic_product
+from salemtori.poly import ONE, IntPoly, cyclotomic, split_cyclotomic
 from salemtori.salem import is_salem, isolate_all_roots
-from salemtori.wedge import exterior_square
+from salemtori.wedge import exterior_square, square_values
 
 S2A = IntPoly((1, -3, 1))
 S2B = IntPoly((1, -4, 1))
@@ -81,7 +80,7 @@ class TestCaseOf:
     @pytest.mark.parametrize("q", [10**13, 10**20, 10**30])
     def test_realizable_3b_is_bounded(self, monkeypatch, q):
         # the case-3b checks of complement and witness must not search
-        # divisors either, which is_irreducible would do
+        # divisors either, which factor_bounded would do
         cert = is_salem(IntPoly((1, -q, 1)))
         assert cert
 
@@ -121,35 +120,36 @@ class TestCaseOf:
 
 
 class TestComplements:
+    # the cyclotomic complements C of each Salem degree, and the Q = S*C that
+    # pass the square filter
     def test_pool_sizes(self):
-        assert len(enumerate_complements(S6).complements) == 1
-        assert len(enumerate_complements(S4).complements) == 5
-        assert len(enumerate_complements(S2A).complements) == 19
+        assert len(_complement_pool(S6.degree)) == 1
+        assert len(_complement_pool(S4.degree)) == 5
+        assert len(_complement_pool(S2A.degree)) == 19
 
     def test_pool_contents(self):
-        comps = enumerate_complements(S4).complements
-        assert comps == tuple(IntPoly((1, a, 1)) for a in range(-2, 3))
-        deg2 = enumerate_complements(S2B).complements
+        assert _complement_pool(S4.degree) == tuple(IntPoly((1, a, 1)) for a in range(-2, 3))
+        deg2 = _complement_pool(S2B.degree)
         assert all(c.degree == 4 for c in deg2)
-        assert all(is_cyclotomic_product(c) for c in deg2)
+        assert all(split_cyclotomic(c)[1] == ONE for c in deg2)
         for n in (5, 8, 10, 12):
             assert cyclotomic(n) in deg2
 
     def test_admissible_quartic(self):
-        cs = enumerate_complements(S4)
-        assert cs.admissible_q == (
+        admissible = [q for q in (S4 * c for c in _complement_pool(S4.degree)) if square_values(q)]
+        assert admissible == [
             S4 * IntPoly((1, -2, 1)),
             S4 * IntPoly((1, 2, 1)),
-        )
+        ]
 
     def test_admissible_sextic(self):
-        cs = enumerate_complements(S6)
-        assert cs.admissible_q == (S6,)
+        admissible = [q for q in (S6 * c for c in _complement_pool(S6.degree)) if square_values(q)]
+        assert admissible == [S6]
 
     def test_admissible_is_filtered(self):
-        cs = enumerate_complements(S2A)
-        assert S2A * cyclotomic(5) not in cs.admissible_q
-        assert S2A * cyclotomic(10) in cs.admissible_q
+        admissible = [q for q in (S2A * c for c in _complement_pool(S2A.degree)) if square_values(q)]
+        assert S2A * cyclotomic(5) not in admissible
+        assert S2A * cyclotomic(10) in admissible
 
 
 class TestPairingClasses:
@@ -210,7 +210,7 @@ class TestRealizable:
         assert len(rep.witnesses) == 4
         for w in rep.witnesses:
             assert w.q_poly == S4 * w.c_poly
-            assert is_cyclotomic_product(w.c_poly)
+            assert split_cyclotomic(w.c_poly)[1] == ONE
             assert exterior_square(w.p_poly) == w.q_poly
 
     def test_3a_has_real_family_witness(self):
@@ -240,12 +240,8 @@ class TestRealizable:
 
 class TestFiniteness:
     def test_values(self):
-        assert finiteness(S2A) == InfiniteFamily(1, "-")
-        f4 = finiteness(S4)
-        f6 = finiteness(S6)
+        assert realizable(S2A).finiteness == InfiniteFamily(1, "-")
+        f4 = realizable(S4).finiteness
+        f6 = realizable(S6).finiteness
         assert isinstance(f4, Finite) and 1 <= f4.count <= 320
         assert isinstance(f6, Finite) and 1 <= f6.count <= 320
-
-    def test_unrealized_raises(self):
-        with pytest.raises(NotRealizableError):
-            finiteness(IntPoly((1, -2, 0, -2, 1)))

@@ -147,7 +147,9 @@ def _refuse_divisors(n):
 
 
 def test_golden_file_covers_every_command():
+    # one entry per command: a stored copy would pass the set comparison
     assert set(_expected()) == set(GOLDEN_COMMANDS)
+    assert len(json.loads(GOLDEN.read_text())) == len(GOLDEN_COMMANDS)
 
 
 @pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)

@@ -18,11 +18,8 @@ from salemtori.poly import (
     factor_bounded,
     format_poly,
     gcd_poly,
-    is_cyclotomic_product,
     _quadratic_split,
     parse_ints,
-    is_irreducible,
-    is_squarefree,
     parse_poly,
     split_cyclotomic,
     squarefree_part,
@@ -118,11 +115,11 @@ class TestFactor:
         )
 
     def test_irreducible_quartic(self):
-        assert is_irreducible(IntPoly((1, 1, 0, 0, 1)))
         assert factor_bounded(IntPoly((1, 1, 0, 0, 1))) == ((IntPoly((1, 1, 0, 0, 1)), 1),)
 
     def test_salem_sextic_irreducible(self):
-        assert is_irreducible(IntPoly((1, 0, -1, -1, -1, 0, 1)))
+        p = IntPoly((1, 0, -1, -1, -1, 0, 1))
+        assert factor_bounded(p) == ((p, 1),)
 
     @given(
         st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4),
@@ -136,7 +133,7 @@ class TestFactor:
         acc = ONE
         for f, m in factor_bounded(prod):
             acc = acc * f**m
-            assert is_irreducible(f)
+            assert factor_bounded(f) == ((f, 1),)
         assert acc == prod
 
     def test_gcd(self):
@@ -146,9 +143,8 @@ class TestFactor:
 
     def test_squarefree(self):
         p = IntPoly((1, 1)) ** 2 * IntPoly((1, -3, 1))
-        assert not is_squarefree(p)
         assert squarefree_part(p) == IntPoly((1, 1)) * IntPoly((1, -3, 1))
-        assert is_squarefree(IntPoly((1, -3, 1)))
+        assert squarefree_part(IntPoly((1, -3, 1))) == IntPoly((1, -3, 1))
 
 
 def _unit_quartics(bound):
@@ -187,7 +183,7 @@ class TestQuadraticSplit:
             if SturmChain(squarefree_part(c)).count_real():
                 continue
             seen += 1
-            assert (_quadratic_split(c) is None) == is_irreducible(c), c
+            assert (_quadratic_split(c) is None) == (factor_bounded(c) == ((c, 1),)), c
         assert seen == 378
 
     def test_s_one_first(self):
@@ -221,8 +217,7 @@ class TestCyclotomic:
         parts, rest = split_cyclotomic(p)
         assert parts == ((1, 2), (12, 1))
         assert rest == IntPoly((1, -3, 1))
-        assert is_cyclotomic_product(cyclotomic(5) * cyclotomic(8))
-        assert not is_cyclotomic_product(p)
+        assert split_cyclotomic(cyclotomic(5) * cyclotomic(8))[1] == ONE
 
     def test_split_of_pure_salem(self):
         parts, rest = split_cyclotomic(IntPoly((1, 0, -1, -1, -1, 0, 1)))

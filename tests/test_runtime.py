@@ -1,10 +1,13 @@
 """salemtori needs nothing beyond the standard library at run time, no
-certification guard is an assert that python -O would drop, and no private
-helper is left without a use."""
+certification guard is an assert that python -O would drop, no private
+helper and no public name is left without a use, and every name the
+benchmark's tracer wraps exists."""
 
 import ast
+import inspect
 import json
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "salemtori"
+
+# public names that no module of the package loads, and why each stays
+KEPT = {
+    "verify_jd": "the lattice-invariance check the README documents",
+    "isolate_real_roots": "the public real-root entry point; it adds the monic guard over _real_roots",
+}
 
 LOADED = """
 import sys
@@ -86,3 +95,55 @@ def test_no_unused_private_helper():
             private = [name for name in names if re.fullmatch(r"_[^_].*", name)]
             unused += [f"{path.name}:{name}" for name in private if name not in loaded]
     assert unused == []
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    import salemtori
+
+    namespace = {}
+    exec("from salemtori import *", namespace)
+    assert [name for name in salemtori.__all__ if name not in namespace] == []
+    public = {
+        name
+        for name in salemtori.__all__
+        if not name.startswith("__") and not inspect.ismodule(getattr(salemtori, name))
+    }
+    # the bare names each top-level definition loads, with None for the
+    # statements outside any definition
+    loads = {}
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            loads.setdefault(owner, set()).update(
+                sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            )
+    callers = {name: {owner for owner, names in loads.items() if name in names and owner != name} for name in public}
+    # a name that only dead names load is dead too
+    dead = set()
+    while True:
+        grown = {name for name in public - KEPT.keys() if callers[name] <= dead}
+        if grown == dead:
+            break
+        dead = grown
+    assert sorted(dead) == []
+    assert sorted(name for name in KEPT if name not in public or callers[name]) == []
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # the tracer skips a missing function silently, so a renamed or deleted
+    # name would drop its per-layer metric without an error
+    import salemtori  # the tracer reads every module from sys.modules
+
+    tracer = runpy.run_path(str(ROOT / "bench" / "tracer.py"))
+    missing = [f"{mod}.{attr}" for mod, attr, *_ in tracer["FUNCTIONS"] if not hasattr(sys.modules[mod], attr)]
+    missing += [
+        f"{mod}.{cls}.{meth}"
+        for mod, cls, meth, _ in tracer["METHODS"]
+        if meth not in vars(getattr(sys.modules[mod], cls))
+    ]
+    assert missing == []
+    kern = sys.modules["salemtori._kernels"]
+    assert any(
+        callable(value) and getattr(value, "__module__", "").startswith("salemtori._kernels.")
+        for value in vars(kern).values()
+    )

@@ -12,7 +12,7 @@ from salemtori import _kernels as kern
 from salemtori import poly, salem, torus
 from salemtori.errors import CertificationError, DegreeTooLargeError, NotReciprocalError, NotSquarefreeError
 from salemtori.intervals import Interval
-from salemtori.poly import IntPoly, cyclotomic, is_squarefree, split_cyclotomic, squarefree_part
+from salemtori.poly import IntPoly, cyclotomic, split_cyclotomic, squarefree_part
 from salemtori.salem import (
     NotSalem,
     RootBox,
@@ -21,7 +21,6 @@ from salemtori.salem import (
     _continue_bracket,
     _trace_cyclotomics,
     cauchy_bound,
-    count_real_roots,
     is_salem,
     isolate_all_roots,
     isolate_real_roots,
@@ -399,15 +398,11 @@ class TestLambda:
 
 class TestRealRoots:
     def test_count_window(self):
-        p = IntPoly((1, -3, 1))
-        assert count_real_roots(p, 0, 1) == 1
-        assert count_real_roots(p, 1, 3) == 1
-        assert count_real_roots(p, 3, 100) == 0
-        assert count_real_roots(p, 5, 1) == 0
-
-    def test_squarefree_gate(self):
-        with pytest.raises(NotSquarefreeError):
-            count_real_roots(IntPoly((1, 2, 1)), -5, 5)
+        # V(a) - V(b) is the number of distinct roots in (a, b]
+        chain = SturmChain(IntPoly((1, -3, 1)))
+        assert chain.variations_at(0) - chain.variations_at(1) == 1
+        assert chain.variations_at(1) - chain.variations_at(3) == 1
+        assert chain.variations_at(3) - chain.variations_at(100) == 0
 
     def test_isolate_real(self):
         roots = isolate_real_roots(IntPoly((1, -3, 1)))
@@ -423,7 +418,7 @@ class TestRealRoots:
         chain = SturmChain(IntPoly((1, -3, 1)))
         for num, den in ((-3, 1), (1, 2), (5, 4), (11, 4), (7, 1)):
             assert chain.variations_at(num, den) == chain.variations_at(2 * num, 2 * den)
-        assert chain.count_half_open(Fraction(1, 4), Fraction(11, 4)) == 2
+        assert chain.variations_at(1, 4) - chain.variations_at(11, 4) == 2
 
     @pytest.mark.parametrize(
         "p, roots",
@@ -570,9 +565,7 @@ class TestIsolateAll:
     @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
     def test_degree_count(self, a, b):
         p = IntPoly((1, a, b, a, 1))
-        from salemtori.poly import is_squarefree
-
-        if not is_squarefree(p):
+        if squarefree_part(p) != p:
             return
         boxes = isolate_all_roots(p)
         assert len(boxes) == 4
@@ -677,7 +670,7 @@ class TestIsolationOracle:
             for b in range(-3, 4):
                 for c in range(-3, 4):
                     p = IntPoly((1, c, b, a, 1))
-                    if is_squarefree(p):
+                    if squarefree_part(p) == p:
                         _check_against_oracle(p)
 
     def test_acceptance_grid_polynomials(self):
@@ -700,7 +693,7 @@ class TestIsolationOracle:
         # (0, 3, 0) is t^4 + 3t^2 + 1, whose roots are purely imaginary
         a, b, c = abc
         p = IntPoly((1, c, b, a, 1))
-        if is_squarefree(p):
+        if squarefree_part(p) == p:
             _check_against_oracle(p)
 
     def test_purely_imaginary_order(self):
