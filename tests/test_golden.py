@@ -9,12 +9,14 @@ commands that have none, so a command is added, and its entry written,
 before the change it guards.  The SEPARATION_COMMANDS and REJECTED_COMMANDS
 entries were written before the pairing and projectivity decisions moved to
 one refinement routine.  The NEGATIVE_COMMANDS entries were written before
-the parser read a bare argument that starts with "-" as a value, and the
+the parser read a bare argument that starts with "-" as a value, the
 SALEM_COMMANDS entries before is_salem certified the Salem layout by
-Kronecker's rule instead of by factoring.  The ROOT_COMMANDS entries were
-written while float-seeded isolation refused four of them with exit 2;
-those four were rewritten, as the one recorded move, when circle roots came
-from the trace polynomial and quad-order models read their roots off q.
+Kronecker's rule instead of by factoring, and the WEDGE_COMMANDS entries
+before the exterior square was computed in closed form.  The ROOT_COMMANDS
+entries were written while float-seeded isolation refused four of them with
+exit 2; those four were rewritten, as the one recorded move, when circle
+roots came from the trace polynomial and quad-order models read their roots
+off q.
 Certified box endpoints (`lo`, `hi`) are stripped before the comparison:
 they may move when the isolation changes, while every other field, every
 `decimal` string and the exit code must stay byte-identical.  Decimals became
@@ -118,7 +120,21 @@ SALEM_COMMANDS = tuple(
         "1,-1000000000000,12345,-1000000000000,1",
     )
 )
-GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS + NEGATIVE_COMMANDS + SALEM_COMMANDS
+# the exterior-square layer: wedge of three quartics, one with 15-digit
+# coefficients, invert-wedge of two sextics and classify of three Salem
+# polynomials, whose witnesses go through the exterior square; they print no
+# model, so COMMANDS leaves them out
+WEDGE_COMMANDS = (
+    ("wedge", "1,0,0,1,1"),
+    ("wedge", "1,2,1,-3,1"),
+    ("wedge", "1,123456789012345,-3,987654321098765,1"),
+    ("invert-wedge", "1,0,-1,-1,-1,0,1"),
+    ("invert-wedge", "1,-1,-7,-11,-7,-1,1"),
+    ("classify", "1,-3,1"),
+    ("classify", "1,-1,-1,-1,1"),
+    ("classify", "1,0,-1,-1,-1,0,1"),
+)
+GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS + NEGATIVE_COMMANDS + SALEM_COMMANDS + WEDGE_COMMANDS
 
 
 def _strip_endpoints(value):
