@@ -27,6 +27,7 @@ from .salem import is_salem, lambda_approx
 from .torus import (
     NotForced,
     QuadOrderMatrix,
+    _norm_charpoly,
     a_form_matrix,
     dyadic_cm_family,
     entropy,
@@ -47,6 +48,21 @@ MAX_CANDIDATES = 10**6
 # with the digits of 1/eps, and well before 10**-10000 the printed interval
 # ends pass the 4300-digit limit of Python's int-to-str conversion
 MIN_EPS = Fraction(1, 10**1000)
+
+# Every command starts from integer polynomials: the one it reads, the
+# candidates of an enumerate sweep, with coefficients up to --max-coeff, or
+# the characteristic polynomial on H^1 of the model it builds, whose largest
+# coefficient is at most r**2 + 2 for gl2z and 4**n + 3 for dyadic-cm.  Their
+# coefficients may have at most MAX_BITS bits.  With c the bit length of the
+# largest, the largest integer a command prints is the t**3 coefficient
+# e1**2 e4 + e3**2 - 2 e2 e4 of an exterior square, of at most 3c + 3 bits;
+# next come the product box of a quad-order or dyadic-cm model, about 2.1c
+# bits (8,400 at c = 4000), and lambda's bracket, about c + 50.  So at 4000
+# bits every printed integer has at most 12,003 bits, under the 14,284 bits
+# (4300 digits) that Python converts to str.  The cap admits 1204-digit
+# coefficients, gl2z |r| < 2**1999 (beyond 10**600) and dyadic-cm n <= 1999,
+# which builds in about 4 s.
+MAX_BITS = 4000
 
 CSV_HEADER = (
     "s_poly",
@@ -117,6 +133,20 @@ def _box_json(box, refine):
     }
 
 
+def _check_bits(parser, what: str, bits: int):
+    """Exit 1 unless bits, the bit length of the largest coefficient of the
+    polynomial a command starts from, is within MAX_BITS."""
+    if bits > MAX_BITS:
+        parser.error(f"{what} has a {bits}-bit coefficient, more than the limit of {MAX_BITS} bits")
+
+
+def _poly_arg(text: str, parser) -> IntPoly:
+    """The polynomial that text gives, within the size cap."""
+    p = parse_poly(text)
+    _check_bits(parser, "the polynomial", max(map(abs, p.coeffs), default=0).bit_length())
+    return p
+
+
 def _jsonify(value):
     if isinstance(value, IntPoly):
         return format_poly(value)
@@ -159,7 +189,7 @@ def _witness_total(report) -> int:
 
 
 def cmd_is_salem(args, parser) -> int:
-    p = parse_poly(args.poly)
+    p = _poly_arg(args.poly, parser)
     res = is_salem(p)
     if not res:
         obj = {
@@ -183,7 +213,7 @@ def cmd_is_salem(args, parser) -> int:
 
 
 def cmd_classify(args, parser) -> int:
-    p = parse_poly(args.poly)
+    p = _poly_arg(args.poly, parser)
     res = is_salem(p)
     if not res:
         obj = {
@@ -225,13 +255,13 @@ def cmd_classify(args, parser) -> int:
 
 
 def cmd_wedge(args, parser) -> int:
-    p = parse_poly(args.poly)
+    p = _poly_arg(args.poly, parser)
     q = exterior_square(p)
     return _dump_json({"poly": format_poly(p), "exterior_square": format_poly(q)}, args.out)
 
 
 def cmd_invert_wedge(args, parser) -> int:
-    q = parse_poly(args.poly)
+    q = _poly_arg(args.poly, parser)
     inv = invert_wedge(q)
     obj = {
         "sextic": format_poly(q),
@@ -246,10 +276,14 @@ def cmd_invert_wedge(args, parser) -> int:
 
 
 def _build_model(args, parser):
+    """The model the flags describe, once its H^1 polynomial is within the
+    size cap."""
     fam = args.family
+    what = "the model's H^1 polynomial"
     if fam == "gl2z":
         if args.r is None or args.det is None:
             parser.error("gl2z needs --r and --det")
+        _check_bits(parser, what, (args.r * args.r + 2).bit_length())
         return gl2z_model(args.r, args.det)
     if fam == "quad-order":
         if args.d is None:
@@ -262,14 +296,17 @@ def _build_model(args, parser):
                 ((vals[0], vals[1]), (vals[2], vals[3])),
                 ((vals[4], vals[5]), (vals[6], vals[7])),
             )
-            return quad_order_model(QuadOrderMatrix(args.d, e))
-        if args.b1 is None or args.b2 is None:
+            qm = QuadOrderMatrix(args.d, e)
+        elif args.b1 is None or args.b2 is None:
             parser.error("quad-order needs --entries or both --b1 and --b2")
-        return quad_order_model(a_form_matrix(args.d, args.b1, args.b2))
+        else:
+            qm = a_form_matrix(args.d, args.b1, args.b2)
+        _check_bits(parser, what, max(map(abs, _norm_charpoly(qm).coeffs)).bit_length())
+        return quad_order_model(qm)
     if fam == "quartic":
         if args.poly is None:
             parser.error("quartic needs --poly")
-        p = parse_poly(args.poly)
+        p = _poly_arg(args.poly, parser)
         pairing = None
         if args.pairing is not None:
             pairing = tuple(parse_ints(args.pairing, "pairing index"))
@@ -279,6 +316,8 @@ def _build_model(args, parser):
     # argparse leaves only dyadic-cm
     if args.n is None or args.k is None:
         parser.error("dyadic-cm needs --n and --k")
+    # 4**n + 3 has 2n + 1 bits; 4**n is not formed for a huge n
+    _check_bits(parser, what, 2 * args.n + 1)
     return dyadic_cm_family(args.n, args.k)
 
 
@@ -424,6 +463,7 @@ def cmd_enumerate(args, parser) -> int:
         parser.error("--max-coeff must be nonnegative")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
+    _check_bits(parser, "a candidate polynomial", args.max_coeff.bit_length())
     count = _candidate_count(args.degree, args.max_coeff)
     if count > MAX_CANDIDATES:
         sys.stderr.write(

@@ -172,7 +172,7 @@ def parse_ints(text: str, what: str = "coefficient") -> list:
     """Parse comma-separated integers.
 
     Raises ParseError with the character position of the bad token; what
-    names a token in the message.
+    names a token in the message, which quotes at most 40 characters of it.
     """
     out = []
     pos = 0
@@ -184,7 +184,8 @@ def parse_ints(text: str, what: str = "coefficient") -> list:
         try:
             out.append(int(token))
         except ValueError:
-            raise ParseError(f"bad {what} {token!r}", start) from None
+            shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+            raise ParseError(f"bad {what} {shown}", start) from None
         pos += len(chunk) + 1
     return out
 

@@ -551,14 +551,20 @@ def isolate_all_roots(p: IntPoly):
     n_pairs, odd = divmod(p.degree - len(reals), 2)
     if odd:
         raise CertificationError(f"{len(reals)} real roots for degree {p.degree}")
-    uppers = _upper_boxes(p, n_pairs) if n_pairs else []
+    boxes = _with_conjugates(reals, _upper_boxes(p, n_pairs) if n_pairs else [])
+    if any(a.box.intersects(b.box) for a, b in itertools.combinations(boxes, 2)):
+        raise CertificationError("root boxes overlap")
+    return boxes
+
+
+def _with_conjugates(reals, uppers):
+    """RootBoxes in isolate_all_roots' order: a real box per interval of
+    reals, then each box of uppers followed by its mirror image, the two
+    wired to each other by conjugate_index."""
     boxes = [RootBox(iv, Interval.point(0)) for iv in reals]
     for up in uppers:
         i = len(boxes)
-        boxes.append(RootBox(up.re, up.im, conjugate_index=i + 1))
-        boxes.append(RootBox(up.re, -up.im, conjugate_index=i))
-    if any(a.box.intersects(b.box) for a, b in itertools.combinations(boxes, 2)):
-        raise CertificationError("root boxes overlap")
+        boxes += [RootBox(up.re, up.im, i + 1), RootBox(up.re, -up.im, i)]
     return tuple(boxes)
 
 
@@ -608,7 +614,6 @@ def _circle_trace(p: IntPoly):
     roots = _real_roots(t_poly, SturmChain(t_poly))
     if len(roots) != t_poly.degree:
         return None
-    c = t_poly.coeffs
     brackets = []
     for iv in roots:
         lo, hi = max(iv.lo, -2), min(iv.hi, 2)
@@ -616,14 +621,9 @@ def _circle_trace(p: IntPoly):
             if -2 < lo < 2:
                 brackets.append(iv)
         # T changes sign across the part of the bracket within [-2, 2]
-        elif lo < hi and (_sign_at(c, lo) > 0) != (_sign_at(c, hi) > 0):
+        elif lo < hi and (t_poly(lo) > 0) != (t_poly(hi) > 0):
             brackets.append(Interval(lo, hi))
     return t_poly, tuple(brackets)
-
-
-def _sign_at(c, x: Fraction) -> int:
-    """An integer with the sign of the polynomial c at x."""
-    return kern.eval_qq(c, x.numerator, x.denominator)
 
 
 def _circle_box(t_poly: IntPoly, iv: Interval, width: Fraction) -> Box:
@@ -658,12 +658,16 @@ def _circle_box(t_poly: IntPoly, iv: Interval, width: Fraction) -> Box:
 def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
     """Shrink a certified box around its root to the requested width.
 
-    A real box is continued by _continue_bracket on p, a circle box by
+    A lower box is refined as the mirror image of its upper one.  A real
+    box is continued by _continue_bracket on p, a circle box by
     _continue_bracket on the trace polynomial, and any other box by Newton's
     method from its centre.
     """
     if rb.re.width <= width and rb.im.width <= width:
         return rb
+    if rb.im.hi < 0:
+        up = refine_root_box(p, RootBox(rb.re, -rb.im), width)
+        return RootBox(up.re, -up.im, rb.conjugate_index)
     if rb.is_real:
         return RootBox(_continue_bracket(p, rb.re, width), Interval.point(0), rb.conjugate_index)
     circle = _circle_trace(p)
@@ -676,8 +680,6 @@ def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
         if len(hits) != 1:
             raise CertificationError(f"box {rb.box} meets {len(hits)} trace roots of {p} in (-2, 2)")
         box = _circle_box(t_poly, Interval(max(u.lo, hits[0].lo), min(u.hi, hits[0].hi)), width)
-        if rb.im.hi < 0:
-            box = box.conjugate()
         return RootBox(box.re, box.im, rb.conjugate_index)
     target = rb.box
     box = _newton_box(p, target.re.mid, target.im.mid, _bits_below(width) + 6)

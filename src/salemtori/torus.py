@@ -36,8 +36,8 @@ from .errors import (
 )
 from .intervals import Box, Interval, log_interval
 from .poly import ONE, IntPoly, split_cyclotomic, squarefree_part
-from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, _bits_below, _continue_bracket, isolate_all_roots
-from .salem import lambda_interval, refine_root_box, trace_layout
+from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, _bits_below, _continue_bracket, _with_conjugates
+from .salem import isolate_all_roots, lambda_interval, refine_root_box, trace_layout
 from .wedge import exterior_square
 
 
@@ -230,18 +230,9 @@ class TorusModel:
         return _locate_product(self, (rest, squarefree_part(self.h2_charpoly // rest))) == 1
 
     def refined(self, width: Fraction) -> "TorusModel":
-        """New model with every root box shrunk below the given width; a
-        lower box mirrors its refined upper one."""
+        """New model with every root box shrunk below the given width."""
         width = Fraction(width)
-        out = list(self.root_boxes)
-        for i, b in enumerate(self.root_boxes):
-            if b.is_real or b.im.lo > 0:
-                out[i] = refine_root_box(self.root_poly, b, width)
-        for i, b in enumerate(self.root_boxes):
-            if not (b.is_real or b.im.lo > 0):
-                up = out[b.conjugate_index]
-                out[i] = RootBox(up.re, -up.im, b.conjugate_index)
-        return replace(self, root_boxes=tuple(out))
+        return replace(self, root_boxes=tuple(refine_root_box(self.root_poly, b, width) for b in self.root_boxes))
 
 
 def _make_model(matrix, pairing, origin):
@@ -369,12 +360,11 @@ def _q_roots(qm: QuadOrderMatrix, root_poly: IntPoly):
         ends = reals + [h for g in uppers for h in (g, _conj(g))]
         if len(ends) == root_poly.degree and not any(_meet(a, b) for a, b in combinations(ends, 2)):
             index = {g: i for i, g in enumerate(ends)}
-            boxes = [RootBox(_interval(g[0], g[1], den), Interval.point(0)) for g in reals]
-            for g in uppers:
-                i = len(boxes)
-                re, im = _interval(g[0], g[1], den), _interval(g[2], g[3], den)
-                boxes += [RootBox(re, im, i + 1), RootBox(re, -im, i)]
-            return tuple(boxes), tuple(sorted(index[g] for g in gs))
+            boxes = _with_conjugates(
+                [_interval(g[0], g[1], den) for g in reals],
+                [Box(_interval(g[0], g[1], den), _interval(g[2], g[3], den)) for g in uppers],
+            )
+            return boxes, tuple(sorted(index[g] for g in gs))
     raise CertificationError(f"the roots of {root_poly} did not separate")
 
 
@@ -501,13 +491,17 @@ def _locate_product(model: TorusModel, polys) -> int:
     """Index of the squarefree polynomial whose root g1*g2 is.
 
     The product is an exact root of exactly one entry; boxes are refined
-    until a single candidate root box remains.
+    until a single candidate root box remains.  The gamma boxes are refined
+    below 2**-bits over 2**(bit length of their largest coordinate), so the
+    width of the product box falls like 2**-bits however large the roots.
     """
+    big = max(abs(x) for g in (model.gamma1, model.gamma2) for x in (g.re.lo, g.re.hi, g.im.lo, g.im.hi))
+    big_bits = int(big).bit_length()
 
     def keep(cands, bits):
-        width = Fraction(1, 1 << bits)
-        g1 = refine_root_box(model.root_poly, model.gamma1, width)
-        g2 = refine_root_box(model.root_poly, model.gamma2, width)
+        width, gamma_width = Fraction(1, 1 << bits), Fraction(1, 1 << (bits + big_bits))
+        g1 = refine_root_box(model.root_poly, model.gamma1, gamma_width)
+        g2 = refine_root_box(model.root_poly, model.gamma2, gamma_width)
         prod = g1.box * g2.box
         return [(pi, b) for pi, b in cands if prod.intersects(refine_root_box(polys[pi], b, width).box)]
 

@@ -1,9 +1,8 @@
 """Second exterior power of a quartic, and the inverse problem.
 
 exterior_square sends a monic quartic with roots g1..g4 to the monic sextic
-whose roots are the six pairwise products gi*gj.  Everything runs through
-power sums and Newton's identities, so no root is ever computed; all
-divisions are exact and checked.
+whose roots are the six pairwise products gi*gj.  Its coefficients are fixed
+integer polynomials in the quartic's, so no root is ever computed.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .errors import CertificationError, NotMonicError, WrongDegreeError
+from .errors import NotMonicError, WrongDegreeError
 from .poly import IntPoly, _is_square
 
 
@@ -24,31 +23,11 @@ def exterior_square(p: IntPoly) -> IntPoly:
         raise WrongDegreeError(f"expected degree 4, got {p.degree}")
     c0, c1, c2, c3, _ = p.coeffs
     e1, e2, e3, e4 = -c3, c2, -c1, c0
-    ps = [4, e1]
-    ps.append(e1 * ps[1] - 2 * e2)
-    ps.append(e1 * ps[2] - e2 * ps[1] + 3 * e3)
-    ps.append(e1 * ps[3] - e2 * ps[2] + e3 * ps[1] - 4 * e4)
-    for k in range(5, 13):
-        ps.append(e1 * ps[k - 1] - e2 * ps[k - 2] + e3 * ps[k - 3] - e4 * ps[k - 4])
-    # power sums of the pairwise products
-    pair = [6]
-    for k in range(1, 7):
-        v, rem = divmod(ps[k] * ps[k] - ps[2 * k], 2)
-        if rem:
-            raise CertificationError(f"odd pairwise power sum at k = {k}")
-        pair.append(v)
-    es = [1]
-    for k in range(1, 7):
-        acc = 0
-        sign = 1
-        for i in range(1, k + 1):
-            acc += sign * es[k - i] * pair[i]
-            sign = -sign
-        v, rem = divmod(acc, k)
-        if rem:
-            raise CertificationError(f"Newton's identity at k = {k} left remainder {rem}")
-        es.append(v)
-    return IntPoly((es[6], -es[5], es[4], -es[3], es[2], -es[1], 1))
+    # the elementary symmetric functions of the six products gi*gj are e2,
+    # s2, s3, e4*s2, e2*e4**2 and e4**3
+    s2 = e1 * e3 - e4
+    s3 = e1 * e1 * e4 + e3 * e3 - 2 * e2 * e4
+    return IntPoly((e4 * e4 * e4, -e2 * e4 * e4, e4 * s2, -s3, s2, -e2, 1))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ import json
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from salemtori import cli, torus
 from salemtori.poly import IntPoly, format_poly
 from salemtori.salem import is_salem
+
+from corpus import HOSTILE
 
 
 def run(*args, **kw):
@@ -22,6 +25,17 @@ def run(*args, **kw):
         text=True,
         **kw,
     )
+
+
+def main_in_process(*argv):
+    """(exit code, stdout, stderr) of cli.main, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_json(*args):
@@ -201,6 +215,15 @@ class TestConstruct:
         assert doc["matrix"] and doc["projective"] is True
         assert re.fullmatch(r"\d+\.\d{12}", doc["entropy"]["decimal"])
 
+    @pytest.mark.parametrize("r", [3 * 10**160 + 1, 3 * 10**300 + 1], ids=("3e160+1", "3e300+1"))
+    @pytest.mark.parametrize("command, det", [("construct", "1"), ("reorient", "-1")])
+    def test_gl2z_huge_r_locates_the_product(self, r, command, det):
+        # g1 near r and g2 near 1/r: a product box refined only to an absolute
+        # width stayed about r times too wide for the separation rounds
+        code, out, err = main_in_process(command, "gl2z", "--r", str(r), "--det", det)
+        assert code == 0 and err == ""
+        assert json.loads(out)["projective"] is True
+
     def test_eps_validation(self):
         out = run("construct", "gl2z", "--r", "1", "--det", "-1", "--eps", "0")
         assert out.returncode == 1
@@ -372,3 +395,44 @@ def test_out_flag(tmp_path):
     out = run("wedge", "1,0,0,1,1", "--out", str(target))
     assert out.returncode == 0
     assert json.loads(target.read_text())["exterior_square"] == "1,0,-1,-1,-1,0,1"
+
+
+@pytest.mark.parametrize("argv", HOSTILE, ids=lambda argv: " ".join(a[:12] for a in argv))
+def test_oversized_input_ends_in_one_line(argv):
+    # each of these once ended in a ValueError traceback while printing an
+    # integer past the 4300-digit limit of int-to-str conversion
+    started = time.perf_counter()
+    code, out, err = main_in_process(*argv)
+    assert time.perf_counter() - started < 1
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("salemtori: error: ")
+    assert f"more than the limit of {cli.MAX_BITS} bits" in err
+
+
+def test_size_cap_is_exact():
+    # coefficients of MAX_BITS bits are read and printed, as is dyadic-cm's
+    # 4**n + 3 at n = (MAX_BITS - 1) / 2; one bit more is refused
+    c = (1 << cli.MAX_BITS) - 1
+    n = (cli.MAX_BITS - 1) // 2
+    for argv in (
+        ("wedge", f"1,{c},{-c},{c},{c}"),
+        ("is-salem", f"1,{-c},1"),
+        ("construct", "dyadic-cm", "--n", str(n), "--k", str(n)),
+    ):
+        code, out, err = main_in_process(*argv)
+        assert code == 0 and err == "" and json.loads(out)
+    for argv in (
+        ("wedge", f"1,{c + 1},0,0,1"),
+        ("is-salem", f"1,{-c - 1},1"),
+        ("construct", "dyadic-cm", "--n", str(n + 1), "--k", str(n + 1)),
+        ("enumerate", "--degree", "2", "--max-coeff", str(c + 1)),
+    ):
+        code, out, err = main_in_process(*argv)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert f"more than the limit of {cli.MAX_BITS} bits" in err
+
+
+def test_long_bad_token_is_abbreviated():
+    code, out, err = main_in_process("is-salem", "1," + "9" * 5000 + "x,1")
+    assert code == 1 and out == ""
+    assert err == f"salemtori: parse error: bad coefficient {'9' * 40!r}... (5001 characters)\n"

@@ -502,11 +502,16 @@ class TestRealRoots:
 def _check_refinable(p):
     boxes = isolate_all_roots(p)
     for target in (Fraction(1, 1 << 60), Fraction(1, 1 << 300)):
-        for b in boxes:
-            rb = refine_root_box(p, b, target)
+        refined = [refine_root_box(p, b, target) for b in boxes]
+        for b, rb in zip(boxes, refined):
             assert rb.re.width <= target and rb.im.width <= target
             assert b.re.lo <= rb.re.lo <= rb.re.hi <= b.re.hi
             assert b.im.lo <= rb.im.lo <= rb.im.hi <= b.im.hi
+        # a refined lower box is exactly the mirror of its refined upper one
+        for i, rb in enumerate(refined):
+            if rb.im.hi < 0:
+                up = refined[rb.conjugate_index]
+                assert up.conjugate_index == i and (rb.re, rb.im) == (up.re, -up.im)
 
 
 class TestIsolateAll:

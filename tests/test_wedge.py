@@ -32,6 +32,11 @@ class TestExteriorSquare:
 
     @given(st.tuples(*[st.integers(min_value=-10, max_value=10)] * 4))
     @settings(max_examples=80, deadline=None)
+    # coefficients near +-10**30, and a zero constant term
+    @example((10**30 + 7, -(10**30) + 3, 10**30 - 1, -(10**30) - 11))
+    @example((-(10**30), 10**30 + 1, -(10**30) + 2, 10**30 - 3))
+    @example((0, 10**30 + 5, -(10**30), 7))
+    @example((0, -3, 2, -5))
     def test_matches_compound_matrix(self, tail):
         p = IntPoly(tuple(tail) + (1,))
         assert exterior_square(p).coeffs == o_wedge_charpoly(p.coeffs)
