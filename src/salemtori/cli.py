@@ -49,19 +49,13 @@ MAX_CANDIDATES = 10**6
 # ends pass the 4300-digit limit of Python's int-to-str conversion
 MIN_EPS = Fraction(1, 10**1000)
 
-# Every command starts from integer polynomials: the one it reads, the
-# candidates of an enumerate sweep, with coefficients up to --max-coeff, or
-# the characteristic polynomial on H^1 of the model it builds, whose largest
-# coefficient is at most r**2 + 2 for gl2z and 4**n + 3 for dyadic-cm.  Their
-# coefficients may have at most MAX_BITS bits.  With c the bit length of the
-# largest, the largest integer a command prints is the t**3 coefficient
-# e1**2 e4 + e3**2 - 2 e2 e4 of an exterior square, of at most 3c + 3 bits;
-# next come the product box of a quad-order or dyadic-cm model, about 2.1c
-# bits (8,400 at c = 4000), and lambda's bracket, about c + 50.  So at 4000
-# bits every printed integer has at most 12,003 bits, under the 14,284 bits
-# (4300 digits) that Python converts to str.  The cap admits 1204-digit
-# coefficients, gl2z |r| < 2**1999 (beyond 10**600) and dyadic-cm n <= 1999,
-# which builds in about 4 s.
+# Commands refuse, with exit 1, a polynomial with a coefficient past MAX_BITS
+# bits: the one they read, an enumerate candidate (up to --max-coeff), or the
+# H^1 polynomial of their model (r**2 + 2 for gl2z, 4**n + 3 for dyadic-cm).
+# For c such bits the largest integer printed has at most 3c + 3 bits, an
+# exterior square's t**3 coefficient (a model's product box has about 2.1c,
+# lambda's bracket c + 50), so at 4000 it stays below the 14,284 bits (4300
+# digits) that Python converts to str.
 MAX_BITS = 4000
 
 CSV_HEADER = (
@@ -134,14 +128,12 @@ def _box_json(box, refine):
 
 
 def _check_bits(parser, what: str, bits: int):
-    """Exit 1 unless bits, the bit length of the largest coefficient of the
-    polynomial a command starts from, is within MAX_BITS."""
     if bits > MAX_BITS:
         parser.error(f"{what} has a {bits}-bit coefficient, more than the limit of {MAX_BITS} bits")
 
 
 def _poly_arg(text: str, parser) -> IntPoly:
-    """The polynomial that text gives, within the size cap."""
+    """The polynomial that text gives, within MAX_BITS."""
     p = parse_poly(text)
     _check_bits(parser, "the polynomial", max(map(abs, p.coeffs), default=0).bit_length())
     return p
@@ -276,8 +268,6 @@ def cmd_invert_wedge(args, parser) -> int:
 
 
 def _build_model(args, parser):
-    """The model the flags describe, once its H^1 polynomial is within the
-    size cap."""
     fam = args.family
     what = "the model's H^1 polynomial"
     if fam == "gl2z":

@@ -92,9 +92,6 @@ class Box:
     re: Interval
     im: Interval
 
-    def conjugate(self) -> "Box":
-        return Box(self.re, -self.im)
-
     def intersects(self, other: "Box") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)
 

@@ -360,11 +360,9 @@ def _q_roots(qm: QuadOrderMatrix, root_poly: IntPoly):
         ends = reals + [h for g in uppers for h in (g, _conj(g))]
         if len(ends) == root_poly.degree and not any(_meet(a, b) for a, b in combinations(ends, 2)):
             index = {g: i for i, g in enumerate(ends)}
-            boxes = _with_conjugates(
-                [_interval(g[0], g[1], den) for g in reals],
-                [Box(_interval(g[0], g[1], den), _interval(g[2], g[3], den)) for g in uppers],
-            )
-            return boxes, tuple(sorted(index[g] for g in gs))
+            reals = [_interval(g[0], g[1], den) for g in reals]
+            uppers = [Box(_interval(g[0], g[1], den), _interval(g[2], g[3], den)) for g in uppers]
+            return _with_conjugates(reals, uppers), tuple(sorted(index[g] for g in gs))
     raise CertificationError(f"the roots of {root_poly} did not separate")
 
 
@@ -491,9 +489,8 @@ def _locate_product(model: TorusModel, polys) -> int:
     """Index of the squarefree polynomial whose root g1*g2 is.
 
     The product is an exact root of exactly one entry; boxes are refined
-    until a single candidate root box remains.  The gamma boxes are refined
-    below 2**-bits over 2**(bit length of their largest coordinate), so the
-    width of the product box falls like 2**-bits however large the roots.
+    until a single candidate root box remains.  The gammas are refined 2**-bits
+    over the size of their largest coordinate, so that the product is too.
     """
     big = max(abs(x) for g in (model.gamma1, model.gamma2) for x in (g.re.lo, g.re.hi, g.im.lo, g.im.hi))
     big_bits = int(big).bit_length()

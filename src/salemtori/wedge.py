@@ -110,9 +110,6 @@ def invert_wedge(q: IntPoly) -> InversionCandidates:
         IntPoly((1, -j, mid, -k, 1)),
         IntPoly((1, j, mid, k, 1)),
     )
-    cands = []
-    for c in raw:
-        if c not in cands:
-            cands.append(c)
+    cands = tuple(dict.fromkeys(raw))
     verified = tuple(c for c in cands if exterior_square(c) == q)
-    return InversionCandidates(q, a5, m, n, tuple(cands), verified, None)
+    return InversionCandidates(q, a5, m, n, cands, verified, None)

@@ -79,7 +79,8 @@ def main(rev: str) -> int:
         for name, x, y in zip(("exit", "stdout", "stderr"), a, b):
             if x != y:
                 differ += 1
-                print(f"{' '.join(argv)}: {name} differs\n  {rev}: {_clip(str(x))!r}\n  working tree: {_clip(str(y))!r}")
+                print(f"{' '.join(argv)}: {name} differs")
+                print(f"  {rev}: {_clip(str(x))!r}\n  working tree: {_clip(str(y))!r}")
     print(f"{len(argvs)} commands, {differ} differences")
     return 1 if differ else 0
 

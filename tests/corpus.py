@@ -78,7 +78,7 @@ ENUMERATE_COMMANDS = tuple(
 
 ORDINARY = tuple(
     dict.fromkeys(
-        GOLDEN_COMMANDS + BARE_NEGATIVE_COMMANDS + tuple(_model_commands()) + tuple(_poly_commands()) + ENUMERATE_COMMANDS
+        (*GOLDEN_COMMANDS, *BARE_NEGATIVE_COMMANDS, *_model_commands(), *_poly_commands(), *ENUMERATE_COMMANDS)
     )
 )
 

@@ -232,8 +232,3 @@ class TestBox:
         re = b1.re.mid * b2.re.mid - b1.im.mid * b2.im.mid
         im = b1.re.mid * b2.im.mid + b1.im.mid * b2.re.mid
         assert prod.contains(re, im)
-
-    def test_conjugate(self):
-        b = Box(Interval.point(2), Interval(Fraction(1), Fraction(2)))
-        c = b.conjugate()
-        assert c.im.lo == -2 and c.im.hi == -1
