@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -15,6 +15,7 @@ from salemtori import cli, torus
 from salemtori.poly import IntPoly, format_poly
 from salemtori.salem import is_salem
 
+from compare_corpus import run_commands
 from corpus import HOSTILE
 
 
@@ -28,14 +29,9 @@ def run(*args, **kw):
 
 
 def main_in_process(*argv):
-    """(exit code, stdout, stderr) of cli.main, run in this process."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    """(exit code, stdout, stderr) of cli.main, run in this process; the
+    exit code of a traceback is "traceback"."""
+    return run_commands([argv])[0]
 
 
 def run_json(*args):
