@@ -22,7 +22,7 @@ from functools import partial
 from .classify import SHORT_CASE, InfiniteFamily, realizable
 from .errors import ParseError, SalemToriError
 from .intervals import Interval, RoundingBoundaryError, decimal_string
-from .poly import IntPoly, format_poly, parse_ints, parse_poly
+from .poly import IntPoly, format_poly, parse_ints, parse_poly, quote_token
 from .salem import is_salem, lambda_approx
 from .torus import (
     NotForced,
@@ -125,6 +125,15 @@ def _box_json(box, refine):
         "re": _interval_json(box.re, lambda w: refine(w).re),
         "im": _interval_json(box.im, lambda w: refine(w).im),
     }
+
+
+def _int_option(text: str) -> int:
+    """An integer option's value; argparse reports a bad one with the
+    token quoted as parse_ints quotes it, at most 40 characters."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote_token(text)}") from None
 
 
 def _check_bits(parser, what: str, bits: int):
@@ -480,16 +489,16 @@ def cmd_enumerate(args, parser) -> int:
 
 def _add_model_flags(sub):
     sub.add_argument("family", choices=("gl2z", "quad-order", "quartic", "dyadic-cm"))
-    sub.add_argument("--r", type=int, default=None)
-    sub.add_argument("--det", type=int, default=None)
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--b1", type=int, default=None)
-    sub.add_argument("--b2", type=int, default=None)
+    sub.add_argument("--r", type=_int_option, default=None)
+    sub.add_argument("--det", type=_int_option, default=None)
+    sub.add_argument("--d", type=_int_option, default=None)
+    sub.add_argument("--b1", type=_int_option, default=None)
+    sub.add_argument("--b2", type=_int_option, default=None)
     sub.add_argument("--entries", default=None, help="8 ints a00,b00,a01,b01,a10,b10,a11,b11")
     sub.add_argument("--poly", default=None, help="quartic coefficients, highest first")
     sub.add_argument("--pairing", default=None, help="two root indices i,j")
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--k", type=int, default=None)
+    sub.add_argument("--n", type=_int_option, default=None)
+    sub.add_argument("--k", type=_int_option, default=None)
     sub.add_argument("--out", default=None)
 
 
@@ -527,11 +536,11 @@ def build_parser() -> _Parser:
     s.set_defaults(run=cmd_ns)
 
     s = subs.add_parser("enumerate", help="atlas sweep over bounded reciprocal polynomials")
-    s.add_argument("--degree", type=int, choices=(2, 4, 6), required=True)
-    s.add_argument("--max-coeff", type=int, required=True)
+    s.add_argument("--degree", type=_int_option, choices=(2, 4, 6), required=True)
+    s.add_argument("--max-coeff", type=_int_option, required=True)
     s.add_argument("--out", default=None)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=_int_option, default=1)
     s.set_defaults(run=cmd_enumerate)
 
     return parser

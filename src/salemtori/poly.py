@@ -168,6 +168,11 @@ ONE = IntPoly((1,))
 X = IntPoly((0, 1))
 
 
+def quote_token(token: str) -> str:
+    """repr of a bad input token, cut to its first 40 characters when longer."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+
+
 def parse_ints(text: str, what: str = "coefficient") -> list:
     """Parse comma-separated integers.
 
@@ -184,8 +189,7 @@ def parse_ints(text: str, what: str = "coefficient") -> list:
         try:
             out.append(int(token))
         except ValueError:
-            shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
-            raise ParseError(f"bad {what} {shown}", start) from None
+            raise ParseError(f"bad {what} {quote_token(token)}", start) from None
         pos += len(chunk) + 1
     return out
 

@@ -224,15 +224,48 @@ class TorusModel:
     @cached_property
     def _projective(self) -> bool:
         """is_projective's verdict, decided once per model; a model made by
-        replace, as reorient and refined make theirs, decides afresh."""
+        replace, as reorient and refined make theirs, decides afresh.
+
+        An E x E model (origin.quad set) is decided without its root boxes.
+        Its pairing is the two roots g1, g2 of q = t**2 - tau t + delta, as
+        _q_roots sets it and reorient, refined and dyadic_cm_family keep it;
+        reorient alone swaps g2 for its conjugate.  The degree-2 action has
+        the six roots g1 g2 = delta, conj(delta), lambda = |g1|**2,
+        1/lambda = |g2|**2, g1 conj(g2) and its conjugate, and lambda is not
+        1 since the entropy is positive.  delta is a unit of an imaginary
+        quadratic order, so a root of unity: the model is projective.  After
+        reorient the product is g1 conj(g2), of modulus |delta| = 1.  If it is
+        a root of unity, so is its conjugate, and the Salem factor has the two
+        roots lambda and 1/lambda.  If not, it is not real, and it and its
+        conjugate are two more roots of the Salem factor, of degree 4.  So
+        the factor has degree 2 or 4 in either orientation, and after
+        reorient the model is projective exactly at degree 2.
+
+        Every other model locates g1*g2 among the roots of the factors of
+        the degree-2 action.
+        """
         rest = _salem_rest(self)
+        if self.origin is not None and self.origin.quad is not None:
+            if rest.degree not in (2, 4):
+                raise CertificationError(f"E x E model has a Salem factor {rest} of degree {rest.degree}, not 2 or 4")
+            return not self.reoriented or rest.degree == 2
         # with no cyclotomic factor the second entry is 1, which has no roots
         return _locate_product(self, (rest, squarefree_part(self.h2_charpoly // rest))) == 1
 
     def refined(self, width: Fraction) -> "TorusModel":
-        """New model with every root box shrunk below the given width."""
+        """New model with every root box shrunk below the given width.  A
+        lower box that mirrors the box it is wired to gets the mirror of
+        that box refined, so each conjugate pair is refined once."""
         width = Fraction(width)
-        return replace(self, root_boxes=tuple(refine_root_box(self.root_poly, b, width) for b in self.root_boxes))
+        boxes = []
+        for b in self.root_boxes:
+            j = b.conjugate_index
+            mate = self.root_boxes[j] if j is not None and j < len(boxes) else None
+            if mate is not None and mate.re == b.re and mate.im == -b.im:
+                boxes.append(RootBox(boxes[j].re, -boxes[j].im, j))
+            else:
+                boxes.append(refine_root_box(self.root_poly, b, width))
+        return replace(self, root_boxes=tuple(boxes))
 
 
 def _make_model(matrix, pairing, origin):
@@ -511,8 +544,10 @@ def _locate_product(model: TorusModel, polys) -> int:
 def is_projective(model: TorusModel) -> bool:
     """True iff g1*g2 is a root of unity (a root of the cyclotomic cofactor).
 
-    Decided by certified box membership against the isolated roots of the
-    exact factors, never by floating-point tolerance, and once per model.
+    Decided once per model, never by floating-point tolerance: for an E x E
+    model by the degree of the Salem factor (TorusModel._projective), for
+    any other by certified box membership against the isolated roots of the
+    exact factors.
     """
     return model._projective
 

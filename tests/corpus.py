@@ -2,8 +2,9 @@
 
 ORDINARY holds the commands whose output must not change when the code
 behind them is rewritten: the golden commands, every model command on small
-parameter grids, the polynomial commands on the README and test
-polynomials, and small atlas sweeps.  tests/compare_corpus.py runs it on two
+parameter grids, on the dyadic family up to n = 24 and on unit-determinant
+matrices given by their entries, the polynomial commands on the README and
+test polynomials, and small atlas sweeps.  tests/compare_corpus.py runs it on two
 revisions and reports each difference.
 
 HOSTILE holds oversized inputs that must end at once with exit 1 and one
@@ -12,8 +13,10 @@ line on stderr, under cli.MAX_BITS; test_cli.py runs them.
 
 from test_golden import BARE_NEGATIVE_COMMANDS, GOLDEN_COMMANDS
 
-# the golden quartics, whose pairings i, j range over every pair of indices
-QUARTICS = ("1,-2,4,-2,1", "1,2,3,2,1", "1,0,0,1,1")
+# the golden quartics and the fifth cyclotomic polynomial, whose four circle
+# roots come in two mirrored pairs; pairings i, j range over every pair of
+# indices
+QUARTICS = ("1,-2,4,-2,1", "1,2,3,2,1", "1,0,0,1,1", "1,1,1,1,1")
 # the README and test polynomials, highest degree first: Salem polynomials
 # of degree 2 to 8, a 10**12 quartic, non-Salem, reducible, non-monic and
 # non-reciprocal ones, and sextics with and without quartic preimages
@@ -45,6 +48,23 @@ POLYS = (
 )
 
 
+def _unit_entries():
+    """--entries strings of unit-determinant matrices over Z[sqrt(-d)]:
+    [[1 + s t, s], [t, 1]] diag(u, 1) for a few small s and t, with
+    determinant u = +-1, and also +-i when d = 1.  Elements are (a, b)
+    pairs a + b sqrt(-d)."""
+    for d in range(1, 4):
+        units = ((1, 0), (-1, 0), (0, 1), (0, -1)) if d == 1 else ((1, 0), (-1, 0))
+        for u in units:
+            for s in ((1, 0), (0, 1), (1, 1), (2, -1)):
+                for t in ((1, 0), (0, -1), (2, 1)):
+                    st = (s[0] * t[0] - s[1] * t[1] * d, s[0] * t[1] + s[1] * t[0])
+                    a = (1 + st[0], st[1])
+                    rows = ((a[0] * u[0] - a[1] * u[1] * d, a[0] * u[1] + a[1] * u[0]), s)
+                    rows += ((t[0] * u[0] - t[1] * u[1] * d, t[0] * u[1] + t[1] * u[0]), (1, 0))
+                    yield d, ",".join(str(x) for pair in rows for x in pair)
+
+
 def _model_commands():
     for cmd in ("construct", "reorient", "ns"):
         for d in range(1, 8):
@@ -61,6 +81,11 @@ def _model_commands():
         for n in range(1, 4):
             for k in range(n + 1):
                 yield (cmd, "dyadic-cm", "--n", str(n), "--k", str(k))
+        for n in range(4, 25):
+            for k in sorted({0, 1, n}):
+                yield (cmd, "dyadic-cm", "--n", str(n), "--k", str(k))
+        for d, entries in _unit_entries():
+            yield (cmd, "quad-order", "--d", str(d), "--entries", entries)
 
 
 def _poly_commands():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from salemtori import cli, torus
+from salemtori import cli, salem, torus
 from salemtori.poly import IntPoly, format_poly
 from salemtori.salem import is_salem
 
@@ -263,12 +263,15 @@ class TestConstruct:
         "params",
         [
             # case 3a, whose two projectivity types have different ranks
-            ("--d", "1", "--b1", "1", "--b2", "1"),
+            ("quad-order", "--d", "1", "--b1", "1", "--b2", "1"),
             # a case with one projectivity type, whose rank needs no decision
-            ("--d", "2", "--b1", "0", "--b2", "1"),
+            ("quad-order", "--d", "2", "--b1", "0", "--b2", "1"),
+            # a model whose projectivity is found by locating g1*g2
+            ("quartic", "--poly", "1,-2,4,-2,1", "--pairing", "0,2"),
         ],
     )
     def test_projectivity_decided_once(self, monkeypatch, params):
+        # E x E models read it off the Salem factor, with no location
         calls = []
         locate = torus._locate_product
 
@@ -277,9 +280,25 @@ class TestConstruct:
             return locate(model, polys)
 
         monkeypatch.setattr(torus, "_locate_product", spy)
+        for command in ("construct", "reorient"):
+            calls.clear()
+            with redirect_stdout(io.StringIO()):
+                assert cli.main([command, *params]) == 0
+            assert len(calls) == (1 if params[0] == "quartic" else 0)
+
+    def test_refined_boxes_refine_each_upper_box_once(self, monkeypatch):
+        # four circle roots, each lower box the mirror of its refined upper one
+        calls = []
+        circle_box = salem._circle_box
+
+        def spy(*args):
+            calls.append(args)
+            return circle_box(*args)
+
+        monkeypatch.setattr(salem, "_circle_box", spy)
         with redirect_stdout(io.StringIO()):
-            assert cli.main(["construct", "quad-order", *params]) == 0
-        assert len(calls) == 1
+            assert cli.main(["construct", "quartic", "--poly", "1,1,1,1,1"]) == 0
+        assert len(calls) == 14
 
 
 class TestReorientAndNs:
@@ -432,3 +451,23 @@ def test_long_bad_token_is_abbreviated():
     code, out, err = main_in_process("is-salem", "1," + "9" * 5000 + "x,1")
     assert code == 1 and out == ""
     assert err == f"salemtori: parse error: bad coefficient {'9' * 40!r}... (5001 characters)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "gl2z", "--r", "{}", "--det", "1"),
+        ("ns", "quad-order", "--d", "{}", "--b1", "1", "--b2", "1"),
+        ("enumerate", "--degree", "4", "--max-coeff", "{}"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_long_bad_int_option_is_abbreviated(argv):
+    # past the 4300-digit limit of int-from-str conversion
+    token = "7" * 5000
+    code, out, err = main_in_process(*(token if a == "{}" else a for a in argv))
+    option = argv[argv.index("{}") - 1]
+    assert code == 1 and out == ""
+    assert err == (
+        f"salemtori {argv[0]}: error: argument {option}: invalid int value: {'7' * 40!r}... (5000 characters)\n"
+    )

@@ -12,7 +12,9 @@ one refinement routine.  The NEGATIVE_COMMANDS entries were written before
 the parser read a bare argument that starts with "-" as a value, the
 SALEM_COMMANDS entries before is_salem certified the Salem layout by
 Kronecker's rule instead of by factoring, and the WEDGE_COMMANDS entries
-before the exterior square was computed in closed form.  The ROOT_COMMANDS
+before the exterior square was computed in closed form, and the
+DET_I_COMMANDS entries before projectivity of E x E models was read off the
+degree of the Salem factor.  The ROOT_COMMANDS
 entries were written while float-seeded isolation refused four of them with
 exit 2; those four were rewritten, as the one recorded move, when circle
 roots came from the trace polynomial and quad-order models read their roots
@@ -90,9 +92,19 @@ ROOT_COMMANDS = (
     ("ns", "dyadic-cm", "--n", "48", "--k", "1"),
     ("construct", "quad-order", "--d", str(10**21), "--b1", "1", "--b2", "1"),
 )
+# models over Z[i] with determinant i, whose product g1*g2 is i, not 1: a
+# Salem factor of degree 4 in both orientations, and one of degree 2 that
+# stays projective after reorient
+DET_I_COMMANDS = (
+    ("construct", "quad-order", "--d", "1", "--entries", "1,0,1,1,0,1,-1,2"),
+    ("reorient", "quad-order", "--d", "1", "--entries", "1,0,1,1,0,1,-1,2"),
+    ("reorient", "quad-order", "--d", "1", "--entries", "0,0,0,-1,1,0,2,1"),
+)
 # every command here prints a model; test_decimals.py checks its decimals.
 # The grid repeats the first README command; each command is listed once.
-COMMANDS = tuple(dict.fromkeys(README_COMMANDS + GRID_COMMANDS + SEPARATION_COMMANDS + ROOT_COMMANDS))
+COMMANDS = tuple(
+    dict.fromkeys(README_COMMANDS + GRID_COMMANDS + SEPARATION_COMMANDS + ROOT_COMMANDS + DET_I_COMMANDS)
+)
 # pairings that from_quartic refuses, with exit code 2
 REJECTED_COMMANDS = tuple(
     ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing", pairing) for pairing in ("0,1", "0,5")

@@ -47,6 +47,22 @@ except CertificationError as exc:
     print("CertificationError:", exc)
 """
 
+# E x E models whose degree-2 action is given a degree-6 Salem factor, which
+# the projectivity rule for them cannot have, in both orientations
+FORGED_SALEM_DEGREE = """
+from dataclasses import replace
+from salemtori.errors import CertificationError
+from salemtori.poly import IntPoly
+from salemtori.torus import a_form_matrix, is_projective, quad_order_model, reorient
+
+model = quad_order_model(a_form_matrix(1, 1, 1))
+for m in (model, reorient(model)):
+    try:
+        is_projective(replace(m, h2_charpoly=IntPoly.from_descending((1, 0, -1, -1, -1, 0, 1))))
+    except CertificationError as exc:
+        print("CertificationError:", exc)
+"""
+
 
 def python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True)
@@ -68,6 +84,13 @@ def test_forged_certificate_raises_under_O():
     out = python("-O", "-c", FORGED_CERTIFICATE)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("CertificationError: ")
+
+
+def test_forged_salem_degree_raises_under_O():
+    out = python("-O", "-c", FORGED_SALEM_DEGREE)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("CertificationError: ") for line in lines)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """The one refinement routine behind every which-root decision of torus.
 
 torus._separate drives the location of g1*g2 behind is_projective and
-ns_charpoly; quad_order_model reads its pairing off q in closed form.  On
+ns_charpoly; quad_order_model reads its pairing off q in closed form, and
+is_projective decides its models from the degree of the Salem factor.  On
 the models the CLI builds every decision settles in the first round, so the
 later rounds are exercised here with synthetic filters and with root boxes
 widened far beyond what isolation returns.  An mpmath oracle then checks
@@ -17,9 +18,10 @@ import pytest
 
 from salemtori.errors import CertificationError
 from salemtori.intervals import Interval
-from salemtori.poly import IntPoly
+from salemtori.poly import IntPoly, squarefree_part
 from salemtori.salem import RootBox
 from salemtori.torus import (
+    _locate_product,
     _separate,
     a_form_matrix,
     gl2z_model,
@@ -82,10 +84,14 @@ WIDE_MODELS = {
 
 @pytest.mark.parametrize("name", WIDE_MODELS)
 def test_decisions_refine_wide_boxes(name):
+    # E x E models decide projectivity without their boxes, so the location
+    # of g1*g2 is called on the wide boxes directly
     model = WIDE_MODELS[name]()
     wide = _widened(model)
     assert all(b.re.width == Fraction(1, 1 << 11) for b in wide.root_boxes)
-    assert is_projective(wide) == is_projective(model)
+    rest = wide.salem_factor()
+    located = _locate_product(wide, (rest, squarefree_part(wide.h2_charpoly // rest))) == 1
+    assert located == is_projective(wide) == is_projective(model)
     assert ns_charpoly(wide) == ns_charpoly(model)
 
 

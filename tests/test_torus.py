@@ -1,5 +1,7 @@
 """Torus models: constructors, pairing, projectivity, entropy, divisor action."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from salemtori import torus
 from salemtori.errors import (
     BadParametersError,
+    CertificationError,
     NotApplicableError,
     NotHyperbolicError,
     NotUnitError,
@@ -14,12 +17,13 @@ from salemtori.errors import (
     WrongDegreeError,
     ZeroEntropyError,
 )
-from salemtori.poly import IntPoly, cyclotomic
+from salemtori.poly import IntPoly, cyclotomic, squarefree_part
 from salemtori.torus import (
     NotForced,
     QuadOrderMatrix,
     UNCONSTRAINED,
     _charpoly,
+    _qo_mul,
     a_form_matrix,
     dyadic_cm_family,
     entropy,
@@ -228,6 +232,40 @@ class TestReorient:
             reorient(ident)
 
 
+def _projective_by_location(model):
+    """is_projective's verdict found by locating g1*g2 among the roots of
+    the Salem factor and of its cofactor: the reference for the E x E rule."""
+    rest = model.salem_factor()
+    return torus._locate_product(model, (rest, squarefree_part(model.h2_charpoly // rest))) == 1
+
+
+def _unit_matrices(count, seed):
+    """count seeded matrices over Z[sqrt(-D)], each a unit diag(u, 1) times
+    two to four elementary matrices, upper and lower by turns, with small
+    nonzero entries.  D is 1 for about half of them, with u one of +-1 and
+    +-i, and 2 to 7 otherwise, with u = +-1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = 1 if rng.random() < 0.5 else rng.randint(2, 7)
+        u = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)) if d == 1 else ((1, 0), (-1, 0)))
+        m = ((u, (0, 0)), ((0, 0), (1, 0)))
+        upper = rng.random() < 0.5
+        for _ in range(rng.randint(2, 4)):
+            x = (0, 0)
+            while x == (0, 0):
+                x = (rng.randint(-2, 2), rng.randint(-1, 1))
+            e = (((1, 0), x), ((0, 0), (1, 0))) if upper else (((1, 0), (0, 0)), (x, (1, 0)))
+            upper = not upper
+            m = tuple(
+                tuple(
+                    tuple(a + b for a, b in zip(_qo_mul(m[i][0], e[0][j], d), _qo_mul(m[i][1], e[1][j], d)))
+                    for j in range(2)
+                )
+                for i in range(2)
+            )
+        yield QuadOrderMatrix(d, m)
+
+
 class TestProjectivity:
     @pytest.mark.parametrize(
         "params, flip",
@@ -239,6 +277,8 @@ class TestProjectivity:
         ],
     )
     def test_decided_once_per_model(self, monkeypatch, params, flip):
+        # an E x E model reads the verdict off its Salem factor and never
+        # locates g1*g2 for it, in either orientation
         calls = []
         locate = torus._locate_product
 
@@ -255,10 +295,60 @@ class TestProjectivity:
         is_projective(model)
         picard_rank(model)
         ns_charpoly(model)
+        is_projective(reorient(model))
+        assert calls == []
+        assert is_projective(model) == _projective_by_location(model)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_quartic_decided_once_per_model(self, monkeypatch, flip):
+        calls = []
+        locate = torus._locate_product
+
+        def spy(model, polys):
+            calls.append(model)
+            return locate(model, polys)
+
+        monkeypatch.setattr(torus, "_locate_product", spy)
+        model = from_quartic(IntPoly.from_descending((1, -2, 4, -2, 1)), (0, 2))
+        if flip:
+            model = reorient(model)
+        is_projective(model)
+        picard_rank(model)
+        ns_charpoly(model)
         assert len(calls) == 1
         # a model made by reorient decides afresh
         is_projective(reorient(model))
         assert len(calls) == 2
+
+    def test_exact_rule_matches_location(self):
+        """The E x E rule and the location of g1*g2 agree on the grid, the
+        dyadic family for n <= 24 and seeded unit-determinant matrices, in
+        both orientations."""
+        models = list(_grid_models())
+        models += [dyadic_cm_family(n, k) for n in range(1, 25) for k in range(n + 1)]
+        models += [quad_order_model(qm) for qm in _unit_matrices(200, 1406)]
+        checked, dets, degrees, verdicts = 0, set(), set(), set()
+        for base in models:
+            if base.salem_factor().degree == 0:
+                continue
+            for m in (base, reorient(base)):
+                verdict = is_projective(m)
+                assert verdict == _projective_by_location(m), (m.origin, m.reoriented)
+                checked += 1
+                dets.add(m.origin.quad.det())
+                degrees.add(m.salem_factor().degree)
+                verdicts.add((m.reoriented, verdict))
+        assert checked > 1000
+        assert dets == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+        assert degrees == {2, 4}
+        assert verdicts == {(False, True), (True, True), (True, False)}
+
+    def test_forged_degree_raises(self):
+        model = quad_order_model(a_form_matrix(1, 1, 1))
+        sextic = IntPoly.from_descending((1, 0, -1, -1, -1, 0, 1))
+        for m in (model, reorient(model)):
+            with pytest.raises(CertificationError, match="degree 6, not 2 or 4"):
+                is_projective(replace(m, h2_charpoly=sextic))
 
     def test_xor_on_grid(self):
         checked = 0
