@@ -45,10 +45,6 @@ from .wedge import exterior_square
 # small exact matrix helpers (4x4 is the only size that matters here)
 
 
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def _mat_mul(a, b):
     n = len(a)
     return tuple(
@@ -56,35 +52,28 @@ def _mat_mul(a, b):
     )
 
 
-def _mat_add(a, b):
-    n = len(a)
-    return tuple(tuple(a[i][j] + b[i][j] for j in range(n)) for i in range(n))
-
-
-def _mat_scale(a, c):
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
-def _trace(a):
-    return sum(a[i][i] for i in range(len(a)))
-
-
-def _charpoly(m) -> IntPoly:
-    """Characteristic polynomial of an integer matrix, exactly.
-
-    Faddeev-LeVerrier over the integers; every internal division is checked.
-    """
-    n = len(m)
-    work = _identity(n)
-    cs = []
-    for k in range(1, n + 1):
-        am = _mat_mul(m, work)
-        ck, rem = divmod(-_trace(am), k)
-        if rem:
-            raise CertificationError(f"Faddeev-LeVerrier step {k} left remainder {rem}")
-        cs.append(ck)
-        work = _mat_add(am, _mat_scale(_identity(n), ck))
-    return IntPoly(tuple(reversed([1] + cs)))
+def _charpoly(matrix) -> IntPoly:
+    """Characteristic polynomial t^4 - e1 t^3 + e2 t^2 - e3 t + e4 of a 4x4
+    integer matrix: e_k sums the k x k principal minors, and e4, the
+    determinant, is expanded along row 0.  r_xy and s_xy are the 2x2 minors
+    on columns x, y of rows 2, 3 and of rows 0, 1.  Straight-line code: a
+    generic Laplace expansion is slower than Faddeev-LeVerrier."""
+    (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = matrix
+    r01, r02, r03 = i * n - j * m, i * o - k * m, i * p - l * m
+    r12, r13, r23 = j * o - k * n, j * p - l * n, k * p - l * o
+    s01, s02, s03 = a * f - b * e, a * g - c * e, a * h - d * e
+    s12, s13 = b * g - c * f, b * h - d * f
+    e2 = s01 + a * k - c * i + a * p - d * m + f * k - g * j + f * p - h * n + r23
+    # minors 123 and 023 along their top row, 012 and 013 along their bottom row
+    m123 = f * r23 - g * r13 + h * r12
+    e3 = m123 + (a * r23 - c * r03 + d * r02) + (i * s12 - j * s02 + k * s01) + (m * s13 - n * s03 + p * s01)
+    e4 = (
+        a * m123
+        - b * (e * r23 - g * r03 + h * r02)
+        + c * (e * r13 - f * r03 + h * r01)
+        - d * (e * r12 - f * r02 + g * r01)
+    )
+    return IntPoly((e4, -e3, e2, -(a + f + k + p), 1))
 
 
 # ----------------------------------------------------------------------
@@ -609,15 +598,10 @@ def verify_jd(model: TorusModel, d_value: int) -> bool:
     s = isqrt(prod)
     if s * s != prod or s % d0:
         return False
+    # s/d0 times multiplication by sqrt(-d0) on the order basis of each factor
     c = s // d0
-    j0 = (
-        (0, -d0, 0, 0),
-        (1, 0, 0, 0),
-        (0, 0, 0, -d0),
-        (0, 0, 1, 0),
-    )
-    j = _mat_scale(j0, c)
-    if _mat_mul(j, j) != _mat_scale(_identity(4), -d_value):
+    j = ((0, -s, 0, 0), (c, 0, 0, 0), (0, 0, 0, -s), (0, 0, c, 0))
+    if _mat_mul(j, j) != tuple(tuple(-d_value * (r == k) for k in range(4)) for r in range(4)):
         return False
     return _mat_mul(j, model.matrix) == _mat_mul(model.matrix, j)
 
@@ -639,24 +623,38 @@ def ns_charpoly(model: TorusModel):
     cross-checked against the exterior square); for degree-2 Salem models
     that are projective with both square tests failing, the split
     S * (t^2 + k t + 1) applies with k from the factor away from g1*g2.
+    That factor is found exactly for an unreoriented E x E model, whose
+    g1*g2 is delta (_det_factor), and by location for any other.
     Everything else is NotForced.
     """
     rest = _salem_rest(model)
-    if model.origin is not None and model.origin.quad is not None and not model.reoriented:
-        ab = _a_form_params(model.origin.quad)
-        if ab is not None:
-            b1, b2 = ab
-            d = model.origin.quad.d_param
-            s = b1 * b1 + b2 * b2 * d
-            out = IntPoly((1, -s, 2 * b1 * b1 - 2 * b2 * b2 * d - 2, -s, 1))
-            # the (2,0)+(0,2) block carries (t-1)^2 since g1*g2 = det = 1
-            if model.h2_charpoly != IntPoly((1, -2, 1)) * out:
-                raise CertificationError(f"closed quartic formula {out} disagrees with the exterior square")
-            return out
-    if rest.degree == 2:
-        if salem_case(rest)[0] == CASE_3B and is_projective(model):
-            quads = _split_complement(model.h2_charpoly // rest)
+    # set for an unreoriented E x E model, whose g1*g2 is delta = det(quad)
+    quad = model.origin.quad if model.origin is not None and not model.reoriented else None
+    ab = _a_form_params(quad) if quad is not None else None
+    if ab is not None:
+        b1, b2 = ab
+        s = b1 * b1 + b2 * b2 * quad.d_param
+        out = IntPoly((1, -s, 2 * b1 * b1 - 2 * b2 * b2 * quad.d_param - 2, -s, 1))
+        # the (2,0)+(0,2) block carries (t-1)^2 since g1*g2 = det = 1
+        if model.h2_charpoly != IntPoly((1, -2, 1)) * out:
+            raise CertificationError(f"closed quartic formula {out} disagrees with the exterior square")
+        return out
+    if rest.degree == 2 and salem_case(rest)[0] == CASE_3B and is_projective(model):
+        quads = _split_complement(model.h2_charpoly // rest)
+        if quad is not None:
+            which = _det_factor(quad, quads)
+        else:
             which = _locate_product(model, tuple(squarefree_part(f) for f in quads))
-            other = quads[1 - which]
-            return rest * other
+        return rest * quads[1 - which]
     return NotForced("rank data does not pin down the divisor action")
+
+
+def _det_factor(qm: QuadOrderMatrix, quads) -> int:
+    """Index of the one quadratic t^2 + j t + 1 in quads that vanishes at
+    delta = det(qm), evaluated exactly in Z[sqrt(-D)]."""
+    delta = qm.det()
+    sq = _qo_mul(delta, delta, qm.d_param)
+    hits = [w for w, f in enumerate(quads) if sq[0] + f.coeffs[1] * delta[0] + 1 == 0 == sq[1] + f.coeffs[1] * delta[1]]
+    if len(hits) != 1:
+        raise CertificationError(f"{len(hits)} factors of the complement vanish at the determinant {delta}")
+    return hits[0]

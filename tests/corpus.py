@@ -9,6 +9,11 @@ revisions and reports each difference.
 
 HOSTILE holds oversized inputs that must end at once with exit 1 and one
 line on stderr, under cli.MAX_BITS; test_cli.py runs them.
+
+MALFORMED holds malformed commands: empty or stray coefficients, pairings
+and entry lists of the wrong length, and parameters out of range.  Each
+must end at once with exit 0, 1 or 2 and one stderr line or one JSON
+object; test_cli.py runs them too.
 """
 
 from test_golden import BARE_NEGATIVE_COMMANDS, GOLDEN_COMMANDS
@@ -115,4 +120,24 @@ HOSTILE = (
     ("construct", "gl2z", "--r", "7" * 1500, "--det", "1"),
     ("construct", "dyadic-cm", "--n", "8000", "--k", "1"),
     ("enumerate", "--degree", "6", "--max-coeff", "9" * 4000),
+)
+
+_PAIRING = ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing")
+MALFORMED = (
+    ("is-salem", "1,,1"),
+    ("is-salem", ","),
+    ("is-salem", "1,2,"),
+    ("is-salem", "-"),
+    ("is-salem", "--"),
+    ("classify", "1,-3,1,"),
+    (*_PAIRING, "0"),
+    (*_PAIRING, "0,1,2"),
+    (*_PAIRING, "-1,5"),
+    ("construct", "quad-order", "--d", "1", "--entries", "1,0,0,0,0,0,1"),
+    ("construct", "quad-order", "--d", "1", "--entries", "1,0,0,0,0,0,1,0,0"),
+    ("construct", "quad-order", "--d", "0", "--b1", "1", "--b2", "1"),
+    ("construct", "quad-order", "--d", "-3", "--b1", "1", "--b2", "1"),
+    ("construct", "dyadic-cm", "--n", "3", "--k", "5"),
+    ("enumerate", "--degree", "3"),
+    ("enumerate", "--degree", "-2"),
 )

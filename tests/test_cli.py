@@ -16,7 +16,7 @@ from salemtori.poly import IntPoly, format_poly
 from salemtori.salem import is_salem
 
 from compare_corpus import run_commands
-from corpus import HOSTILE
+from corpus import HOSTILE, MALFORMED
 
 
 def run(*args, **kw):
@@ -314,6 +314,17 @@ class TestReorientAndNs:
         assert doc["forced"] is True
         assert doc["ns_charpoly"] == "1,-2,-2,-2,1"
 
+    def test_ns_unreoriented_3b_split_isolates_no_roots(self, monkeypatch):
+        # g1*g2 is the determinant i, a root of t^2 + 1, decided exactly
+        def refuse(*args):
+            raise AssertionError("root isolation for an exact decision")
+
+        monkeypatch.setattr(torus, "isolate_all_roots", refuse)
+        monkeypatch.setattr(torus, "_locate_product", refuse)
+        code, out, err = main_in_process("ns", "quad-order", "--d", "1", "--entries", "0,0,0,-1,1,0,2,1")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"forced": True, "ns_charpoly": "1,-5,6,-5,1"}
+
     def test_ns_not_forced(self):
         doc = run_json("ns", "gl2z", "--r", "5", "--det", "1")
         assert doc["forced"] is False
@@ -422,6 +433,18 @@ def test_oversized_input_ends_in_one_line(argv):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("salemtori: error: ")
     assert f"more than the limit of {cli.MAX_BITS} bits" in err
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_ends_cleanly(argv):
+    started = time.perf_counter()
+    code, out, err = main_in_process(*argv)
+    assert time.perf_counter() - started < 1
+    assert code in (0, 1, 2)
+    if out:
+        assert err == "" and isinstance(json.loads(out), dict)
+    else:
+        assert err.count("\n") == 1 and err.startswith("salemtori")
 
 
 def test_size_cap_is_exact():

@@ -63,6 +63,27 @@ for m in (model, reorient(model)):
         print("CertificationError:", exc)
 """
 
+# a lift with one entry changed, whose characteristic polynomial is then not
+# the norm of q's; the check is a raise, so it holds without assertions
+FORGED_LIFT = """
+from salemtori.errors import CertificationError
+from salemtori.torus import QuadOrderMatrix, a_form_matrix, quad_order_model
+
+lift = QuadOrderMatrix.lift
+
+
+def forged(self):
+    rows = lift(self)
+    return ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:]
+
+
+QuadOrderMatrix.lift = forged
+try:
+    quad_order_model(a_form_matrix(1, 1, 1))
+except CertificationError as exc:
+    print("CertificationError:", exc)
+"""
+
 
 def python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True)
@@ -91,6 +112,12 @@ def test_forged_salem_degree_raises_under_O():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == 2 and all(line.startswith("CertificationError: ") for line in lines)
+
+
+def test_forged_lift_raises_under_O():
+    out = python("-O", "-c", FORGED_LIFT)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificationError: lifted matrix has characteristic polynomial ")
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from salemtori.errors import (
     WrongDegreeError,
     ZeroEntropyError,
 )
+from salemtori.classify import CASE_3B, _split_complement, salem_case
 from salemtori.poly import IntPoly, cyclotomic, squarefree_part
 from salemtori.torus import (
     NotForced,
@@ -39,6 +40,7 @@ from salemtori.torus import (
 from salemtori.wedge import exterior_square
 
 from _oracles import o_charpoly, o_log_bounds
+from corpus import _unit_entries
 
 
 def _grid_models():
@@ -50,12 +52,27 @@ def _grid_models():
 
 
 class TestCharpoly:
-    def test_faddev_leverrier_vs_leibniz(self):
+    def test_known_matrices_vs_leibniz(self):
         mats = [
             ((0, -1, 0, 0), (1, 3, 0, 0), (0, 0, 0, -1), (0, 0, 1, 3)),
             ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 17)),
             ((0, 0, 0, -1), (1, 0, 0, -2), (0, 1, 0, -3), (0, 0, 1, -4)),
         ]
+        for m in mats:
+            assert _charpoly(m).coeffs == o_charpoly(m)
+
+    @pytest.mark.parametrize("bound", [9, 10**6, 10**30])
+    def test_random_matrices_vs_leibniz(self, bound):
+        rng = random.Random(f"charpoly:{bound}")
+        for _ in range(1000):
+            m = tuple(tuple(rng.randint(-bound, bound) for _ in range(4)) for _ in range(4))
+            assert _charpoly(m).coeffs == o_charpoly(m)
+
+    def test_every_model_lift_vs_leibniz(self):
+        # the 245-model grid and the dyadic family for n <= 24, every k
+        mats = [m.matrix for m in _grid_models()]
+        mats += [dyadic_cm_family(n, k).matrix for n in range(1, 25) for k in range(n + 1)]
+        assert len(mats) == 245 + 324
         for m in mats:
             assert _charpoly(m).coeffs == o_charpoly(m)
 
@@ -491,6 +508,30 @@ class TestNsCharpoly:
         assert rem.is_zero
         assert quot.degree == 2 and quot.constant == 1
         assert m.h2_charpoly == out * (w.c_poly // quot)
+
+    def test_exact_3b_split_matches_location(self):
+        # every unreoriented case-3b model among the corpus --entries
+        # matrices: the quadratic that vanishes at delta is the one that
+        # holds g1*g2
+        checked = 0
+        for d, entries in _unit_entries():
+            v = [int(x) for x in entries.split(",")]
+            qm = QuadOrderMatrix(d, (((v[0], v[1]), (v[2], v[3])), ((v[4], v[5]), (v[6], v[7]))))
+            model = quad_order_model(qm)
+            rest = model.salem_factor()
+            if rest.degree != 2 or salem_case(rest)[0] != CASE_3B:
+                continue
+            quads = _split_complement(model.h2_charpoly // rest)
+            located = torus._locate_product(model, tuple(squarefree_part(f) for f in quads))
+            assert torus._det_factor(qm, quads) == located
+            assert ns_charpoly(model) == rest * quads[1 - located]
+            checked += 1
+        assert checked == 12
+
+    def test_exact_3b_split_rejects_a_foreign_determinant(self):
+        quads = (IntPoly((1, -1, 1)), IntPoly((1, 1, 1)))
+        with pytest.raises(CertificationError):
+            torus._det_factor(a_form_matrix(1, 1, 1), quads)
 
     def test_not_forced_cases(self):
         assert isinstance(ns_charpoly(gl2z_model(5, 1)), NotForced)
