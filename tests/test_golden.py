@@ -12,9 +12,11 @@ one refinement routine.  The NEGATIVE_COMMANDS entries were written before
 the parser read a bare argument that starts with "-" as a value, the
 SALEM_COMMANDS entries before is_salem certified the Salem layout by
 Kronecker's rule instead of by factoring, and the WEDGE_COMMANDS entries
-before the exterior square was computed in closed form, and the
+before the exterior square was computed in closed form, the
 DET_I_COMMANDS entries before projectivity of E x E models was read off the
-degree of the Salem factor.  The ROOT_COMMANDS
+degree of the Salem factor, and the ALGEBRA_COMMANDS entries before quartic
+and gl2z models were decided by the same kind of rule and gl2z roots came
+in closed form.  The ROOT_COMMANDS
 entries were written while float-seeded isolation refused four of them with
 exit 2; those four were rewritten, as the one recorded move, when circle
 roots came from the trace polynomial and quad-order models read their roots
@@ -100,10 +102,25 @@ DET_I_COMMANDS = (
     ("reorient", "quad-order", "--d", "1", "--entries", "1,0,1,1,0,1,-1,2"),
     ("reorient", "quad-order", "--d", "1", "--entries", "0,0,0,-1,1,0,2,1"),
 )
+# one command per branch of the algebraic rules for quartic and gl2z models:
+# a quartic Salem factor of degree 6, 4 (projective, then not after
+# reorient) and 2, the case-3b split of ns with both halves paired, and a
+# gl2z trace past 2**64
+ALGEBRA_COMMANDS = (
+    ("construct", "quartic", "--poly", "1,-3,1,2,1"),
+    ("construct", "quartic", "--poly", "1,-3,1,3,1"),
+    ("reorient", "quartic", "--poly", "1,-3,1,3,1"),
+    ("construct", "quartic", "--poly", "1,-3,2,3,1"),
+    ("ns", "quartic", "--poly", "1,-3,2,3,1"),
+    ("ns", "quartic", "--poly", "1,-3,2,3,1", "--pairing", "0,3"),
+    ("construct", "gl2z", "--r", str(2**64 + 1), "--det", "-1"),
+)
 # every command here prints a model; test_decimals.py checks its decimals.
 # The grid repeats the first README command; each command is listed once.
 COMMANDS = tuple(
-    dict.fromkeys(README_COMMANDS + GRID_COMMANDS + SEPARATION_COMMANDS + ROOT_COMMANDS + DET_I_COMMANDS)
+    dict.fromkeys(
+        README_COMMANDS + GRID_COMMANDS + SEPARATION_COMMANDS + ROOT_COMMANDS + DET_I_COMMANDS + ALGEBRA_COMMANDS
+    )
 )
 # pairings that from_quartic refuses, with exit code 2
 REJECTED_COMMANDS = tuple(
