@@ -9,8 +9,9 @@ projectivity is exactly "that product is a root of unity".
 Constructors cover companion matrices of quartics, 2x2 matrices over an
 imaginary quadratic order Z[sqrt(-D)] lifted to the integer lattice of
 E x E, real hyperbolic pairs acting diagonally, and the dyadic CM family.
-All certification is exact; boxes are refined until every discrete decision
-is unambiguous.
+All certification is exact, and every discrete decision is read off what a
+model's constructor guarantees: root boxes serve only the output and
+from_quartic's pairing check.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
 from .intervals import Box, Interval, log_interval
 from .poly import ONE, IntPoly, split_cyclotomic, squarefree_part
 from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, _bits_below, _continue_bracket, _with_conjugates
-from .salem import isolate_all_roots, lambda_interval, refine_root_box, trace_layout
+from .salem import isolate_all_roots, lambda_interval, refine_root_box, trace_layout, trace_transform
 from .wedge import exterior_square
 
 
@@ -213,7 +214,8 @@ class TorusModel:
     @cached_property
     def _projective(self) -> bool:
         """is_projective's verdict, decided once per model; a model made by
-        replace, as reorient and refined make theirs, decides afresh.
+        replace, as reorient and refined make theirs, decides afresh.  A
+        model whose origin no rule below covers raises.
 
         An E x E model (origin.quad set) is decided without its root boxes.
         Its pairing is the two roots g1, g2 of q = t**2 - tau t + delta, as
@@ -230,16 +232,43 @@ class TorusModel:
         the factor has degree 2 or 4 in either orientation, and after
         reorient the model is projective exactly at degree 2.
 
-        Every other model locates g1*g2 among the roots of the factors of
-        the degree-2 action.
+        A gl2z model has g1 g2 = det = +-1 and a real g2, which reorient
+        leaves in place: it is projective in both orientations.
+
+        A quartic model pairs one root of each conjugate pair of its roots
+        a = r e(x), b = e(y)/r and their conjugates, with x, y in (0, pi) and
+        e(x) = cos x + i sin x.  Besides r**2 and 1/r**2 the degree-2 action
+        has the same-half pair a b, conj(a b), of trace 2 cos(x + y), and the
+        opposite-half pair a conj(b), conj(a) b, of the larger trace
+        2 cos(x - y) = 2 cos(x + y) + 4 sin x sin y.  At positive entropy
+        the Salem factor S holds r**2 and 1/r**2, and each pair, of modulus
+        1, lies whole in S or in its cofactor.  So S of degree 2 makes the
+        model projective and S of degree 6 does not.  At degree 4 the
+        cofactor is the other pair, t**2 + j t + 1 of trace -j, and T_S, the
+        trace polynomial of S, has the roots r**2 + 1/r**2 > 2 and the trace
+        u of the pair in S.  So T_S(-j) > 0 exactly when u > -j, when the
+        cofactor holds the same-half pair, which holds g1 g2 exactly when g1
+        and g2 share a half-plane; T_S(-j) != 0 as u is irrational.
         """
         rest = _salem_rest(self)
-        if self.origin is not None and self.origin.quad is not None:
+        family, quad = (self.origin.family, self.origin.quad) if self.origin is not None else (None, None)
+        if quad is not None:
             if rest.degree not in (2, 4):
                 raise CertificationError(f"E x E model has a Salem factor {rest} of degree {rest.degree}, not 2 or 4")
             return not self.reoriented or rest.degree == 2
-        # with no cyclotomic factor the second entry is 1, which has no roots
-        return _locate_product(self, (rest, squarefree_part(self.h2_charpoly // rest))) == 1
+        if family == "gl2z":
+            return True
+        if family != "quartic":
+            raise CertificationError(f"no projectivity rule for a model of origin {self.origin}")
+        if rest.degree in (2, 6):
+            return rest.degree == 2
+        c = (self.h2_charpoly // rest).coeffs
+        if rest.degree != 4 or len(c) != 3 or c[0] != 1 or c[2] != 1:
+            raise CertificationError(f"quartic Salem factor {rest} has the cofactor {IntPoly(c)}, not t^2 + jt + 1")
+        value = trace_transform(rest)(-c[1])
+        if value == 0:
+            raise CertificationError(f"the trace polynomial of {rest} vanishes at {-c[1]}")
+        return (value > 0) == _same_half(self)
 
     def refined(self, width: Fraction) -> "TorusModel":
         """New model with every root box shrunk below the given width.  A
@@ -257,29 +286,9 @@ class TorusModel:
         return replace(self, root_boxes=tuple(boxes))
 
 
-def _make_model(matrix, pairing, origin):
-    h1 = _charpoly(matrix)
-    h2 = exterior_square(h1)
-    root_poly = squarefree_part(h1)
-    boxes = isolate_all_roots(root_poly)
-    return TorusModel(matrix, h1, h2, root_poly, boxes, pairing, False, origin)
-
-
-def _separate(cands, keep, name):
-    """The one candidate that survives keep(cands, bits) as bits grows.
-
-    keep drops the candidates that boxes refined below 2**-bits rule out;
-    it runs at bits = 24, 32, ... for at most 64 rounds.
-    """
-    bits = 24
-    for _ in range(64):
-        cands = keep(cands, bits)
-        if not cands:
-            raise CertificationError(f"{name} lost every candidate")
-        if len(cands) == 1:
-            return cands[0]
-        bits += 8
-    raise CertificationError(f"{name} did not separate")
+def _same_half(model: TorusModel) -> bool:
+    """Do g1 and g2, neither real, lie in the same half-plane?"""
+    return (model.gamma1.im.lo > 0) == (model.gamma2.im.lo > 0)
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +316,11 @@ def from_quartic(p: IntPoly, pairing_choice=None) -> TorusModel:
         (0, 1, 0, -c2),
         (0, 0, 1, -c3),
     )
-    model = _make_model(matrix, None, None)
-    sf, boxes = model.root_poly, model.root_boxes
+    h1 = _charpoly(matrix)
+    if h1 != p:
+        raise CertificationError(f"companion model has characteristic polynomial {h1}, not {p}")
+    sf = squarefree_part(h1)
+    boxes = isolate_all_roots(sf)
     if any(b.is_real for b in boxes):
         reals = [b for b in boxes if b.is_real]
         raise RealRootsError(
@@ -330,9 +342,7 @@ def from_quartic(p: IntPoly, pairing_choice=None) -> TorusModel:
         raise BadParametersError(f"pairing {pairing_choice} out of range")
     if squarefree and (j == i or j == boxes[i].conjugate_index):
         raise BadParametersError("pairing must take one root from each conjugate pair")
-    if model.h1_charpoly != p:
-        raise CertificationError(f"companion model has characteristic polynomial {model.h1_charpoly}, not {p}")
-    return replace(model, pairing=(i, j), origin=ModelOrigin("quartic", (p, (i, j))))
+    return TorusModel(matrix, h1, exterior_square(h1), sf, boxes, (i, j), False, ModelOrigin("quartic", (p, (i, j))))
 
 
 def quad_order_model(qm: QuadOrderMatrix) -> TorusModel:
@@ -450,7 +460,8 @@ def gl2z_model(r: int, det: int) -> TorusModel:
 
     Needs real eigenvalues off the unit circle: |r| > 2 when det = +1,
     r != 0 when det = -1.  The pairing is the real selection (both
-    eigenvalues of the 2x2 block).
+    eigenvalues of the 2x2 block), with the block's roots in closed form
+    by _q_roots.  origin.quad stays unset: the model is not over an order.
     """
     if det not in (1, -1):
         raise BadParametersError(f"det must be +1 or -1, got {det}")
@@ -463,10 +474,12 @@ def gl2z_model(r: int, det: int) -> TorusModel:
         (0, 0, 0, -det),
         (0, 0, 1, r),
     )
-    model = _make_model(matrix, (0, 1), ModelOrigin("gl2z", (r, det)))
-    if model.root_poly != IntPoly((det, -r, 1)):
-        raise CertificationError(f"root polynomial {model.root_poly} is not t^2 - {r}t + {det}")
-    return model
+    h1 = _charpoly(matrix)
+    root_poly = squarefree_part(h1)
+    if root_poly != IntPoly((det, -r, 1)):
+        raise CertificationError(f"root polynomial {root_poly} is not t^2 - {r}t + {det}")
+    boxes, pairing = _q_roots(QuadOrderMatrix(1, (((0, 0), (-det, 0)), ((1, 0), (r, 0)))), root_poly)
+    return TorusModel(matrix, h1, exterior_square(h1), root_poly, boxes, pairing, False, ModelOrigin("gl2z", (r, det)))
 
 
 def dyadic_cm_family(n: int, k: int) -> TorusModel:
@@ -507,36 +520,11 @@ def reorient(model: TorusModel) -> TorusModel:
     return replace(model, pairing=(i, jj), reoriented=not model.reoriented)
 
 
-def _locate_product(model: TorusModel, polys) -> int:
-    """Index of the squarefree polynomial whose root g1*g2 is.
-
-    The product is an exact root of exactly one entry; boxes are refined
-    until a single candidate root box remains.  The gammas are refined to
-    2**-bits over 2**(bit length of their largest coordinate), so that the
-    product box is about 2**-bits wide too, however large the roots.
-    """
-    # integer arithmetic: Fraction abs and max here cost 3% of a models round
-    ends = [x for g in (model.gamma1, model.gamma2) for x in (g.re.lo, g.re.hi, g.im.lo, g.im.hi)]
-    big_bits = max((abs(x.numerator) // x.denominator).bit_length() for x in ends)
-
-    def keep(cands, bits):
-        width, gamma_width = Fraction(1, 1 << bits), Fraction(1, 1 << (bits + big_bits))
-        g1 = refine_root_box(model.root_poly, model.gamma1, gamma_width)
-        g2 = refine_root_box(model.root_poly, model.gamma2, gamma_width)
-        prod = g1.box * g2.box
-        return [(pi, b) for pi, b in cands if prod.intersects(refine_root_box(polys[pi], b, width).box)]
-
-    cands = [(pi, b) for pi, f in enumerate(polys) for b in isolate_all_roots(f)]
-    return _separate(cands, keep, "location of g1*g2")[0]
-
-
 def is_projective(model: TorusModel) -> bool:
     """True iff g1*g2 is a root of unity (a root of the cyclotomic cofactor).
 
-    Decided once per model, never by floating-point tolerance: for an E x E
-    model by the degree of the Salem factor (TorusModel._projective), for
-    any other by certified box membership against the isolated roots of the
-    exact factors.
+    Decided once per model, exactly and with no root box refined, by the
+    rules that TorusModel._projective derives for each constructor.
     """
     return model._projective
 
@@ -622,10 +610,9 @@ def ns_charpoly(model: TorusModel):
     For one-step E x E models the closed quartic formula applies (and is
     cross-checked against the exterior square); for degree-2 Salem models
     that are projective with both square tests failing, the split
-    S * (t^2 + k t + 1) applies with k from the factor away from g1*g2.
-    That factor is found exactly for an unreoriented E x E model, whose
-    g1*g2 is delta (_det_factor), and by location for any other.
-    Everything else is NotForced.
+    S * (t^2 + k t + 1) applies with k from the factor away from g1*g2,
+    which _split_index finds with no root box refined.  Everything else is
+    NotForced.
     """
     rest = _salem_rest(model)
     # set for an unreoriented E x E model, whose g1*g2 is delta = det(quad)
@@ -641,12 +628,24 @@ def ns_charpoly(model: TorusModel):
         return out
     if rest.degree == 2 and salem_case(rest)[0] == CASE_3B and is_projective(model):
         quads = _split_complement(model.h2_charpoly // rest)
-        if quad is not None:
-            which = _det_factor(quad, quads)
-        else:
-            which = _locate_product(model, tuple(squarefree_part(f) for f in quads))
-        return rest * quads[1 - which]
+        return rest * quads[1 - _split_index(model, quads)]
     return NotForced("rank data does not pin down the divisor action")
+
+
+def _split_index(model: TorusModel, quads) -> int:
+    """Index of the quadratic in quads = (t^2 + j t + 1, t^2 + k t + 1),
+    j < k, that vanishes at g1*g2 in a projective case-3b model.
+
+    quads[0] has the larger root trace -j: for a quartic model that is the
+    opposite-half pair (TorusModel._projective).  For an E x E model g1*g2
+    is delta = det(quad) (_det_factor), and after reorient a root of the
+    other quadratic.  A gl2z Salem trace r**2 - 2 det passes a square test.
+    """
+    if model.origin.quad is not None:
+        return _det_factor(model.origin.quad, quads) ^ model.reoriented
+    if model.origin.family == "quartic":
+        return int(_same_half(model))
+    raise CertificationError(f"no case-3b split for a model of origin {model.origin}")
 
 
 def _det_factor(qm: QuadOrderMatrix, quads) -> int:

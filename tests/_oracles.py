@@ -197,3 +197,65 @@ def o_rounded(x, places=12):
         value = value.quantize(decimal.Decimal(1).scaleb(-places), rounding=decimal.ROUND_HALF_EVEN)
     # a value that rounds to zero prints without a sign
     return format(value if value else abs(value), "f")
+
+
+# g1*g2, the eigenvalue on (2,0)-forms, at DPS digits, and whether a
+# polynomial vanishes there: the reference for every projectivity verdict
+# and case-3b split of torus
+DPS = 50
+TINY = mpmath.mpf(10) ** -30
+
+
+def o_roots(model):
+    """Every root of model.root_poly at DPS digits.  For a model over an
+    imaginary quadratic order (origin.quad set) these are the roots of
+    q = t^2 - tau t + delta of its 2x2 matrix, by mpmath's square root, and
+    their conjugates; for any other model they come from mpmath.polyroots."""
+    with mpmath.workdps(DPS):
+        quad = model.origin.quad
+        if quad is None:
+            return mpmath.polyroots(list(reversed(model.root_poly.coeffs)), maxsteps=200, extraprec=400)
+        unit = mpmath.sqrt(quad.d_param) * 1j
+        (a, b), (c, d) = [[x + y * unit for x, y in row] for row in quad.entries]
+        tau, delta = a + d, a * d - b * c
+        s = mpmath.sqrt(tau * tau - 4 * delta)
+        return [z for g in ((tau + s) / 2, (tau - s) / 2) for z in (g, mpmath.conj(g))]
+
+
+def _nearest(roots, root_box):
+    re, im = root_box.re.mid, root_box.im.mid
+    centre = mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator, mpmath.mpf(im.numerator) / im.denominator)
+    return min(roots, key=lambda z: abs(z - centre))
+
+
+def o_gammas(model, roots=None):
+    """g1 and g2 at DPS digits: the roots nearest the centres of their boxes."""
+    roots = o_roots(model) if roots is None else roots
+    return _nearest(roots, model.gamma1), _nearest(roots, model.gamma2)
+
+
+def o_h20(model, roots=None):
+    """g1*g2 at DPS digits."""
+    g1, g2 = o_gammas(model, roots)
+    with mpmath.workdps(DPS):
+        return g1 * g2
+
+
+def o_vanishes(coeffs, z):
+    """Is the polynomial with ascending coeffs below TINY at z?  Repeated
+    roots, where polyroots does not converge, are found this way too."""
+    with mpmath.workdps(DPS):
+        return abs(mpmath.polyval(list(reversed(coeffs)), z)) < TINY
+
+
+def o_projective(model, roots=None):
+    """Is g1*g2 a root of the cyclotomic cofactor of the degree-2 action?"""
+    cofactor, rem = o_divmod(model.h2_charpoly.coeffs, model.salem_factor().coeffs)
+    assert rem == ()
+    return o_vanishes([int(c) for c in cofactor], o_h20(model, roots))
+
+
+def o_split_indices(model, quads, roots=None):
+    """Indices of the polynomials in quads that vanish at g1*g2."""
+    z = o_h20(model, roots)
+    return [w for w, f in enumerate(quads) if o_vanishes(f.coeffs, z)]

@@ -214,11 +214,27 @@ class TestConstruct:
     @pytest.mark.parametrize("r", [3 * 10**160 + 1, 3 * 10**300 + 1], ids=("3e160+1", "3e300+1"))
     @pytest.mark.parametrize("command, det", [("construct", "1"), ("reorient", "-1")])
     def test_gl2z_huge_r_locates_the_product(self, r, command, det):
-        # g1 near r and g2 near 1/r: a product box refined only to an absolute
-        # width stayed about r times too wide for the separation rounds
+        # g1 near r and g2 near 1/r, whose product det is read off exactly;
+        # the decimals of the boxes still come from refinement
         code, out, err = main_in_process(command, "gl2z", "--r", str(r), "--det", det)
         assert code == 0 and err == ""
         assert json.loads(out)["projective"] is True
+
+    def test_gl2z_roots_in_closed_form(self, monkeypatch):
+        # the roots of t^2 - rt + 1 are read off the 2x2 block, with no
+        # isolation, even where the Cauchy bound has 1990 bits
+        calls = []
+        isolate = torus.isolate_all_roots
+
+        def spy(p):
+            calls.append(p)
+            return isolate(p)
+
+        monkeypatch.setattr(torus, "isolate_all_roots", spy)
+        code, out, err = main_in_process("construct", "gl2z", "--r", str(2**1990), "--det", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["projective"] is True
+        assert calls == []
 
     def test_eps_validation(self):
         out = run("construct", "gl2z", "--r", "1", "--det", "-1", "--eps", "0")
@@ -266,25 +282,20 @@ class TestConstruct:
             ("quad-order", "--d", "1", "--b1", "1", "--b2", "1"),
             # a case with one projectivity type, whose rank needs no decision
             ("quad-order", "--d", "2", "--b1", "0", "--b2", "1"),
-            # a model whose projectivity is found by locating g1*g2
+            # a quartic model, decided by its trace polynomial
             ("quartic", "--poly", "1,-2,4,-2,1", "--pairing", "0,2"),
         ],
     )
-    def test_projectivity_decided_once(self, monkeypatch, params):
-        # E x E models read it off the Salem factor, with no location
-        calls = []
-        locate = torus._locate_product
-
-        def spy(model, polys):
-            calls.append(polys)
-            return locate(model, polys)
-
-        monkeypatch.setattr(torus, "_locate_product", spy)
+    def test_projectivity_decided_once(self, monkeypatch, verdicts, no_roots, params):
+        # the output refines root boxes for its decimals; the decisions
+        # refine none
+        for name in ("is_projective", "picard_rank", "ns_charpoly"):
+            monkeypatch.setattr(cli, name, no_roots(getattr(cli, name)))
         for command in ("construct", "reorient"):
-            calls.clear()
+            verdicts.clear()
             with redirect_stdout(io.StringIO()):
                 assert cli.main([command, *params]) == 0
-            assert len(calls) == (1 if params[0] == "quartic" else 0)
+            assert len(verdicts) == 1
 
     def test_refined_boxes_refine_each_upper_box_once(self, monkeypatch):
         # four circle roots, each lower box the mirror of its refined upper one
@@ -296,6 +307,9 @@ class TestConstruct:
             return circle_box(*args)
 
         monkeypatch.setattr(salem, "_circle_box", spy)
+        # the count includes the isolation, which an earlier test may have
+        # memoised
+        salem.isolate_all_roots.cache_clear()
         with redirect_stdout(io.StringIO()):
             assert cli.main(["construct", "quartic", "--poly", "1,1,1,1,1"]) == 0
         assert len(calls) == 14
@@ -314,13 +328,10 @@ class TestReorientAndNs:
         assert doc["forced"] is True
         assert doc["ns_charpoly"] == "1,-2,-2,-2,1"
 
-    def test_ns_unreoriented_3b_split_isolates_no_roots(self, monkeypatch):
-        # g1*g2 is the determinant i, a root of t^2 + 1, decided exactly
-        def refuse(*args):
-            raise AssertionError("root isolation for an exact decision")
-
-        monkeypatch.setattr(torus, "isolate_all_roots", refuse)
-        monkeypatch.setattr(torus, "_locate_product", refuse)
+    def test_ns_unreoriented_3b_split_isolates_no_roots(self, monkeypatch, no_roots):
+        # g1*g2 is the determinant i, a root of t^2 + 1, decided exactly;
+        # ns prints no box, so the whole command refines none
+        monkeypatch.setattr(cli, "main", no_roots(cli.main))
         code, out, err = main_in_process("ns", "quad-order", "--d", "1", "--entries", "0,0,0,-1,1,0,2,1")
         assert (code, err) == (0, "")
         assert json.loads(out) == {"forced": True, "ns_charpoly": "1,-5,6,-5,1"}

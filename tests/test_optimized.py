@@ -63,6 +63,25 @@ for m in (model, reorient(model)):
         print("CertificationError:", exc)
 """
 
+# a quartic model whose degree-2 action is given the cofactor t^2 - 1 of
+# its degree-4 Salem factor, which the projectivity rule for quartic models
+# needs to be t^2 + jt + 1; then the same model with no origin, and with an
+# origin no constructor makes, which no rule covers
+FORGED_QUARTIC = """
+from dataclasses import replace
+from salemtori.errors import CertificationError
+from salemtori.poly import IntPoly
+from salemtori.torus import ModelOrigin, from_quartic, is_projective
+
+model = from_quartic(IntPoly.from_descending((1, -3, 1, 3, 1)))
+forged = replace(model, h2_charpoly=model.salem_factor() * IntPoly((-1, 0, 1)))
+for m in (forged, replace(model, origin=None), replace(model, origin=ModelOrigin("unknown"))):
+    try:
+        is_projective(m)
+    except CertificationError as exc:
+        print("CertificationError:", exc)
+"""
+
 # a lift with one entry changed, whose characteristic polynomial is then not
 # the norm of q's; the check is a raise, so it holds without assertions
 FORGED_LIFT = """
@@ -112,6 +131,14 @@ def test_forged_salem_degree_raises_under_O():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == 2 and all(line.startswith("CertificationError: ") for line in lines)
+
+
+def test_forged_quartic_and_unknown_origin_raise_under_O():
+    out = python("-O", "-c", FORGED_QUARTIC)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3 and all(line.startswith("CertificationError: ") for line in lines)
+    assert lines[0].endswith("has the cofactor t^2 - 1, not t^2 + jt + 1")
 
 
 def test_forged_lift_raises_under_O():

@@ -1,29 +1,31 @@
-"""The one refinement routine behind every which-root decision of torus.
+"""Every discrete decision of torus against an mpmath oracle.
 
-torus._separate drives the location of g1*g2 behind is_projective and
-ns_charpoly; quad_order_model reads its pairing off q in closed form, and
-is_projective decides its models from the degree of the Salem factor.  On
-the models the CLI builds every decision settles in the first round, so the
-later rounds are exercised here with synthetic filters and with root boxes
-widened far beyond what isolation returns.  An mpmath oracle then checks
-the pairings and the decisions over the 245-model grid, in both
-orientations.
+is_projective and the case-3b split of ns_charpoly are read off data each
+model's constructor guarantees (the Salem factor's degree, delta for E x E
+models, det for gl2z models, the half-planes of g1 and g2 and the trace
+polynomial for quartic models) and refine no root box.  The oracle here
+computes g1*g2 at 50 digits, from mpmath's roots nearest the model's root
+boxes, and asks which factor of the degree-2 action vanishes there.  It
+checks the decisions on root boxes widened far beyond what isolation
+returns, and over the 245-model grid, small quartics in every pairing and
+gl2z models, in both orientations.
 """
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
 
-from salemtori.errors import CertificationError
+from salemtori.classify import CASE_3B, _split_complement, salem_case
+from salemtori.errors import NotHyperbolicError, RealRootsError
 from salemtori.intervals import Interval
-from salemtori.poly import IntPoly, squarefree_part
+from salemtori.poly import IntPoly
 from salemtori.salem import RootBox
 from salemtori.torus import (
-    _locate_product,
-    _separate,
     a_form_matrix,
+    from_quartic,
     gl2z_model,
     is_projective,
     ns_charpoly,
@@ -31,35 +33,7 @@ from salemtori.torus import (
     reorient,
 )
 
-DPS = 50
-
-
-class TestSeparate:
-    def test_survivor_after_three_rounds(self):
-        seen = []
-
-        def keep(cands, bits):
-            seen.append(bits)
-            return cands[:1] if bits >= 40 else cands
-
-        assert _separate(["a", "b", "c"], keep, "test") == "a"
-        assert seen == [24, 32, 40]
-
-    def test_empty_list_raises(self):
-        with pytest.raises(CertificationError, match="test lost every candidate"):
-            _separate(["a", "b"], lambda cands, bits: [] if bits > 24 else cands, "test")
-
-    def test_no_separation_raises_after_64_rounds(self):
-        seen = []
-
-        def keep(cands, bits):
-            seen.append(bits)
-            return cands
-
-        with pytest.raises(CertificationError, match="test did not separate"):
-            _separate(["a", "b"], keep, "test")
-        assert len(seen) == 64
-        assert seen[-1] == 528
+from _oracles import DPS, TINY, o_gammas, o_projective, o_roots, o_split_indices
 
 
 def _widened(model, half=Fraction(1, 1 << 12)):
@@ -79,19 +53,20 @@ WIDE_MODELS = {
     "gl2z 3,1": lambda: gl2z_model(3, 1),
     # case 3b: is_projective, then the split of ns_charpoly
     "reoriented quad-order 2,0,1": lambda: reorient(quad_order_model(a_form_matrix(2, 0, 1))),
+    # a quartic Salem factor of degree 4, and a case-3b split of a quartic
+    "quartic 1,-3,1,3,1": lambda: from_quartic(IntPoly.from_descending((1, -3, 1, 3, 1))),
+    "quartic 1,-3,2,3,1 0,3": lambda: from_quartic(IntPoly.from_descending((1, -3, 2, 3, 1)), (0, 3)),
 }
 
 
 @pytest.mark.parametrize("name", WIDE_MODELS)
 def test_decisions_refine_wide_boxes(name):
-    # E x E models decide projectivity without their boxes, so the location
-    # of g1*g2 is called on the wide boxes directly
+    # a quartic model reads only the half-planes of its gammas off the
+    # boxes, so wide boxes decide as narrow ones do
     model = WIDE_MODELS[name]()
     wide = _widened(model)
     assert all(b.re.width == Fraction(1, 1 << 11) for b in wide.root_boxes)
-    rest = wide.salem_factor()
-    located = _locate_product(wide, (rest, squarefree_part(wide.h2_charpoly // rest))) == 1
-    assert located == is_projective(wide) == is_projective(model)
+    assert o_projective(wide) == is_projective(wide) == is_projective(model)
     assert ns_charpoly(wide) == ns_charpoly(model)
 
 
@@ -107,19 +82,27 @@ def _mp_roots(poly: IntPoly):
     return mpmath.polyroots(list(reversed(poly.coeffs)), maxsteps=200, extraprec=400)
 
 
-def _nearest(roots, box):
-    re, im = box.re.mid, box.im.mid
-    centre = mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator, mpmath.mpf(im.numerator) / im.denominator)
-    return min(roots, key=lambda z: abs(z - centre))
+def _check_split(model, roots) -> bool:
+    """For a projective case-3b model, check that ns_charpoly keeps the
+    quadratic of the cyclotomic complement that does not vanish at g1*g2;
+    False for any other model."""
+    rest = model.salem_factor()
+    if rest.degree != 2 or salem_case(rest)[0] != CASE_3B or not is_projective(model):
+        return False
+    quads = _split_complement(model.h2_charpoly // rest)
+    hits = o_split_indices(model, quads, roots)
+    assert len(hits) == 1, (model.origin, model.pairing)
+    assert ns_charpoly(model) == rest * quads[1 - hits[0]], (model.origin, model.pairing)
+    return True
 
 
 def test_grid_decisions_against_mpmath():
     """g1 and g2 are the eigenvalues of the 2x2 matrix over Z[sqrt(-D)],
     the roots of t^2 - tau t + 1 (for the reoriented model, g1 and the
-    conjugate of g2), and the model is projective exactly when g1*g2 is a
-    root of the cyclotomic cofactor of the degree-2 action."""
-    tiny = mpmath.mpf(10) ** -30
-    salem = checked = 0
+    conjugate of g2), the model is projective exactly when g1*g2 is a root
+    of the cyclotomic cofactor of the degree-2 action, and a case-3b split
+    keeps the quadratic that does not vanish at g1*g2."""
+    salem = checked = splits = 0
     with mpmath.workdps(DPS):
         for d, b1, b2, model in _grid():
             tau = b1 + b2 * mpmath.sqrt(d) * 1j
@@ -129,18 +112,53 @@ def test_grid_decisions_against_mpmath():
                 orientations.append(reorient(model))
             for m in orientations:
                 roots = _mp_roots(m.root_poly)
-                g1, g2 = _nearest(roots, m.gamma1.box), _nearest(roots, m.gamma2.box)
+                g1, g2 = o_gammas(m, roots)
                 e2 = mpmath.conj(g2) if m.reoriented else g2
-                assert abs(g1 + e2 - tau) < tiny and abs(g1 * e2 - 1) < tiny, (d, b1, b2, m.reoriented)
+                assert abs(g1 + e2 - tau) < TINY and abs(g1 * e2 - 1) < TINY, (d, b1, b2, m.reoriented)
                 for g in (g1, e2):
-                    assert abs(g * g - tau * g + 1) < tiny
+                    assert abs(g * g - tau * g + 1) < TINY
                 if m.salem_factor().degree == 0:
                     continue
-                # the cofactor has repeated roots, which polyroots does not
-                # converge on; a root of it is where it vanishes
-                cyclo = m.h2_charpoly // m.salem_factor()
-                near_unity = abs(mpmath.polyval(list(reversed(cyclo.coeffs)), g1 * g2)) < tiny
-                assert is_projective(m) == near_unity, (d, b1, b2, m.reoriented)
+                assert is_projective(m) == o_projective(m, roots), (d, b1, b2, m.reoriented)
+                splits += _check_split(m, roots)
                 checked += 1
     # every grid model with a Salem factor, each in both orientations
     assert checked == 2 * salem
+    assert splits > 0
+
+
+def test_quartic_and_gl2z_decisions_against_mpmath():
+    """Quartic models with |coefficients| <= 3 in every pairing and gl2z
+    models with |r| <= 12, each in both orientations: the same checks as
+    on the grid."""
+    verdicts, splits = set(), 0
+    for a, b, c in product(range(-3, 4), repeat=3):
+        p = IntPoly((1, a, b, c, 1))
+        try:
+            base = from_quartic(p)
+        except RealRootsError:
+            continue
+        if base.salem_factor().degree == 0:
+            continue
+        roots = o_roots(base)
+        for pairing in product((0, 1), (2, 3)):
+            model = from_quartic(p, pairing)
+            for m in (model, reorient(model)):
+                verdict = is_projective(m)
+                assert verdict == o_projective(m, roots), (p, m.pairing)
+                verdicts.add((m.salem_factor().degree, verdict))
+                splits += _check_split(m, roots)
+    assert verdicts == {(2, True), (4, True), (4, False), (6, False)}
+    assert splits > 0
+    gl2z = 0
+    for r, det in product(range(-12, 13), (1, -1)):
+        try:
+            model = gl2z_model(r, det)
+        except NotHyperbolicError:
+            continue
+        for m in (model, reorient(model)):
+            assert is_projective(m) and o_projective(m), (r, det, m.reoriented)
+            assert not _check_split(m, None)
+            gl2z += 1
+    # |r| > 2 for det = 1 and r != 0 for det = -1, in two orientations each
+    assert gl2z == 2 * (20 + 24)

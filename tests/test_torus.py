@@ -18,7 +18,7 @@ from salemtori.errors import (
     ZeroEntropyError,
 )
 from salemtori.classify import CASE_3B, _split_complement, salem_case
-from salemtori.poly import IntPoly, cyclotomic, squarefree_part
+from salemtori.poly import IntPoly, cyclotomic
 from salemtori.torus import (
     NotForced,
     QuadOrderMatrix,
@@ -39,7 +39,7 @@ from salemtori.torus import (
 )
 from salemtori.wedge import exterior_square
 
-from _oracles import o_charpoly, o_log_bounds
+from _oracles import o_charpoly, o_log_bounds, o_projective, o_split_indices
 from corpus import _unit_entries
 
 
@@ -249,13 +249,6 @@ class TestReorient:
             reorient(ident)
 
 
-def _projective_by_location(model):
-    """is_projective's verdict found by locating g1*g2 among the roots of
-    the Salem factor and of its cofactor: the reference for the E x E rule."""
-    rest = model.salem_factor()
-    return torus._locate_product(model, (rest, squarefree_part(model.h2_charpoly // rest))) == 1
-
-
 def _unit_matrices(count, seed):
     """count seeded matrices over Z[sqrt(-D)], each a unit diag(u, 1) times
     two to four elementary matrices, upper and lower by turns, with small
@@ -293,54 +286,36 @@ class TestProjectivity:
             ((2, 0, 1), True),
         ],
     )
-    def test_decided_once_per_model(self, monkeypatch, params, flip):
-        # an E x E model reads the verdict off its Salem factor and never
-        # locates g1*g2 for it, in either orientation
-        calls = []
-        locate = torus._locate_product
-
-        def spy(model, polys):
-            # the projectivity call; ns_charpoly's case-3b split is another
-            if polys[0] == model.salem_factor():
-                calls.append(model)
-            return locate(model, polys)
-
-        monkeypatch.setattr(torus, "_locate_product", spy)
+    def test_decided_once_per_model(self, verdicts, no_roots, params, flip):
+        # an E x E model reads the verdict off its Salem factor, in either
+        # orientation, and none of the decisions isolates or refines a root
         model = quad_order_model(a_form_matrix(*params))
         if flip:
             model = reorient(model)
-        is_projective(model)
-        picard_rank(model)
-        ns_charpoly(model)
-        is_projective(reorient(model))
-        assert calls == []
-        assert is_projective(model) == _projective_by_location(model)
+        for decide in (is_projective, picard_rank, ns_charpoly):
+            no_roots(decide)(model)
+        assert verdicts == [model]
+        # a model made by reorient decides afresh
+        no_roots(is_projective)(reorient(model))
+        assert len(verdicts) == 2
+        assert is_projective(model) == o_projective(model)
 
     @pytest.mark.parametrize("flip", [False, True])
-    def test_quartic_decided_once_per_model(self, monkeypatch, flip):
-        calls = []
-        locate = torus._locate_product
-
-        def spy(model, polys):
-            calls.append(model)
-            return locate(model, polys)
-
-        monkeypatch.setattr(torus, "_locate_product", spy)
+    def test_quartic_decided_once_per_model(self, verdicts, no_roots, flip):
         model = from_quartic(IntPoly.from_descending((1, -2, 4, -2, 1)), (0, 2))
         if flip:
             model = reorient(model)
-        is_projective(model)
-        picard_rank(model)
-        ns_charpoly(model)
-        assert len(calls) == 1
-        # a model made by reorient decides afresh
-        is_projective(reorient(model))
-        assert len(calls) == 2
+        for decide in (is_projective, picard_rank, ns_charpoly):
+            no_roots(decide)(model)
+        assert verdicts == [model]
+        no_roots(is_projective)(reorient(model))
+        assert len(verdicts) == 2
+        assert is_projective(model) == o_projective(model)
 
     def test_exact_rule_matches_location(self):
-        """The E x E rule and the location of g1*g2 agree on the grid, the
-        dyadic family for n <= 24 and seeded unit-determinant matrices, in
-        both orientations."""
+        """The E x E rule and the mpmath oracle agree on the grid, the dyadic
+        family for n <= 24 and seeded unit-determinant matrices, in both
+        orientations."""
         models = list(_grid_models())
         models += [dyadic_cm_family(n, k) for n in range(1, 25) for k in range(n + 1)]
         models += [quad_order_model(qm) for qm in _unit_matrices(200, 1406)]
@@ -350,7 +325,7 @@ class TestProjectivity:
                 continue
             for m in (base, reorient(base)):
                 verdict = is_projective(m)
-                assert verdict == _projective_by_location(m), (m.origin, m.reoriented)
+                assert verdict == o_projective(m), (m.origin, m.reoriented)
                 checked += 1
                 dets.add(m.origin.quad.det())
                 degrees.add(m.salem_factor().degree)
@@ -510,9 +485,9 @@ class TestNsCharpoly:
         assert m.h2_charpoly == out * (w.c_poly // quot)
 
     def test_exact_3b_split_matches_location(self):
-        # every unreoriented case-3b model among the corpus --entries
-        # matrices: the quadratic that vanishes at delta is the one that
-        # holds g1*g2
+        # every case-3b model among the corpus --entries matrices, in both
+        # orientations: the quadratic that vanishes at delta is the one that
+        # holds g1*g2, and after reorient the other one is
         checked = 0
         for d, entries in _unit_entries():
             v = [int(x) for x in entries.split(",")]
@@ -522,11 +497,12 @@ class TestNsCharpoly:
             if rest.degree != 2 or salem_case(rest)[0] != CASE_3B:
                 continue
             quads = _split_complement(model.h2_charpoly // rest)
-            located = torus._locate_product(model, tuple(squarefree_part(f) for f in quads))
-            assert torus._det_factor(qm, quads) == located
-            assert ns_charpoly(model) == rest * quads[1 - located]
-            checked += 1
-        assert checked == 12
+            for m in (model, reorient(model)):
+                [located] = o_split_indices(m, quads)
+                assert torus._det_factor(qm, quads) == (1 - located if m.reoriented else located)
+                assert ns_charpoly(m) == rest * quads[1 - located]
+                checked += 1
+        assert checked == 24
 
     def test_exact_3b_split_rejects_a_foreign_determinant(self):
         quads = (IntPoly((1, -1, 1)), IntPoly((1, 1, 1)))
