@@ -20,7 +20,8 @@ in closed form.  The ROOT_COMMANDS
 entries were written while float-seeded isolation refused four of them with
 exit 2; those four were rewritten, as the one recorded move, when circle
 roots came from the trace polynomial and quad-order models read their roots
-off q.
+off q.  The FLOAT_RANGE_COMMANDS entries were written while float seeding
+refused all three with exit 2.
 Certified box endpoints (`lo`, `hi`) are stripped before the comparison:
 they may move when the isolation changes, while every other field, every
 `decimal` string and the exit code must stay byte-identical.  Decimals became
@@ -163,7 +164,16 @@ WEDGE_COMMANDS = (
     ("classify", "1,-1,-1,-1,1"),
     ("classify", "1,0,-1,-1,-1,0,1"),
 )
-GOLDEN_COMMANDS = COMMANDS + REJECTED_COMMANDS + NEGATIVE_COMMANDS + SALEM_COMMANDS + WEDGE_COMMANDS
+# quartic models whose roots off the unit circle lie near 10**150 and
+# 10**200 and near their inverses, which float seeding cannot reach
+FLOAT_RANGE_COMMANDS = (
+    ("construct", "quartic", "--poly", f"1,0,{10**300},0,1"),
+    ("reorient", "quartic", "--poly", f"1,0,{10**300},0,1"),
+    ("construct", "quartic", "--poly", f"1,0,{10**400},0,1"),
+)
+GOLDEN_COMMANDS = (
+    COMMANDS + REJECTED_COMMANDS + NEGATIVE_COMMANDS + SALEM_COMMANDS + WEDGE_COMMANDS + FLOAT_RANGE_COMMANDS
+)
 
 
 def _strip_endpoints(value):
