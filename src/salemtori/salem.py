@@ -9,13 +9,12 @@ halves the degree, Sturm counts of the image polynomial on (-inf, -2),
 (-2, 2), (2, inf) decide the root layout, and under the Salem layout
 Kronecker's theorem reduces irreducibility to a few exact divisions of the
 image.  The same image gives the circle roots of a reciprocal polynomial
-whose image has only real roots.  Floating point appears only to seed the
-boxes of other complex roots, which are then certified exactly.
+whose image has only real roots.  Other complex roots get inclusion discs
+from Aberth's iteration in Gaussian integers; no step uses floating point.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,14 +39,14 @@ MAX_DEGREE = 8
 # 2**-28
 _LAMBDA_BITS = 48
 _REAL_BITS = 28
-# float-seeded complex root boxes, and the closed-form boxes of torus, are
-# certified at 2**-200 or finer, so their 12-place decimals are those of the
-# roots themselves; a seeded box wider than 2**-24 fails, and circle boxes
-# start at 2**-24
+# _aberth's boxes and torus's closed-form ones are certified at 2**-200 or
+# finer, so their 12-place decimals are the roots' own; an _aberth box on the
+# axis or over 2**-24 wide doubles that, up to _ABERTH_ROUNDS times
 _BOX_BITS = 200
 _MAX_BOX_WIDTH = Fraction(1, 1 << 24)
-_ABERTH_STEPS = 500
-_NEWTON_STEPS = 64
+_ABERTH_ROUNDS = 3
+_START_BITS = 16
+_ABERTH_SWEEPS = 2000
 
 
 def trace_transform(p: IntPoly) -> IntPoly:
@@ -431,52 +430,31 @@ def _real_roots(p: IntPoly, chain: SturmChain):
     return sorted([Interval.point(r) for r in int_roots] + isolated, key=lambda iv: iv.lo)
 
 
-def _float_seeds(p: IntPoly):
-    """Every complex root of a monic p to about float accuracy, by Aberth's
-    simultaneous iteration.
-
-    The start points sit on a circle of Fujiwara's root-bound radius, turned
-    off the real axis so that real arithmetic cannot trap them there.  Raises
-    CertificationError when the coefficients or the iterates leave the float
-    range.
-    """
-    n = p.degree
-    try:
-        a = [float(x) for x in p.coeffs]
-        rho = 2 * max(abs(a[j]) ** (1 / (n - j)) for j in range(n))
-        z = [rho * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
-        for _ in range(_ABERTH_STEPS):
-            settled = True
-            for i in range(n):
-                zi = z[i]
-                pv = dv = 0j
-                for coef in reversed(a):
-                    dv = dv * zi + pv
-                    pv = pv * zi + coef
-                if pv == 0:
-                    continue
-                ratio = pv / dv
-                w = ratio / (1 - ratio * sum(1 / (zi - z[j]) for j in range(n) if j != i))
-                z[i] = zi - w
-                settled = settled and abs(w) <= 1e-15 * abs(z[i])
-            if settled:
-                break
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise CertificationError(f"float seeding failed for {p}: {exc}") from None
-    if not all(cmath.isfinite(zi) for zi in z):
-        raise CertificationError(f"float seeding left the float range for {p}")
-    return z
+def _newton_polygon(c):
+    """(e, m) per edge of the upper hull of the points (j, bit_length|c_j|),
+    from left to right, each vertex followed by the steepest point ahead,
+    the farthest on a tie: m roots of modulus about 2**e, for m the width of
+    the edge and -e its slope, rounded down (Bini, 1996).  A zero c_0 gives
+    its root a start on an inner circle."""
+    points = [(j, abs(a).bit_length()) for j, a in enumerate(c)]
+    edges, (x0, y0) = [], points[0]
+    while x0 < len(c) - 1:
+        x1, y1 = max((q for q in points if q[0] > x0), key=lambda q: (Fraction(q[1] - y0, q[0] - x0), q[0]))
+        edges.append(((y0 - y1) // (x1 - x0), x1 - x0))
+        x0, y0 = x1, y1
+    return edges
 
 
-def _scaled_eval(c, x: int, y: int, k: int):
-    """2**(k*m) * f((x + iy) / 2**k) as a Gaussian integer, for f of degree m
-    with ascending coefficients c."""
+def _scaled_values(c, x: int, y: int, k: int):
+    """(P, Q) for f with ascending coefficients c, of degree m, at
+    z = (x + iy) / 2**k: the Gaussian integers P = 2**(k*m) * f(z) and
+    Q = 2**(k*(m - 1)) * f'(z), by one Horner pass for both."""
     m = len(c) - 1
-    re, im = c[m], 0
+    pr, pi, qr, qi = c[m], 0, 0, 0
     for j in range(m - 1, -1, -1):
-        s = c[j] << (k * (m - j))
-        re, im = re * x - im * y + s, re * y + im * x
-    return re, im
+        qr, qi = qr * x - qi * y + pr, qr * y + qi * x + pi
+        pr, pi = pr * x - pi * y + (c[j] << (k * (m - j))), pr * y + pi * x
+    return pr, pi, qr, qi
 
 
 def _round_div(a: int, b: int) -> int:
@@ -484,47 +462,79 @@ def _round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-def _newton_box(p: IntPoly, x: Fraction, y: Fraction, bits: int) -> Box:
-    """Certified box around the root that Newton's method reaches from x + iy.
+def _aberth(p: IntPoly, bits: int, starts=None):
+    """One certified box per iterate of Aberth's simultaneous iteration
+    (Aberth, 1973), around the root the iterate reaches.
 
-    The iterate is a Gaussian integer over 2**k.  Each Newton step is exact
-    and rounds to the nearest point over 2**min(2k, bits), so the precision
-    doubles up to 2**-bits; there the steps go on until they move the
-    iterate by at most one unit.  k starts at the precision of the start
-    point, with 2**k the larger denominator when x and y are dyadic, so the
-    start point is taken exactly at any size.  The box is the inclusion disc of
-    radius n*|p/p'| at the last iterate, rounded outward to whole units of
-    2**-bits with one unit to spare, so the root it holds lies at least
-    2**-bits inside every edge.
+    Iterates are Gaussian integers over 2**k.  A sweep moves each in turn by
+    w = N / (1 - N S), N = p/p' at it and S the sum of 1/(z - z') over the
+    others, exact and rounded to the nearest unit; one that lands on another
+    moves up a unit.  With one iterate this is Newton's method.  From the
+    first sweep that moves none by more than a unit, k doubles each sweep up
+    to bits, where such a sweep ends the iteration.  Without starts, the
+    Newton polygon places p.degree iterates, 2**e (3 + 4i)**j / 5**j for m
+    running counts j per edge of m roots of modulus about 2**e: none real,
+    no two alike, as (3 + 4i)/5 is no root of unity.  k starts at
+    _START_BITS, k and bits raised by -e of the innermost edge if positive,
+    so each root starts with as many bits of its own size.  Otherwise starts
+    holds dyadic (x, y) pairs, taken exactly up to 2**-bits.
+
+    A box is the inclusion disc of radius n*|p/p'| at the last iterate,
+    n = p.degree, which holds a root, rounded outward to units of 2**-bits
+    with one unit to spare.  Raises CertificationError after _ABERTH_SWEEPS
+    sweeps, or where a correction or a radius is undefined.
     """
-    c = p.coeffs
-    dc = kern.deriv(c)
-    n = p.degree
-    k = max(1, min(bits, max(x.denominator, y.denominator).bit_length() - 1))
-    X, Y = round(x * (1 << k)), round(y * (1 << k))
-    settled = False
-    for _ in range(_NEWTON_STEPS):
-        pr, pi = _scaled_eval(c, X, Y, k)
-        qr, qi = _scaled_eval(dc, X, Y, k)
-        # p / p' = (pr + i pi) / ((qr + i qi) 2**k)
-        den = qr * qr + qi * qi
-        if den == 0:
-            raise CertificationError(f"p' vanishes at a Newton iterate for {p}")
-        if settled:
-            m = -(-(n * n * (pr * pr + pi * pi)) // den)
-            r = math.isqrt(m) + 2
-            s = 1 << bits
-            return Box(
-                Interval(Fraction(X - r, s), Fraction(X + r, s)),
-                Interval(Fraction(Y - r, s), Fraction(Y + r, s)),
-            )
-        k2 = min(2 * k, bits)
-        shift = k2 - k
-        dx = _round_div((pr * qr + pi * qi) << shift, den)
-        dy = _round_div((pi * qr - pr * qi) << shift, den)
-        X, Y, k = (X << shift) - dx, (Y << shift) - dy, k2
-        settled = k == bits and abs(dx) <= 1 and abs(dy) <= 1
-    raise CertificationError(f"Newton's method did not settle on a root of {p}")
+    c, n = p.coeffs, p.degree
+    if starts is None:
+        edges = _newton_polygon(c)
+        extra = max(0, -edges[0][0])
+        k, bits = _START_BITS + extra, bits + extra
+        zs, a, b, five = [], 1, 0, 1
+        for e in [e for e, m in edges for _ in range(m)]:
+            a, b, five = 3 * a - 4 * b, 4 * a + 3 * b, 5 * five
+            zs.append((_round_div(a << (e + k), five), _round_div(b << (e + k), five)))
+    else:
+        k = max(1, min(bits, max(max(x.denominator, y.denominator) for x, y in starts).bit_length() - 1))
+        zs = [(round(x * (1 << k)), round(y * (1 << k))) for x, y in starts]
+    k0 = k
+    for _ in range(_ABERTH_SWEEPS):
+        settled = True
+        for i, (x, y) in enumerate(zs):
+            pr, pi, qr, qi = _scaled_values(c, x, y, k)
+            # S / 2**k = A / B, the sum of 1 / (z - z') over units of 2**-k
+            ar, ai, br, bi = 0, 0, 1, 0
+            for u, v in zs[:i] + zs[i + 1 :]:
+                dr, di = x - u, y - v
+                ar, ai = ar * dr - ai * di + br, ar * di + ai * dr + bi
+                br, bi = br * dr - bi * di, br * di + bi * dr
+            # w * 2**k = P B / (Q B - P A), since N = P / (Q 2**k)
+            nr, ni = pr * br - pi * bi, pr * bi + pi * br
+            dr, di = qr * br - qi * bi - pr * ar + pi * ai, qr * bi + qi * br - pr * ai - pi * ar
+            den = dr * dr + di * di
+            if den == 0:
+                raise CertificationError(f"Aberth's correction is undefined at an iterate for {p}")
+            dx, dy = _round_div(nr * dr + ni * di, den), _round_div(ni * dr - nr * di, den)
+            x, y, zs[i] = x - dx, y - dy, None
+            while (x, y) in zs:
+                y += 1
+            zs[i] = x, y
+            settled = settled and abs(dx) <= 1 and abs(dy) <= 1
+        if k == bits:
+            if settled:
+                break
+        elif settled or k > k0:
+            shift = min(k, bits - k)
+            zs, k = [(x << shift, y << shift) for x, y in zs], k + shift
+    else:
+        raise CertificationError(f"Aberth's iteration did not settle on the roots of {p}")
+    boxes, unit = [], Fraction(1, 1 << bits)
+    for x, y in zs:
+        pr, pi, qr, qi = _scaled_values(c, x, y, k)
+        if qr == qi == 0:
+            raise CertificationError(f"p' vanishes at an Aberth iterate for {p}")
+        r = math.isqrt(-(-(n * n * (pr * pr + pi * pi)) // (qr * qr + qi * qi))) + 2
+        boxes.append(Box(Interval(x - r, x + r) * unit, Interval(y - r, y + r) * unit))
+    return boxes
 
 
 @lru_cache(maxsize=1024)
@@ -537,7 +547,7 @@ def isolate_all_roots(p: IntPoly):
     upper ones ordered by the (re, im) of their box centres; conjugate_index
     wires up each pair.  The real roots come from the Sturm chain of p, the
     upper ones from the trace polynomial when _circle_trace finds that they
-    lie on the unit circle, and from float seeds otherwise.  Results are
+    lie on the unit circle, and from _aberth otherwise.  Results are
     memoised per polynomial.
     """
     if p.degree > MAX_DEGREE:
@@ -576,19 +586,13 @@ def _upper_boxes(p: IntPoly, n_pairs: int):
             raise CertificationError(f"{len(brackets)} circle roots for {n_pairs} conjugate pairs of {p}")
         # the brackets ascend, and so do the real parts u/2
         return [_circle_box(t_poly, iv, _MAX_BOX_WIDTH) for iv in brackets]
-    # real roots come out of the float iteration with rounding noise in the
-    # imaginary part; the n_pairs largest imaginary parts are the complex ones
-    seeds = sorted(_float_seeds(p), key=lambda z: -z.imag)[:n_pairs]
-    boxes = []
-    for z in seeds:
-        # a root closer to the real axis than 1/2 gets one more bit for each
-        # binary place it is closer, so its box stays clear of the axis
-        box = _newton_box(p, Fraction(z.real), Fraction(z.imag), _BOX_BITS - min(0, math.frexp(z.imag)[1]))
-        if box.im.lo <= 0 or box.re.width > _MAX_BOX_WIDTH:
-            raise CertificationError(f"complex root isolation failed for {p}: box {box}")
-        boxes.append(box)
-    boxes.sort(key=lambda b: (b.re.mid, b.im.mid))
-    return boxes
+    # the iterates of real roots settle within a unit of the real axis; the
+    # n_pairs largest imaginary parts are the upper roots
+    for r in range(_ABERTH_ROUNDS):
+        boxes = sorted(_aberth(p, _BOX_BITS << r), key=lambda b: -b.im.mid)[:n_pairs]
+        if all(b.im.lo > 0 and b.re.width <= _MAX_BOX_WIDTH for b in boxes):
+            return sorted(boxes, key=lambda b: (b.re.mid, b.im.mid))
+    raise CertificationError(f"complex root isolation failed for {p}")
 
 
 @lru_cache(maxsize=1024)
@@ -660,8 +664,9 @@ def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
 
     A lower box is refined as the mirror image of its upper one.  A real
     box is continued by _continue_bracket on p, a circle box by
-    _continue_bracket on the trace polynomial, and any other box by Newton's
-    method from its centre.
+    _continue_bracket on the trace polynomial, and any other box by _aberth
+    from its centre alone, which is Newton's method; its new box holds the
+    old box's root, as it must lie within the old box.
     """
     if rb.re.width <= width and rb.im.width <= width:
         return rb
@@ -682,13 +687,7 @@ def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
         box = _circle_box(t_poly, Interval(max(u.lo, hits[0].lo), min(u.hi, hits[0].hi)), width)
         return RootBox(box.re, box.im, rb.conjugate_index)
     target = rb.box
-    box = _newton_box(p, target.re.mid, target.im.mid, _bits_below(width) + 6)
-    inside = (
-        target.re.lo <= box.re.lo
-        and box.re.hi <= target.re.hi
-        and target.im.lo <= box.im.lo
-        and box.im.hi <= target.im.hi
-    )
-    if not inside or box.re.width > width:
+    box = _aberth(p, _bits_below(width) + 6, [(target.re.mid, target.im.mid)])[0]
+    if not (target.contains(box.re.lo, box.im.lo) and target.contains(box.re.hi, box.im.hi)) or box.re.width > width:
         raise CertificationError(f"could not refine box for {p}")
     return RootBox(box.re, box.im, rb.conjugate_index)

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .intervals import Box, Interval, log_interval
 from .poly import ONE, IntPoly, split_cyclotomic, squarefree_part
-from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, _bits_below, _continue_bracket, _with_conjugates
+from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, SturmChain, _bits_below, _continue_bracket, _with_conjugates
 from .salem import isolate_all_roots, lambda_interval, refine_root_box, trace_layout, trace_transform
 from .wedge import exterior_square
 
@@ -320,12 +320,13 @@ def from_quartic(p: IntPoly, pairing_choice=None) -> TorusModel:
     if h1 != p:
         raise CertificationError(f"companion model has characteristic polynomial {h1}, not {p}")
     sf = squarefree_part(h1)
-    boxes = isolate_all_roots(sf)
-    if any(b.is_real for b in boxes):
-        reals = [b for b in boxes if b.is_real]
+    # an exact Sturm count decides the real roots before any is isolated
+    n_real = SturmChain(sf).count_real()
+    if n_real:
         raise RealRootsError(
-            f"{p} has {len(reals)} real roots; this pairing needs none (real spectra pair through gl2z_model)"
+            f"{p} has {n_real} real roots; this pairing needs none (real spectra pair through gl2z_model)"
         )
+    boxes = isolate_all_roots(sf)
     squarefree = sf == p
     if squarefree:
         if pairing_choice is None:

@@ -183,12 +183,12 @@ class TestConstruct:
         assert doc["entropy"]["hi"] == "0"
 
     def test_oversized_quartic_is_clean_rejection(self):
-        # coefficients beyond the float range cannot be seeded; the failure is
-        # a JSON error with exit 2, not a traceback
+        # roots near 10**200 and 10**-200, beyond the float range: the model
+        # builds, with no traceback
         out = run("construct", "quartic", "--poly", f"1,0,{10**400},0,1")
-        assert out.returncode == 2
+        assert out.returncode == 0
         assert out.stderr == ""
-        assert json.loads(out.stdout)["error"]["type"] == "CertificationError"
+        assert json.loads(out.stdout)["matrix"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -210,6 +210,18 @@ class TestConstruct:
         doc = json.loads(out.stdout)
         assert doc["matrix"] and doc["projective"] is True
         assert re.fullmatch(r"\d+\.\d{12}", doc["entropy"]["decimal"])
+
+    @pytest.mark.parametrize(
+        "poly", [f"1,0,{2**3999},0,1", f"1,1,{2**3999},1,1"], ids=("1,0,2^3999,0,1", "1,1,2^3999,1,1")
+    )
+    def test_cap_size_quartic_ends_quickly(self, poly):
+        # roots near 2**2000 and 2**-2000: Aberth's iteration starts on the
+        # circles of the Newton polygon with 2000 more bits, so every root
+        # gets as many bits of its own size
+        out = run("construct", "quartic", "--poly", poly, timeout=5)
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert json.loads(out.stdout)["matrix"]
 
     @pytest.mark.parametrize("r", [3 * 10**160 + 1, 3 * 10**300 + 1], ids=("3e160+1", "3e300+1"))
     @pytest.mark.parametrize("command, det", [("construct", "1"), ("reorient", "-1")])

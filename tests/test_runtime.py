@@ -1,7 +1,7 @@
-"""salemtori needs nothing beyond the standard library at run time, no
-certification guard is an assert that python -O would drop, no private
-helper and no public name is left without a use, and every name the
-benchmark's tracer wraps exists."""
+"""salemtori needs nothing beyond the standard library at run time, computes
+with no floating point, no certification guard is an assert that python -O
+would drop, no private helper and no public name is left without a use, and
+every name the benchmark's tracer wraps exists."""
 
 import ast
 import inspect
@@ -67,6 +67,27 @@ def test_no_assert_in_the_package():
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _is_floating_point(node) -> bool:
+    """An import of cmath, a call of float, or a float or complex literal."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "cmath" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "cmath"
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "float"
+    return isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+
+
+def test_no_floating_point_in_the_package():
+    # every number the package computes is an integer or a fraction; root
+    # boxes come from integer iterations, not from float seeds
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _is_floating_point(node)]
     assert found == []
 
 

@@ -556,8 +556,8 @@ class TestIsolateAll:
         _check_refinable(IntPoly((1, -2, 4, -2, 1)))
 
     def test_newton_starts_at_the_centre_precision(self):
-        # roots 2**1100 +- i, beyond the float range: Newton's method takes
-        # the box centre as it is, with no float in between
+        # roots 2**1100 +- i, beyond the float range: Aberth's iteration from
+        # the box centre alone, which is Newton's method, takes it as it is
         big = 1 << 1100
         p = IntPoly((big * big + 1, -2 * big, 1))
         half = Fraction(1, 1 << 20)
@@ -565,6 +565,34 @@ class TestIsolateAll:
         out = refine_root_box(p, rb, Fraction(1, 1 << 60))
         assert out.re.width <= Fraction(1, 1 << 60) and out.im.width <= Fraction(1, 1 << 60)
         assert out.re.contains(big) and out.im.contains(1)
+
+    def test_cluster_ends_under_the_sweep_cap(self, monkeypatch):
+        # roots 2**1100 +- i, 2 apart at a modulus of 2**1100: the iterates
+        # close in on the pair a constant factor per sweep, so isolation ends
+        # under the cap of _ABERTH_SWEEPS sweeps, with boxes or a clean
+        # CertificationError
+        evaluations = []
+        scaled_values = salem._scaled_values
+
+        def spy(*args):
+            evaluations.append(args)
+            return scaled_values(*args)
+
+        monkeypatch.setattr(salem, "_scaled_values", spy)
+        big = 1 << 1100
+        p = IntPoly((big * big + 1, -2 * big, 1))
+        isolate_all_roots.cache_clear()
+        try:
+            boxes = isolate_all_roots(p)
+        except CertificationError:
+            boxes = None
+        # each round sweeps 2 iterates, then takes their radii
+        assert len(evaluations) <= salem._ABERTH_ROUNDS * 2 * (salem._ABERTH_SWEEPS + 1)
+        if boxes is not None:
+            assert [(b.re.contains(big), b.im.contains(1), b.im.contains(-1)) for b in boxes] == [
+                (True, True, False),
+                (True, False, True),
+            ]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
@@ -667,6 +695,16 @@ BIG_CONSTANT_SEXTICS = (
     IntPoly((10**30 + 57, 0, 0, -2, 0, 0, 1)),
 )
 
+# quartics whose roots lie beyond the float range: near 10**-+150 and
+# 10**-+200, and near 2**1000 at the size cap; as in TestExactRoots, mpmath
+# needs the digits of the largest root beyond 60, and the slack must stay
+# far below the distance between the smallest roots
+FLOAT_RANGE_QUARTICS = (
+    ("1,0,1e300,0,1", IntPoly((1, 0, 10**300, 0, 1)), 361, Fraction(1, 10**190)),
+    ("1,0,1e400,0,1", IntPoly((1, 0, 10**400, 0, 1)), 461, Fraction(1, 10**240)),
+    ("2^3999+1,0,0,0,1", IntPoly((2**3999 + 1, 0, 0, 0, 1)), 361, ORACLE_SLACK),
+)
+
 
 @pytest.mark.usefixtures("no_trial_division")
 class TestIsolationOracle:
@@ -684,10 +722,14 @@ class TestIsolationOracle:
         for p in polys:
             _check_against_oracle(p)
 
-    @pytest.mark.parametrize("p", BIG_CONSTANT_SEXTICS, ids=lambda p: f"c0={p.constant:.1e}")
-    def test_big_constant_term(self, p):
-        # 80 digits resolve the roots near 10**15 to well inside the slack
-        _check_against_oracle(p, dps=80)
+    @pytest.mark.parametrize(
+        "p, dps, slack",
+        [pytest.param(p, 80, ORACLE_SLACK, id=f"c0={p.constant:.1e}") for p in BIG_CONSTANT_SEXTICS]
+        + [pytest.param(p, dps, slack, id=ident) for ident, p, dps, slack in FLOAT_RANGE_QUARTICS],
+    )
+    def test_big_constant_term(self, p, dps, slack):
+        # 80 digits resolve the sextics' roots near 10**15 to well inside the slack
+        _check_against_oracle(p, dps, slack)
         points = [b.re.lo for b in isolate_all_roots(p) if b.is_real and b.re.width == 0]
         assert points == [r for r in (-(10**15 + 91), -9999973, 9999991, 10**15 + 37) if p(r) == 0]
 
@@ -710,14 +752,14 @@ class TestIsolationOracle:
         assert ims == pytest.approx([0.6180339887, -0.6180339887, 1.6180339887, -1.6180339887])
 
     def test_models_without_mpmath_seeds(self, monkeypatch):
-        # nor float seeds: quad-order roots come from q, the roots of the
-        # factors of h2 from the trace polynomial; the models are the
+        # nor Aberth's iteration: quad-order roots come from q, the roots of
+        # the factors of h2 from the trace polynomial; the models are the
         # benchmark's 80 and a dyadic one
         def refuse(*args, **kwargs):
             raise RuntimeError(f"seeds for {args}")
 
         monkeypatch.setattr(mpmath, "polyroots", refuse)
-        monkeypatch.setattr(salem, "_float_seeds", refuse)
+        monkeypatch.setattr(salem, "_aberth", refuse)
         isolate_all_roots.cache_clear()
         salem._circle_trace.cache_clear()
         model = quad_order_model(a_form_matrix(1, 1, 1))

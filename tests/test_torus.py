@@ -187,6 +187,16 @@ class TestFromQuartic:
         with pytest.raises(RealRootsError):
             from_quartic(IntPoly((1, -2, -2, -2, 1)))
 
+    def test_real_roots_decided_before_isolation(self, monkeypatch):
+        # t^4 - 10**400 t + 1 has real roots near 10**-400 and 10**133;
+        # the Sturm count rejects it with no root isolated
+        def refuse(p):
+            raise AssertionError(f"isolated the roots of {p}")
+
+        monkeypatch.setattr(torus, "isolate_all_roots", refuse)
+        with pytest.raises(RealRootsError, match="has 2 real roots"):
+            from_quartic(IntPoly((1, -(10**400), 0, 0, 1)))
+
     def test_degree_gate(self):
         with pytest.raises(WrongDegreeError):
             from_quartic(IntPoly((1, -3, 1)))
