@@ -15,10 +15,9 @@ that split and RANKS holds the Picard ranks each case forces; torus reads both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import isqrt
-from typing import Optional
 
+from ._record import Record
 from .errors import CertificationError, NotSalemInputError, WrongDegreeError
 from .poly import ONE, IntPoly, _quadratic_split, cyclotomic
 from .salem import NotSalem, SalemCertificate, SturmChain, is_salem
@@ -43,23 +42,25 @@ RANKS = {
 _TYPES = {tag: tuple(kind for kind, _ in ranks) for tag, ranks in RANKS.items()}
 
 
-@dataclass(frozen=True)
-class Finite:
+class Finite(Record):
     """Realized by finitely many quartets; count is the number found."""
 
-    count: int
+    __slots__ = ("count",)
+
+    def __init__(self, count: int):
+        super().__init__(count)
 
 
-@dataclass(frozen=True)
-class InfiniteFamily:
+class InfiniteFamily(Record):
     """Realized by an infinite family; r is the integer with q -sign- 2 = r^2."""
 
-    r: int
-    sign: str
+    __slots__ = ("r", "sign")
+
+    def __init__(self, r: int, sign: str):
+        super().__init__(r, sign)
 
 
-@dataclass(frozen=True)
-class PairingClass:
+class PairingClass(Record):
     """One complex-structure choice on a witness, up to overall conjugation.
 
     kind "conjugate": indices pick (g1, g2) among the isolated roots of the
@@ -67,21 +68,20 @@ class PairingClass:
     a real hyperbolic quadratic, realized by gl2z_model(*gl_params).
     """
 
-    kind: str
-    indices: Optional[tuple] = None
-    gl_params: Optional[tuple] = None
+    __slots__ = ("kind", "indices", "gl_params")
+
+    def __init__(self, kind: str, indices: tuple | None = None, gl_params: tuple | None = None):
+        super().__init__(kind, indices, gl_params)
 
 
-@dataclass(frozen=True)
-class Witness:
-    q_poly: IntPoly
-    c_poly: IntPoly
-    p_poly: IntPoly
-    classes: tuple
+class Witness(Record):
+    __slots__ = ("q_poly", "c_poly", "p_poly", "classes")
+
+    def __init__(self, q_poly: IntPoly, c_poly: IntPoly, p_poly: IntPoly, classes: tuple):
+        super().__init__(q_poly, c_poly, p_poly, classes)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Everything decidable about one Salem number's torus realizations.
 
     picard_ranks maps projectivity type to the forced rank (or
@@ -89,14 +89,24 @@ class ClassificationReport:
     witnesses empty means log(lambda) is not an automorphism entropy.
     """
 
-    salem: SalemCertificate
-    case_tag: str
-    q_value: Optional[int] = None
-    square_witness: Optional[tuple] = None
-    projective_types: tuple = ()
-    picard_ranks: tuple = ()
-    finiteness: object = None
-    witnesses: tuple = ()
+    __slots__ = (
+        "salem", "case_tag", "q_value", "square_witness", "projective_types", "picard_ranks", "finiteness", "witnesses"
+    )
+
+    def __init__(
+        self,
+        salem: SalemCertificate,
+        case_tag: str,
+        q_value: int | None = None,
+        square_witness: tuple | None = None,
+        projective_types: tuple = (),
+        picard_ranks: tuple = (),
+        finiteness: object = None,
+        witnesses: tuple = (),
+    ):
+        super().__init__(
+            salem, case_tag, q_value, square_witness, projective_types, picard_ranks, finiteness, witnesses
+        )
 
 
 def _coerce_cert(s) -> SalemCertificate:
@@ -221,7 +231,7 @@ def realizable(s) -> ClassificationReport:
             verdict = InfiniteFamily(*report.square_witness)
         else:
             verdict = Finite(sum(len(w.classes) for w in witnesses))
-    return replace(report, witnesses=tuple(witnesses), finiteness=verdict)
+    return report.replace(witnesses=tuple(witnesses), finiteness=verdict)
 
 
 def _split_complement(c_poly: IntPoly) -> tuple:

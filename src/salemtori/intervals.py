@@ -8,26 +8,27 @@ beyond the standard library is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, isqrt
 
+from ._record import Record, set_field
 
-@dataclass(frozen=True)
-class Interval:
+
+class Interval(Record):
     """Closed interval with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        lo = Fraction(self.lo)
-        hi = Fraction(self.hi)
+    def __init__(self, lo, hi):
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
         if lo > hi:
             raise ValueError(f"inverted interval [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
     @classmethod
     def point(cls, x) -> "Interval":
@@ -85,12 +86,14 @@ def _as_interval(x) -> Interval:
     return Interval.point(x)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Axis-aligned rectangle in the complex plane."""
 
-    re: Interval
-    im: Interval
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Interval, im: Interval):
+        set_field(self, "re", re)
+        set_field(self, "im", im)
 
     def intersects(self, other: "Box") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)

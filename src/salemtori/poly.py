@@ -7,24 +7,27 @@ delegated to the coefficient kernels in _kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from operator import index
 
 from . import _kernels as kern
+from ._record import Record, set_field
 from .errors import DegreeTooLargeError, NotMonicError, ParseError
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """Integer polynomial.  coeffs[i] multiplies t**i; no trailing zeros."""
+class IntPoly(Record):
+    """Integer polynomial.  coeffs[i] multiplies t**i; no trailing zeros.
 
-    coeffs: tuple = ()
+    A coefficient that is not an integer (a float, a Fraction, a str) raises
+    TypeError rather than being truncated.
+    """
 
-    def __post_init__(self):
-        c = kern.normalize(tuple(int(x) for x in self.coeffs))
-        object.__setattr__(self, "coeffs", c)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        set_field(self, "coeffs", kern.normalize(map(index, coeffs)))
 
     @classmethod
     def from_descending(cls, seq) -> "IntPoly":

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from . import _kernels as kern
+from ._record import Record, set_field
 from .errors import (
     CertificationError,
     DegreeTooLargeError,
@@ -126,25 +125,26 @@ class SturmChain:
         return self.variations_neg_inf() - self.variations_pos_inf()
 
 
-@dataclass(frozen=True)
-class NotSalem:
+class NotSalem(Record):
     """Negative certification outcome.  Falsy, with a checkable witness."""
 
-    reason: str  # not-monic | not-reciprocal | reducible | wrong-circle-count
-    witness: object = None
-    detail: str = ""
+    __slots__ = ("reason", "witness", "detail")
+
+    # reason: not-monic | not-reciprocal | reducible | wrong-circle-count
+    def __init__(self, reason: str, witness: object = None, detail: str = ""):
+        super().__init__(reason, witness, detail)
 
     def __bool__(self):
         return False
 
 
-@dataclass(frozen=True)
-class SalemCertificate:
-    poly: IntPoly
-    degree: int
-    trace_poly: IntPoly
-    root_interval: Interval
-    circle_root_count: int
+class SalemCertificate(Record):
+    __slots__ = ("poly", "degree", "trace_poly", "root_interval", "circle_root_count")
+
+    def __init__(
+        self, poly: IntPoly, degree: int, trace_poly: IntPoly, root_interval: Interval, circle_root_count: int
+    ):
+        super().__init__(poly, degree, trace_poly, root_interval, circle_root_count)
 
     def __bool__(self):
         return True
@@ -354,13 +354,15 @@ def lambda_approx(cert, eps) -> Interval:
     return _continue_bracket(cert.poly, iv, Fraction(1, 1 << _bits_below(eps)))
 
 
-@dataclass(frozen=True)
-class RootBox:
+class RootBox(Record):
     """Certified box around exactly one root of the isolated polynomial."""
 
-    re: Interval
-    im: Interval
-    conjugate_index: Optional[int] = None
+    __slots__ = ("re", "im", "conjugate_index")
+
+    def __init__(self, re: Interval, im: Interval, conjugate_index: int | None = None):
+        set_field(self, "re", re)
+        set_field(self, "im", im)
+        set_field(self, "conjugate_index", conjugate_index)
 
     @property
     def is_real(self) -> bool:

@@ -16,13 +16,13 @@ from_quartic's pairing check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import isqrt
-from typing import Optional
+from operator import index
 
+from ._record import Record
 from .classify import CASE_3B, RANKS, UNCONSTRAINED, _split_complement, salem_case
 from .errors import (
     BadParametersError,
@@ -93,20 +93,22 @@ def _qo_norm(x, d):
     return x[0] * x[0] + x[1] * x[1] * d
 
 
-@dataclass(frozen=True)
-class QuadOrderMatrix:
-    """2x2 matrix over Z[sqrt(-d_param)]; entries are (a, b) pairs a + b*sqrt(-D)."""
+class QuadOrderMatrix(Record):
+    """2x2 matrix over Z[sqrt(-d_param)]; entries are (a, b) pairs a + b*sqrt(-D).
 
-    d_param: int
-    entries: tuple
+    A parameter or coordinate that is not an integer raises TypeError.
+    """
 
-    def __post_init__(self):
-        if self.d_param < 1:
-            raise BadParametersError(f"order parameter must be positive, got {self.d_param}")
-        e = tuple(tuple((int(v[0]), int(v[1])) for v in row) for row in self.entries)
+    __slots__ = ("d_param", "entries")
+
+    def __init__(self, d_param: int, entries: tuple):
+        d_param = index(d_param)
+        if d_param < 1:
+            raise BadParametersError(f"order parameter must be positive, got {d_param}")
+        e = tuple(tuple((index(v[0]), index(v[1])) for v in row) for row in entries)
         if len(e) != 2 or any(len(row) != 2 for row in e):
             raise BadParametersError("entries must form a 2x2 matrix")
-        object.__setattr__(self, "entries", e)
+        super().__init__(d_param, e)
 
     def trace(self):
         e = self.entries
@@ -136,7 +138,7 @@ class QuadOrderMatrix:
 
 def a_form_matrix(d_param: int, b1: int, b2: int) -> QuadOrderMatrix:
     """The one-step automorphism shape [[0, -1], [1, b1 + b2*sqrt(-D)]]."""
-    return QuadOrderMatrix(d_param, (((0, 0), (-1, 0)), ((1, 0), (int(b1), int(b2)))))
+    return QuadOrderMatrix(d_param, (((0, 0), (-1, 0)), ((1, 0), (b1, b2))))
 
 
 def _a_form_params(qm: QuadOrderMatrix):
@@ -166,17 +168,16 @@ def _norm_charpoly(qm: QuadOrderMatrix) -> IntPoly:
 # the model record
 
 
-@dataclass(frozen=True)
-class ModelOrigin:
+class ModelOrigin(Record):
     """Constructor provenance; quad is set when the model came from E x E."""
 
-    family: str
-    params: tuple = ()
-    quad: Optional[QuadOrderMatrix] = None
+    __slots__ = ("family", "params", "quad")
+
+    def __init__(self, family: str, params: tuple = (), quad: QuadOrderMatrix | None = None):
+        super().__init__(family, params, quad)
 
 
-@dataclass(frozen=True)
-class TorusModel:
+class TorusModel(Record):
     """Immutable torus automorphism model.
 
     matrix acts on the rank-4 lattice; h1_charpoly is its characteristic
@@ -185,14 +186,23 @@ class TorusModel:
     the two eigenvalue indices (g1, g2) carrying the complex structure.
     """
 
-    matrix: tuple
-    h1_charpoly: IntPoly
-    h2_charpoly: IntPoly
-    root_poly: IntPoly
-    root_boxes: tuple
-    pairing: tuple
-    reoriented: bool = False
-    origin: Optional[ModelOrigin] = None
+    # __dict__ holds the verdict of the cached _projective
+    __slots__ = (
+        "matrix", "h1_charpoly", "h2_charpoly", "root_poly", "root_boxes", "pairing", "reoriented", "origin", "__dict__"
+    )
+
+    def __init__(
+        self,
+        matrix: tuple,
+        h1_charpoly: IntPoly,
+        h2_charpoly: IntPoly,
+        root_poly: IntPoly,
+        root_boxes: tuple,
+        pairing: tuple,
+        reoriented: bool = False,
+        origin: ModelOrigin | None = None,
+    ):
+        super().__init__(matrix, h1_charpoly, h2_charpoly, root_poly, root_boxes, pairing, reoriented, origin)
 
     @property
     def gamma1(self) -> RootBox:
@@ -283,7 +293,7 @@ class TorusModel:
                 boxes.append(RootBox(boxes[j].re, -boxes[j].im, j))
             else:
                 boxes.append(refine_root_box(self.root_poly, b, width))
-        return replace(self, root_boxes=tuple(boxes))
+        return self.replace(root_boxes=tuple(boxes))
 
 
 def _same_half(model: TorusModel) -> bool:
@@ -493,7 +503,7 @@ def dyadic_cm_family(n: int, k: int) -> TorusModel:
         raise BadParametersError(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
     qm = a_form_matrix(4**k, 1, 2 ** (n - k))
     model = quad_order_model(qm)
-    return replace(model, origin=ModelOrigin("dyadic_cm", (n, k), quad=qm))
+    return model.replace(origin=ModelOrigin("dyadic_cm", (n, k), quad=qm))
 
 
 # ----------------------------------------------------------------------
@@ -518,7 +528,7 @@ def reorient(model: TorusModel) -> TorusModel:
     jj = model.root_boxes[j].conjugate_index
     if jj is None:
         jj = j
-    return replace(model, pairing=(i, jj), reoriented=not model.reoriented)
+    return model.replace(pairing=(i, jj), reoriented=not model.reoriented)
 
 
 def is_projective(model: TorusModel) -> bool:
@@ -595,11 +605,13 @@ def verify_jd(model: TorusModel, d_value: int) -> bool:
     return _mat_mul(j, model.matrix) == _mat_mul(model.matrix, j)
 
 
-@dataclass(frozen=True)
-class NotForced:
+class NotForced(Record):
     """The degree-(1,1) characteristic polynomial is not pinned down."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
 
     def __bool__(self):
         return False

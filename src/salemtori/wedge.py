@@ -7,10 +7,9 @@ integer polynomials in the quartic's, so no root is ever computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Optional
 
+from ._record import Record
 from .errors import NotMonicError, WrongDegreeError
 from .poly import IntPoly, _is_square
 
@@ -30,23 +29,26 @@ def exterior_square(p: IntPoly) -> IntPoly:
     return IntPoly((e4 * e4 * e4, -e2 * e4 * e4, e4 * s2, -s3, s2, -e2, 1))
 
 
-@dataclass(frozen=True)
-class SquareValues:
+class SquareValues(Record):
     """Witnesses m, n with m*m == -q(1) and n*n == q(-1)."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
+
+    def __init__(self, m: int, n: int):
+        super().__init__(m, n)
 
     def __bool__(self):
         return True
 
 
-@dataclass(frozen=True)
-class NotSquare:
+class NotSquare(Record):
     """q(+-1) does not have the square shape a quartic preimage forces."""
 
-    point: int  # +1 or -1
-    value: int  # -q(1) or q(-1), whichever failed
+    __slots__ = ("point", "value")
+
+    # point is +1 or -1, value -q(1) or q(-1), whichever failed
+    def __init__(self, point: int, value: int):
+        super().__init__(point, value)
 
     def __bool__(self):
         return False
@@ -71,15 +73,22 @@ def square_values(q: IntPoly):
     return SquareValues(isqrt(v1), isqrt(vm1))
 
 
-@dataclass(frozen=True)
-class InversionCandidates:
-    sextic: IntPoly
-    a5: int  # t^5 coefficient of the sextic, stored verbatim
-    m: Optional[int]
-    n: Optional[int]
-    candidates: tuple
-    verified: tuple
-    obstruction: Optional[str]  # None | "not-square"
+class InversionCandidates(Record):
+    __slots__ = ("sextic", "a5", "m", "n", "candidates", "verified", "obstruction")
+
+    # a5 is the t^5 coefficient of the sextic, stored verbatim, and
+    # obstruction None or "not-square"
+    def __init__(
+        self,
+        sextic: IntPoly,
+        a5: int,
+        m: int | None,
+        n: int | None,
+        candidates: tuple,
+        verified: tuple,
+        obstruction: str | None,
+    ):
+        super().__init__(sextic, a5, m, n, candidates, verified, obstruction)
 
 
 def invert_wedge(q: IntPoly) -> InversionCandidates:

@@ -192,7 +192,9 @@ def o_rounded(x, places=12):
     if abs(scaled - (scaled.numerator // scaled.denominator) - Fraction(1, 2)) < Fraction(1, 10**40):
         raise ValueError(f"{float(x)} is too close to a rounding boundary")
     with decimal.localcontext() as ctx:
-        ctx.prec = 200
+        # 200 digits after those of the integer part, which reach 201 for
+        # a root near 10**200
+        ctx.prec = 200 + len(str(abs(x.numerator) // x.denominator))
         value = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
         value = value.quantize(decimal.Decimal(1).scaleb(-places), rounding=decimal.ROUND_HALF_EVEN)
     # a value that rounds to zero prints without a sign

@@ -20,7 +20,7 @@ import pytest
 from salemtori import cli
 
 from _oracles import o_rounded
-from test_golden import COMMANDS
+from test_golden import COMMANDS, FLOAT_RANGE_COMMANDS
 
 DPS = 60
 
@@ -40,9 +40,24 @@ def _digits(*poly_texts):
 
 def _roots(poly_text):
     """Every complex root of a polynomial printed highest degree first."""
-    coeffs = [int(c) for c in poly_text.split(",")]
+    return _roots_of([int(c) for c in poly_text.split(",")])
+
+
+def _roots_of(coeffs):
+    """Every complex root, coefficients highest degree first.  polyroots
+    does not settle on roots as far apart as those of t^4 + 10**300 t^2 + 1,
+    near 10**150 and 10**-150, so a quadratic is solved in closed form and
+    a polynomial q(t^2) through the roots of q."""
+    if len(coeffs) == 3:
+        a, b, c = coeffs
+        d = mpmath.sqrt(b * b - 4 * a * c)
+        # the root of larger modulus first, with no cancellation in b +- d
+        w = -(b + d) / 2 if b >= 0 else (d - b) / 2
+        return [w / a, c / w]
+    if len(coeffs) > 3 and len(coeffs) % 2 == 1 and not any(coeffs[1::2]):
+        return [sign * mpmath.sqrt(s) for s in _roots_of(coeffs[::2]) for sign in (1, -1)]
     # roots that span many orders of magnitude take more steps to settle
-    return mpmath.polyroots(coeffs, maxsteps=200 + 4 * _digits(poly_text), extraprec=400)
+    return mpmath.polyroots(coeffs, maxsteps=200 + 4 * len(str(max(map(abs, coeffs)))), extraprec=400)
 
 
 def _largest_real_root(poly_text):
@@ -69,7 +84,7 @@ def _check_box(box, z):
 
 
 # the ns commands among the golden ones print polynomials, no decimal
-@pytest.mark.parametrize("argv", [a for a in COMMANDS if a[0] != "ns"], ids=" ".join)
+@pytest.mark.parametrize("argv", [a for a in COMMANDS + FLOAT_RANGE_COMMANDS if a[0] != "ns"], ids=" ".join)
 def test_golden_model_decimals(argv):
     doc = json.loads(_main(argv))
     # the digits of the largest coefficient bound those of the largest root

@@ -166,9 +166,9 @@ WEDGE_COMMANDS = (
     ("classify", "1,0,-1,-1,-1,0,1"),
 )
 # quartic models whose roots off the unit circle lie near 10**150 and
-# 10**200 and near their inverses, which float seeding cannot reach; the
-# oracle of test_decimals.py does not settle on them within its steps, so
-# COMMANDS leaves them out, and test_salem.py checks their root boxes
+# 10**200 and near their inverses, which float seeding could not reach;
+# mpmath.polyroots does not settle on them, so test_decimals.py checks their
+# decimals against roots in closed form, and test_salem.py their root boxes
 FLOAT_RANGE_COMMANDS = (
     ("construct", "quartic", "--poly", f"1,0,{10**300},0,1"),
     ("reorient", "quartic", "--poly", f"1,0,{10**300},0,1"),

@@ -50,7 +50,6 @@ except CertificationError as exc:
 # E x E models whose degree-2 action is given a degree-6 Salem factor, which
 # the projectivity rule for them cannot have, in both orientations
 FORGED_SALEM_DEGREE = """
-from dataclasses import replace
 from salemtori.errors import CertificationError
 from salemtori.poly import IntPoly
 from salemtori.torus import a_form_matrix, is_projective, quad_order_model, reorient
@@ -58,7 +57,7 @@ from salemtori.torus import a_form_matrix, is_projective, quad_order_model, reor
 model = quad_order_model(a_form_matrix(1, 1, 1))
 for m in (model, reorient(model)):
     try:
-        is_projective(replace(m, h2_charpoly=IntPoly.from_descending((1, 0, -1, -1, -1, 0, 1))))
+        is_projective(m.replace(h2_charpoly=IntPoly.from_descending((1, 0, -1, -1, -1, 0, 1))))
     except CertificationError as exc:
         print("CertificationError:", exc)
 """
@@ -68,14 +67,13 @@ for m in (model, reorient(model)):
 # needs to be t^2 + jt + 1; then the same model with no origin, and with an
 # origin no constructor makes, which no rule covers
 FORGED_QUARTIC = """
-from dataclasses import replace
 from salemtori.errors import CertificationError
 from salemtori.poly import IntPoly
 from salemtori.torus import ModelOrigin, from_quartic, is_projective
 
 model = from_quartic(IntPoly.from_descending((1, -3, 1, 3, 1)))
-forged = replace(model, h2_charpoly=model.salem_factor() * IntPoly((-1, 0, 1)))
-for m in (forged, replace(model, origin=None), replace(model, origin=ModelOrigin("unknown"))):
+forged = model.replace(h2_charpoly=model.salem_factor() * IntPoly((-1, 0, 1)))
+for m in (forged, model.replace(origin=None), model.replace(origin=ModelOrigin("unknown"))):
     try:
         is_projective(m)
     except CertificationError as exc:

@@ -77,6 +77,18 @@ class TestArithmetic:
         q = p * p
         assert q.derivative() == IntPoly((2,)) * p * p.derivative()
 
+    @pytest.mark.parametrize("bad", [2.7, Fraction(7, 2), Fraction(4, 1), "3", 2.0])
+    def test_non_integral_coefficient_raises(self, bad):
+        # a coefficient is never truncated: 2.7 once became 2 and 7/2 became 3
+        with pytest.raises(TypeError):
+            IntPoly((1, bad, 1))
+        with pytest.raises(TypeError):
+            IntPoly.from_descending((1, bad, 1))
+
+    def test_bool_coefficient_is_an_integer(self):
+        p = IntPoly((True, False, 1))
+        assert p == IntPoly((1, 0, 1)) and type(p.coeffs[0]) is int
+
 
 class TestParse:
     def test_examples(self):

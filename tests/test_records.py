@@ -175,3 +175,22 @@ def test_model_with_a_cached_verdict_round_trips(flip):
     for twin in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
         assert twin == model and hash(twin) == hash(model)
         assert is_projective(twin) is verdict
+
+
+def test_replace_runs_the_constructor():
+    assert IV.replace(hi=4) == Interval(Fraction(5, 2), 4)
+    assert IntPoly((1, 2)).replace(coeffs=(3, 0, 0)) == IntPoly((3,))
+    assert PAIR.replace() == PAIR
+    with pytest.raises(ValueError, match="inverted interval"):
+        IV.replace(lo=4)
+    with pytest.raises(TypeError):
+        P.replace(coeffs=(1.5,))
+    with pytest.raises(TypeError, match="width"):
+        IV.replace(width=1)
+
+
+def test_replace_drops_a_cached_verdict():
+    model = quad_order_model(a_form_matrix(2, 0, 1))
+    assert is_projective(model)
+    forged = model.replace(h2_charpoly=IntPoly.from_descending((1, 0, -1, -1, -1, 0, 1)))
+    assert "_projective" not in vars(forged)

@@ -1,11 +1,12 @@
 """salemtori needs nothing beyond the standard library at run time, computes
-with no floating point, no certification guard is an assert that python -O
-would drop, no private helper and no public name is left without a use, and
-every name the benchmark's tracer wraps exists."""
+with no floating point, generates no code at import, no certification guard
+is an assert that python -O would drop, no private helper and no public name
+is left without a use, and every name the benchmark's tracer wraps exists."""
 
 import ast
 import inspect
 import json
+import os
 import re
 import runpy
 import subprocess
@@ -23,10 +24,13 @@ KEPT = {
     "isolate_real_roots": "the public real-root entry point; it adds the monic guard over _real_roots",
 }
 
+# modules a CLI process should not pay for: the oracles, the process pool,
+# and the code generation and introspection behind dataclasses
 LOADED = """
 import sys
 import salemtori.cli
-print(sorted(m for m in ("mpmath", "concurrent.futures.process") if m in sys.modules))
+names = ("mpmath", "concurrent.futures.process", "dataclasses", "inspect", "typing")
+print(sorted(m for m in names if m in sys.modules))
 """
 
 # with the entry None, every import of mpmath raises ImportError
@@ -38,12 +42,15 @@ sys.exit(cli.main(["construct", "quad-order", "--d", "2", "--b1", "0", "--b2", "
 """
 
 
-def python(code):
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+def python(code, *flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env)
 
 
 def test_cli_import_loads_neither_mpmath_nor_the_process_pool():
-    out = python(LOADED)
+    # -S: site's .pth files may load typing before salemtori is imported
+    out = python(LOADED, "-S")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
@@ -88,6 +95,25 @@ def test_no_floating_point_in_the_package():
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _is_floating_point(node)]
+    assert found == []
+
+
+def _generates_code(node) -> bool:
+    """An import of dataclasses, or a call of exec or eval."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "dataclasses" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "dataclasses"
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval")
+
+
+def test_no_code_generation_in_the_package():
+    # every process imports every module, so the record classes are plain
+    # classes: dataclasses would exec generated methods for each of them
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _generates_code(node)]
     assert found == []
 
 

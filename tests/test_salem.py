@@ -107,6 +107,11 @@ class TestIsSalem:
     def test_rejects_nonmonic(self):
         assert is_salem(IntPoly((1, -3, 2))).reason == "not-monic"
 
+    def test_no_certificate_for_a_truncated_input(self):
+        # -3.9 was once truncated to -3, certifying t^2 - 3t + 1 instead
+        with pytest.raises(TypeError):
+            is_salem(IntPoly.from_descending((1, -3.9, 1)))
+
     def test_degree_cap(self):
         with pytest.raises(DegreeTooLargeError):
             is_salem(IntPoly((1,) + (0,) * 9 + (1,)))

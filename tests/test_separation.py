@@ -11,7 +11,6 @@ returns, and over the 245-model grid, small quartics in every pairing and
 gl2z models, in both orientations.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -42,7 +41,7 @@ def _widened(model, half=Fraction(1, 1 << 12)):
     for b in model.root_boxes:
         im = Interval.point(0) if b.is_real else Interval(b.im.mid - half, b.im.mid + half)
         boxes.append(RootBox(Interval(b.re.mid - half, b.re.mid + half), im, b.conjugate_index))
-    return replace(model, root_boxes=tuple(boxes))
+    return model.replace(root_boxes=tuple(boxes))
 
 
 WIDE_MODELS = {

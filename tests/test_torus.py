@@ -1,7 +1,6 @@
 """Torus models: constructors, pairing, projectivity, entropy, divisor action."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -113,6 +112,18 @@ class TestQuadOrderMatrix:
     def test_bad_shape(self):
         with pytest.raises(BadParametersError):
             QuadOrderMatrix(0, (((1, 0), (0, 0)), ((0, 0), (1, 0))))
+
+    @pytest.mark.parametrize("bad", [0.5, Fraction(3, 2), "1"])
+    def test_non_integral_entry_raises(self, bad):
+        # an entry is never truncated: (0.5, 1.9) was once stored as (0, 1)
+        with pytest.raises(TypeError):
+            QuadOrderMatrix(2, (((0, 0), (-1, 0)), ((1, 0), (bad, 1))))
+        with pytest.raises(TypeError):
+            QuadOrderMatrix(bad, (((0, 0), (-1, 0)), ((1, 0), (0, 1))))
+        with pytest.raises(TypeError):
+            a_form_matrix(2, 0, bad)
+        with pytest.raises(TypeError):
+            a_form_matrix(2, bad, 1)
 
 
 class TestQuadOrderModel:
@@ -350,7 +361,7 @@ class TestProjectivity:
         sextic = IntPoly.from_descending((1, 0, -1, -1, -1, 0, 1))
         for m in (model, reorient(model)):
             with pytest.raises(CertificationError, match="degree 6, not 2 or 4"):
-                is_projective(replace(m, h2_charpoly=sextic))
+                is_projective(m.replace(h2_charpoly=sextic))
 
     def test_xor_on_grid(self):
         checked = 0
