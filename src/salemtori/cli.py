@@ -49,6 +49,12 @@ MAX_CANDIDATES = 10**6
 # ends pass the 4300-digit limit of Python's int-to-str conversion
 MIN_EPS = Fraction(1, 10**1000)
 
+# --eps text reaches Fraction only within these caps, as Fraction("1e-10**7")
+# alone spends seconds on the power of ten: 1/10**1000 written out in full
+# fits, and at the cap the power of ten has 10,001 digits
+MAX_EPS_CHARS = 1100
+MAX_EPS_EXPONENT = 10**4
+
 # Commands refuse, with exit 1, a polynomial with a coefficient past MAX_BITS
 # bits: the one they read, an enumerate candidate (up to --max-coeff), or the
 # H^1 polynomial of their model (r**2 + 2 for gl2z, 4**n + 3 for dyadic-cm).
@@ -345,10 +351,18 @@ def _model_json(model, eps: Fraction):
 
 
 def _parse_eps(args, parser) -> Fraction:
+    text = args.eps
+    # the digits of the exponent Fraction would raise 10 to, if there is one
+    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    if len(text) > MAX_EPS_CHARS or (digits.isdecimal() and int(digits) > MAX_EPS_EXPONENT):
+        parser.error(
+            f"--eps must have at most {MAX_EPS_CHARS} characters and an exponent of at most "
+            f"{MAX_EPS_EXPONENT} in absolute value, got {quote_token(text)}"
+        )
     try:
-        eps = Fraction(args.eps)
+        eps = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        parser.error(f"--eps must be a rational, got {args.eps!r}")
+        parser.error(f"--eps must be a rational, got {quote_token(text)}")
     if eps <= 0:
         parser.error("--eps must be positive")
     if eps < MIN_EPS:

@@ -110,22 +110,10 @@ class Box(Record):
         return f"({self.re} + {self.im}i)"
 
 
-def sqrt_lb(x: Fraction, bits: int = 64) -> Fraction:
-    """Rational lower bound for sqrt(x), within 2**-bits."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("sqrt of negative")
-    num = x.numerator * x.denominator << (2 * bits)
-    return Fraction(isqrt(num), x.denominator << bits)
-
-
-def sqrt_ub(x: Fraction, bits: int = 64) -> Fraction:
-    """Rational upper bound for sqrt(x), within 2**-bits."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("sqrt of negative")
-    num = x.numerator * x.denominator << (2 * bits)
-    return Fraction(isqrt(num) + 1, x.denominator << bits)
+def isqrt_bounds(n: int):
+    """floor and ceil of sqrt(n), for an integer n >= 0."""
+    r = isqrt(n)
+    return r, r + (r * r < n)
 
 
 # The log below works in fixed point: an integer v stands for v * 2**-p.

@@ -166,9 +166,7 @@ def _coerce(x) -> IntPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to IntPoly")
 
 
-ZERO = IntPoly(())
 ONE = IntPoly((1,))
-X = IntPoly((0, 1))
 
 
 def quote_token(token: str) -> str:
@@ -398,27 +396,6 @@ def remainder_sequence(a: IntPoly, b: IntPoly) -> list:
         cont = kern.content(r)
         seq.append(kern.div_scalar_exact(r, cont) if cont > 1 else r)
     return seq
-
-
-def gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over the integers, positive leading coefficient."""
-    seq = remainder_sequence(a, b) if a.degree >= b.degree else remainder_sequence(b, a)
-    g = IntPoly(seq[-1]) if seq else ZERO
-    return -g if g.leading < 0 else g
-
-
-def _radical(p: IntPoly, g: IntPoly) -> IntPoly:
-    """p divided by g = +-gcd(p, p'); the monic radical for monic p."""
-    if g.degree == 0:
-        return p
-    if abs(g.leading) != 1:
-        raise NotMonicError("radical of a non-monic polynomial")
-    return p // (g * g.leading)
-
-
-def squarefree_part(p: IntPoly) -> IntPoly:
-    """p divided by gcd(p, p'); the monic radical for monic input."""
-    return _radical(p, gcd_poly(p, p.derivative()))
 
 
 # every n with totient(n) <= 6; no other cyclotomic polynomial can divide

@@ -30,8 +30,8 @@ from .errors import (
     NotSquarefreeError,
     OddDegreeError,
 )
-from .intervals import Box, Interval, sqrt_lb, sqrt_ub
-from .poly import CYCLOTOMIC_INDICES, IntPoly, _radical, cyclotomic, factor_bounded, remainder_sequence
+from .intervals import Box, Interval, isqrt_bounds
+from .poly import CYCLOTOMIC_INDICES, IntPoly, cyclotomic, factor_bounded, remainder_sequence
 
 MAX_DEGREE = 8
 # is_salem brackets lambda to 2**-48, and isolate_real_roots the real roots to
@@ -96,8 +96,14 @@ class SturmChain:
         return len(self.chain[-1]) == 1
 
     def radical(self) -> IntPoly:
-        """The first entry, p without its content, over gcd(p, p')."""
-        return _radical(IntPoly(self.chain[0]), IntPoly(self.chain[-1]))
+        """The first entry, p without its content, over the last, gcd(p, p'):
+        the monic radical for monic p."""
+        p, g = IntPoly(self.chain[0]), IntPoly(self.chain[-1])
+        if g.degree == 0:
+            return p
+        if abs(g.leading) != 1:
+            raise NotMonicError("radical of a non-monic polynomial")
+        return p // (g * g.leading)
 
     @staticmethod
     def _variations(values) -> int:
@@ -376,27 +382,28 @@ class RootBox(Record):
 def isolate_real_roots(p: IntPoly):
     """Disjoint rational intervals, one per distinct real root.
 
-    One Sturm subdivision of (-B, B] finds every root, the work growing with
-    log B.  A bracket that holds one root is halved until it is at most 1
-    wide, where the only integer it can hold is floor(hi); a rational root of
-    a monic p is an integer, so the bracket becomes a point interval when p
-    vanishes there.  The other brackets are refined by sign tests of the
-    radical with the integer roots divided out, which has no rational root,
-    so no point tested is a root.  Irrational roots come back
-    as open intervals with non-root dyadic endpoints, at most 2**-_REAL_BITS
-    wide and separated from each other and from the integer roots.
+    One Sturm subdivision of (-B, B], B the Cauchy bound, finds every root,
+    the work growing with log B.  A bracket that holds one root is halved
+    until it is at most 1 wide, where the only integer it can hold is
+    floor(hi); a rational root of a monic p is an integer, so the bracket
+    becomes a point interval when p vanishes there.  The other brackets are
+    refined by sign tests of the radical with the integer roots divided out,
+    which has no rational root, so no point tested is a root.  Irrational
+    roots come back as open intervals with non-root dyadic endpoints, at
+    most 2**-_REAL_BITS wide and separated from each other and from the
+    integer roots.
     """
     if not p.is_monic:
         raise NotMonicError("real root isolation needs a monic polynomial")
-    return _real_roots(p, SturmChain(p))
+    return _real_roots(p, SturmChain(p), cauchy_bound(p))
 
 
-def _real_roots(p: IntPoly, chain: SturmChain):
-    """isolate_real_roots(p), given the Sturm chain of p."""
+def _real_roots(p: IntPoly, chain: SturmChain, b: int):
+    """isolate_real_roots(p) for the roots in (-b, b], given the Sturm chain
+    of p."""
     if not chain.squarefree:
         # every entry vanishes at a repeated root; count with the radical
         chain = SturmChain(chain.radical())
-    b = cauchy_bound(p)
     # brackets are (lo, hi, den): numerators over a power of two
     work = [(-b, b, 1, chain.variations_at(-b), chain.variations_at(b))]
     int_roots, isolated = [], []
@@ -559,7 +566,7 @@ def isolate_all_roots(p: IntPoly):
     chain = SturmChain(p)
     if not chain.squarefree:
         raise NotSquarefreeError(f"{p} has repeated roots")
-    reals = _real_roots(p, chain)
+    reals = _real_roots(p, chain, cauchy_bound(p))
     n_pairs, odd = divmod(p.degree - len(reals), 2)
     if odd:
         raise CertificationError(f"{len(reals)} real roots for degree {p.degree}")
@@ -602,34 +609,26 @@ def _circle_trace(p: IntPoly):
     """(T, brackets) when every non-real root of p lies on the unit circle,
     read off the trace polynomial; None otherwise.
 
-    With t - 1 and t + 1 divided out once each, p must leave a reciprocal
-    quotient r of positive even degree whose trace polynomial T has only
-    real roots.  A root t of r is then real or on the circle, over the root
-    u = t + 1/t of T: |u| > 2 for a real pair, u in (-2, 2) for the circle
-    pair (u +- i sqrt(4 - u**2))/2.  brackets holds one bracket within
-    [-2, 2] for each root of T in (-2, 2), ascending; T is nonzero at +-2,
-    as r has no root +-1 when p is squarefree.
+    With every factor t - 1 and t + 1 divided out, p must leave a
+    reciprocal quotient r of positive even degree whose trace polynomial T
+    is squarefree with only real roots, which T's Sturm chain tells.  A root
+    t of r is then real or on the circle, over the root u = t + 1/t of T:
+    |u| > 2 for a real pair, u in (-2, 2) for the circle pair
+    (u +- i sqrt(4 - u**2))/2.  T is nonzero at +-2, as r has no root +-1,
+    so a subdivision of (-2, 2] alone gives brackets: one within [-2, 2]
+    for each root of T in (-2, 2), ascending.
     """
     r = p
     for x in (1, -1):
-        if kern.eval_int(r.coeffs, x) == 0:
+        while kern.eval_int(r.coeffs, x) == 0:
             r //= IntPoly((-x, 1))
     if r.degree == 0 or r.degree % 2 or not r.is_reciprocal:
         return None
     t_poly = trace_transform(r)
-    roots = _real_roots(t_poly, SturmChain(t_poly))
-    if len(roots) != t_poly.degree:
+    chain = SturmChain(t_poly)
+    if not chain.squarefree or chain.count_real() != t_poly.degree:
         return None
-    brackets = []
-    for iv in roots:
-        lo, hi = max(iv.lo, -2), min(iv.hi, 2)
-        if iv.width == 0:
-            if -2 < lo < 2:
-                brackets.append(iv)
-        # T changes sign across the part of the bracket within [-2, 2]
-        elif lo < hi and (t_poly(lo) > 0) != (t_poly(hi) > 0):
-            brackets.append(Interval(lo, hi))
-    return t_poly, tuple(brackets)
+    return t_poly, tuple(_real_roots(t_poly, chain, 2))
 
 
 def _circle_box(t_poly: IntPoly, iv: Interval, width: Fraction) -> Box:
@@ -648,10 +647,13 @@ def _circle_box(t_poly: IntPoly, iv: Interval, width: Fraction) -> Box:
             iv = _continue_bracket(t_poly, iv, target)
         if -2 < iv.lo and iv.hi < 2:
             far, near = max(-iv.lo, iv.hi), max(0, iv.lo, -iv.hi)
-            v = 4 - far * far
+            v, w = 4 - far * far, 4 - near * near
             # 2**-bits is below width / 4 and below sqrt(v) / 2
             bits = max(_bits_below(width) + 1, (v.denominator // v.numerator).bit_length() // 2 + 2)
-            im = Interval(sqrt_lb(v, bits) / 2, sqrt_ub(4 - near * near, bits) / 2)
+            # sqrt(x) for x = n / d lies in isqrt_bounds(n d 4**bits) / (d 2**bits)
+            lo = isqrt_bounds(v.numerator * v.denominator << 2 * bits)[0]
+            hi = isqrt_bounds(w.numerator * w.denominator << 2 * bits)[1]
+            im = Interval(Fraction(lo, v.denominator << bits + 1), Fraction(hi, w.denominator << bits + 1))
             if im.width <= width:
                 return Box(Interval(iv.lo / 2, iv.hi / 2), im)
             # sqrt(4 - u**2)/2 has slope below 1/(2 im.lo) on the bracket, so

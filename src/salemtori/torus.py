@@ -35,8 +35,8 @@ from .errors import (
     WrongDegreeError,
     ZeroEntropyError,
 )
-from .intervals import Box, Interval, log_interval
-from .poly import ONE, IntPoly, split_cyclotomic, squarefree_part
+from .intervals import Box, Interval, isqrt_bounds, log_interval
+from .poly import ONE, IntPoly, split_cyclotomic
 from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, SturmChain, _bits_below, _continue_bracket, _with_conjugates
 from .salem import isolate_all_roots, lambda_interval, refine_root_box, trace_layout, trace_transform
 from .wedge import exterior_square
@@ -105,9 +105,9 @@ class QuadOrderMatrix(Record):
         d_param = index(d_param)
         if d_param < 1:
             raise BadParametersError(f"order parameter must be positive, got {d_param}")
-        e = tuple(tuple((index(v[0]), index(v[1])) for v in row) for row in entries)
-        if len(e) != 2 or any(len(row) != 2 for row in e):
-            raise BadParametersError("entries must form a 2x2 matrix")
+        e = tuple(tuple(tuple(map(index, v)) for v in row) for row in entries)
+        if len(e) != 2 or any(len(row) != 2 or any(len(v) != 2 for v in row) for row in e):
+            raise BadParametersError("entries must form a 2x2 matrix of (a, b) pairs")
         super().__init__(d_param, e)
 
     def trace(self):
@@ -329,15 +329,16 @@ def from_quartic(p: IntPoly, pairing_choice=None) -> TorusModel:
     h1 = _charpoly(matrix)
     if h1 != p:
         raise CertificationError(f"companion model has characteristic polynomial {h1}, not {p}")
-    sf = squarefree_part(h1)
+    chain = SturmChain(h1)
+    sf = chain.radical()
     # an exact Sturm count decides the real roots before any is isolated
-    n_real = SturmChain(sf).count_real()
+    n_real = chain.count_real()
     if n_real:
         raise RealRootsError(
             f"{p} has {n_real} real roots; this pairing needs none (real spectra pair through gl2z_model)"
         )
     boxes = isolate_all_roots(sf)
-    squarefree = sf == p
+    squarefree = chain.squarefree
     if squarefree:
         if pairing_choice is None:
             pairing_choice = tuple(i for i, b in enumerate(boxes) if b.im.lo > 0)
@@ -371,7 +372,7 @@ def quad_order_model(qm: QuadOrderMatrix) -> TorusModel:
     h1 = _charpoly(matrix)
     if h1 != _norm_charpoly(qm):
         raise CertificationError(f"lifted matrix has characteristic polynomial {h1}, not the norm's")
-    root_poly = squarefree_part(h1)
+    root_poly = SturmChain(h1).radical()
     boxes, pairing = _q_roots(qm, root_poly)
     return TorusModel(
         matrix, h1, exterior_square(h1), root_poly, boxes, pairing, False, ModelOrigin("quad_order", (), quad=qm)
@@ -431,12 +432,6 @@ def _q_disc(qm: QuadOrderMatrix):
     return x, y, x * x + y * y * d
 
 
-def _isqrt_bounds(n: int):
-    """floor and ceil of sqrt(n)."""
-    r = isqrt(n)
-    return r, r + (r * r < n)
-
-
 def _q_root_boxes(qm: QuadOrderMatrix, bits: int):
     """Boxes of g+- = (tau +- s)/2, the roots of q, as numerators
     (re_lo, re_hi, im_lo, im_hi) over 2**(bits + 1).
@@ -450,13 +445,13 @@ def _q_root_boxes(qm: QuadOrderMatrix, bits: int):
     ta, tb = qm.trace()
     shift = 2 * bits - 1
     # sqrt(m) and then (sqrt(m) +- x)/2 in units of 2**-(2 bits)
-    m_lo, m_hi = _isqrt_bounds(m << 2 * shift)
+    m_lo, m_hi = isqrt_bounds(m << 2 * shift)
     xs = x << shift
-    re_lo, re_hi = isqrt(m_lo + xs), _isqrt_bounds(m_hi + xs)[1]
-    im_lo, im_hi = isqrt(m_lo - xs), _isqrt_bounds(m_hi - xs)[1]
+    re_lo, re_hi = isqrt(m_lo + xs), isqrt_bounds(m_hi + xs)[1]
+    im_lo, im_hi = isqrt(m_lo - xs), isqrt_bounds(m_hi - xs)[1]
     if y < 0:
         im_lo, im_hi = -im_hi, -im_lo
-    tau_lo, tau_hi = _isqrt_bounds(tb * tb * qm.d_param << 2 * bits)
+    tau_lo, tau_hi = isqrt_bounds(tb * tb * qm.d_param << 2 * bits)
     if tb < 0:
         tau_lo, tau_hi = -tau_hi, -tau_lo
     a = ta << bits
@@ -486,7 +481,7 @@ def gl2z_model(r: int, det: int) -> TorusModel:
         (0, 0, 1, r),
     )
     h1 = _charpoly(matrix)
-    root_poly = squarefree_part(h1)
+    root_poly = SturmChain(h1).radical()
     if root_poly != IntPoly((det, -r, 1)):
         raise CertificationError(f"root polynomial {root_poly} is not t^2 - {r}t + {det}")
     boxes, pairing = _q_roots(QuadOrderMatrix(1, (((0, 0), (-det, 0)), ((1, 0), (r, 0)))), root_poly)

@@ -10,11 +10,17 @@ revisions and reports each difference.
 HOSTILE holds oversized inputs that must end at once with exit 1 and one
 line on stderr, under cli.MAX_BITS; test_cli.py runs them.
 
+HEAVY holds valid inputs under cli.MAX_BITS that must also end within a
+second, and do not yet: each is a strict xfail with its reason, and
+test_cli.py stops each at 1 s.
+
 MALFORMED holds malformed commands: empty or stray coefficients, pairings
 and entry lists of the wrong length, and parameters out of range.  Each
 must end at once with exit 0, 1 or 2 and one stderr line or one JSON
 object; test_cli.py runs them too.
 """
+
+import pytest
 
 from test_golden import BARE_NEGATIVE_COMMANDS, GOLDEN_COMMANDS
 
@@ -120,6 +126,27 @@ HOSTILE = (
     ("construct", "gl2z", "--r", "7" * 1500, "--det", "1"),
     ("construct", "dyadic-cm", "--n", "8000", "--k", "1"),
     ("enumerate", "--degree", "6", "--max-coeff", "9" * 4000),
+)
+
+
+def _heavy(argv, ident, reason):
+    return pytest.param(argv, marks=pytest.mark.xfail(strict=True, reason=reason), id=ident)
+
+
+# at A = 10**30, p(1) > 0 puts p off the Salem layout, so is_salem factors
+# p, and factor_bounded lists the divisors of p(1) by trial division up to
+# its square root
+_TRIAL_DIVISION = "factor_bounded's trial division takes about sqrt(p(1)), over 10**15 steps"
+_A = 10**30
+HEAVY = (
+    _heavy(("is-salem", f"1,{_A},12345,{_A},1"), "is-salem 1,A,12345,A,1", _TRIAL_DIVISION),
+    _heavy(("is-salem", f"1,{_A},3,{_A},7,{_A},3,{_A},1"), "is-salem 1,A,3,A,7,A,3,A,1", _TRIAL_DIVISION),
+    _heavy(("classify", f"1,{_A},3,{_A},1"), "classify 1,A,3,A,1", _TRIAL_DIVISION),
+    _heavy(
+        ("construct", "quartic", "--poly", f"1,{-(1 << 2000)},{(1 << 3998) + 1},0,1"),
+        "construct quartic --poly 1,-2^2000,2^3998+1,0,1",
+        "_aberth closes in on the pair of roots near 2**1999 +- i by about a factor 3 per sweep",
+    ),
 )
 
 _PAIRING = ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing")

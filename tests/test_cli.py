@@ -12,11 +12,11 @@ from fractions import Fraction
 import pytest
 
 from salemtori import cli, salem, torus
-from salemtori.poly import IntPoly, format_poly
+from salemtori.poly import IntPoly, format_poly, quote_token
 from salemtori.salem import is_salem
 
 from compare_corpus import run_commands
-from corpus import HOSTILE, MALFORMED
+from corpus import HEAVY, HOSTILE, MALFORMED
 
 
 def run(*args, **kw):
@@ -266,6 +266,32 @@ class TestConstruct:
         assert Fraction(doc["entropy"]["hi"]) - Fraction(doc["entropy"]["lo"]) <= Fraction(1, 10**1000)
         assert doc["entropy"]["decimal"] == run_json(*argv[:-1])["entropy"]["decimal"]
 
+    @pytest.mark.parametrize("command", ("construct", "reorient"))
+    @pytest.mark.parametrize(
+        "token",
+        ["1e-10000000", "1e-30000000", "1e30000000", "1E+1_0000000 ", "1e10001", "9" * 5000, "1/" + "1" * 1099],
+        ids=lambda token: token[:16],
+    )
+    def test_eps_caps(self, command, token):
+        # the text is refused before Fraction forms a power of ten with tens
+        # of millions of digits, which took seconds to minutes, and a long
+        # token is quoted cut to 40 characters, not echoed whole
+        started = time.perf_counter()
+        code, out, err = main_in_process(command, "gl2z", "--r", "3", "--det", "1", "--eps", token)
+        assert time.perf_counter() - started < 1
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.endswith(f"got {quote_token(token)}\n")
+        assert f"at most {cli.MAX_EPS_CHARS} characters and an exponent of at most {cli.MAX_EPS_EXPONENT}" in err
+        assert len(token) <= 40 or token[:41] not in err
+
+    def test_eps_caps_are_exact(self):
+        argv = ("construct", "gl2z", "--r", "3", "--det", "1", "--eps")
+        code, out, err = main_in_process(*argv, f"1e{cli.MAX_EPS_EXPONENT}")
+        assert (code, err) == (0, "")
+        # text at the length cap reaches Fraction, which the floor refuses
+        code, out, err = main_in_process(*argv, "1/" + "1" * (cli.MAX_EPS_CHARS - 2))
+        assert (code, out, err) == (1, "", "salemtori: error: --eps must be at least 1e-1000\n")
+
     def test_ns_has_no_eps(self):
         # ns prints no entropy, so an --eps it would never read is refused
         out = run("ns", "gl2z", "--r", "3", "--det", "1", "--eps", "0")
@@ -456,6 +482,17 @@ def test_oversized_input_ends_in_one_line(argv):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("salemtori: error: ")
     assert f"more than the limit of {cli.MAX_BITS} bits" in err
+
+
+@pytest.mark.parametrize("argv", HEAVY)
+def test_heavy_input_under_the_cap_ends_within_a_second(argv):
+    # a process, so that the runaway ones are killed at the bound
+    out = run(*argv, timeout=1)
+    assert out.returncode in (0, 1, 2)
+    if out.stdout:
+        assert out.stderr == "" and isinstance(json.loads(out.stdout), dict)
+    else:
+        assert out.stderr.count("\n") == 1 and out.stderr.startswith("salemtori")
 
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)

@@ -13,9 +13,8 @@ from salemtori.intervals import (
     Interval,
     RoundingBoundaryError,
     decimal_string,
+    isqrt_bounds,
     log_interval,
-    sqrt_lb,
-    sqrt_ub,
 )
 from salemtori.poly import IntPoly
 from salemtori.salem import is_salem, lambda_interval
@@ -53,13 +52,16 @@ class TestInterval:
 class TestSqrt:
     @given(pos_rational, st.integers(min_value=8, max_value=80))
     def test_bounds_bracket(self, x, bits):
-        lo = sqrt_lb(x, bits)
-        hi = sqrt_ub(x, bits)
+        # sqrt(x) within 2**-bits, as the circle boxes take it
+        n = x.numerator * x.denominator << 2 * bits
+        lo, hi = (Fraction(r, x.denominator << bits) for r in isqrt_bounds(n))
         assert lo * lo <= x <= hi * hi
-        assert hi - lo <= Fraction(1, 1 << (bits // 2))
+        assert hi - lo <= Fraction(1, 1 << bits)
 
     def test_exact_square(self):
-        assert sqrt_lb(Fraction(4), 32) <= 2 <= sqrt_ub(Fraction(4), 32)
+        assert isqrt_bounds(4 << 64) == (2 << 32, 2 << 32)
+        assert isqrt_bounds((4 << 64) + 1) == (2 << 32, (2 << 32) + 1)
+        assert isqrt_bounds(0) == (0, 0)
 
 
 class TestLog:

@@ -11,18 +11,15 @@ from salemtori.errors import NotMonicError, ParseError
 from salemtori.poly import (
     CYCLOTOMIC_INDICES,
     ONE,
-    ZERO,
     IntPoly,
-    X,
     cyclotomic,
     factor_bounded,
     format_poly,
-    gcd_poly,
     _quadratic_split,
     parse_ints,
     parse_poly,
+    remainder_sequence,
     split_cyclotomic,
-    squarefree_part,
 )
 from salemtori.salem import SturmChain
 
@@ -149,14 +146,17 @@ class TestFactor:
         assert acc == prod
 
     def test_gcd(self):
+        # the last entry of the remainder sequence is +-gcd(a, b), and that of
+        # a Sturm chain +-gcd(p, p')
         a = IntPoly((1, -3, 1)) * IntPoly((1, 1))
         b = IntPoly((1, 1)) * IntPoly((1, 0, 1))
-        assert gcd_poly(a, b) == IntPoly((1, 1))
+        assert remainder_sequence(a, b)[-1] in ((1, 1), (-1, -1))
+        assert SturmChain(a * b).chain[-1] in ((1, 1), (-1, -1))
 
     def test_squarefree(self):
         p = IntPoly((1, 1)) ** 2 * IntPoly((1, -3, 1))
-        assert squarefree_part(p) == IntPoly((1, 1)) * IntPoly((1, -3, 1))
-        assert squarefree_part(IntPoly((1, -3, 1))) == IntPoly((1, -3, 1))
+        assert SturmChain(p).radical() == IntPoly((1, 1)) * IntPoly((1, -3, 1))
+        assert SturmChain(IntPoly((1, -3, 1))).radical() == IntPoly((1, -3, 1))
 
 
 def _unit_quartics(bound):
@@ -192,7 +192,7 @@ class TestQuadraticSplit:
     def test_decides_reducibility_without_real_roots(self):
         seen = 0
         for c in _unit_quartics(6):
-            if SturmChain(squarefree_part(c)).count_real():
+            if SturmChain(c).count_real():
                 continue
             seen += 1
             assert (_quadratic_split(c) is None) == (factor_bounded(c) == ((c, 1),)), c

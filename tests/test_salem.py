@@ -12,7 +12,7 @@ from salemtori import _kernels as kern
 from salemtori import poly, salem, torus
 from salemtori.errors import CertificationError, DegreeTooLargeError, NotReciprocalError, NotSquarefreeError
 from salemtori.intervals import Interval
-from salemtori.poly import IntPoly, cyclotomic, split_cyclotomic, squarefree_part
+from salemtori.poly import IntPoly, cyclotomic, split_cyclotomic
 from salemtori.salem import (
     NotSalem,
     RootBox,
@@ -445,7 +445,7 @@ class TestRealRoots:
         assert len(ivs) == SturmChain(p).count_real()
         # the brackets are halved by sign tests of the radical without its
         # integer roots, which has opposite nonzero signs at their two ends
-        rest = squarefree_part(p)
+        rest = SturmChain(p).radical()
         for r in roots:
             rest //= IntPoly((-r, 1))
         for iv in ivs:
@@ -603,7 +603,7 @@ class TestIsolateAll:
     @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
     def test_degree_count(self, a, b):
         p = IntPoly((1, a, b, a, 1))
-        if squarefree_part(p) != p:
+        if not SturmChain(p).squarefree:
             return
         boxes = isolate_all_roots(p)
         assert len(boxes) == 4
@@ -675,7 +675,7 @@ def _grid_root_polys():
                 h1 = _norm_charpoly(a_form_matrix(d, b1, b2))
                 rest = split_cyclotomic(exterior_square(h1))[1]
                 cof = exterior_square(h1) // rest
-                out.update(f for f in (squarefree_part(h1), rest, squarefree_part(cof)) if f.degree >= 1)
+                out.update(f for f in (SturmChain(h1).radical(), rest, SturmChain(cof).radical()) if f.degree >= 1)
     return sorted(out, key=lambda f: f.coeffs)
 
 
@@ -718,7 +718,7 @@ class TestIsolationOracle:
             for b in range(-3, 4):
                 for c in range(-3, 4):
                     p = IntPoly((1, c, b, a, 1))
-                    if squarefree_part(p) == p:
+                    if SturmChain(p).squarefree:
                         _check_against_oracle(p)
 
     def test_acceptance_grid_polynomials(self):
@@ -745,7 +745,7 @@ class TestIsolationOracle:
         # (0, 3, 0) is t^4 + 3t^2 + 1, whose roots are purely imaginary
         a, b, c = abc
         p = IntPoly((1, c, b, a, 1))
-        if squarefree_part(p) == p:
+        if SturmChain(p).squarefree:
             _check_against_oracle(p)
 
     def test_purely_imaginary_order(self):
@@ -825,6 +825,40 @@ class TestExactRoots:
         assert [b.re for b in boxes[1:]] == [Interval.point(0)] * 2
         rb = refine_root_box(cyclotomic(4) * IntPoly((-1, 1)), boxes[2], Fraction(1, 1 << 100))
         assert rb.re == Interval.point(0) and rb.im.contains(-1) and rb.im.width <= Fraction(1, 1 << 100)
+
+    @pytest.mark.parametrize(
+        "p, n_brackets",
+        [
+            # T has roots near 4**33 and near -2
+            (IntPoly(_dyadic_salem(33)), 1),
+            (IntPoly((1, -5, -1, -5, 1)), 1),
+            (cyclotomic(4) * IntPoly((-1, 1)), 1),
+            # repeated roots +-1 leave no root +-2 in T: dividing t -+ 1 out
+            # once would leave T the point root 2, or the root -2 at the end
+            # of a bracket
+            (IntPoly((-1, 1)) ** 3 * cyclotomic(5), 2),
+            (IntPoly((1, 1)) ** 3 * cyclotomic(5), 2),
+        ],
+    )
+    def test_circle_trace_evaluates_only_within_the_circle_range(self, monkeypatch, p, n_brackets):
+        # the roots of T outside [-2, 2] are never isolated: T's Sturm chain
+        # is evaluated at no point beyond +-2
+        points = []
+        variations_at = SturmChain.variations_at
+
+        def spy(chain, num, den=1):
+            points.append(Fraction(num, den))
+            return variations_at(chain, num, den)
+
+        monkeypatch.setattr(SturmChain, "variations_at", spy)
+        salem._circle_trace.cache_clear()
+        t_poly, brackets = salem._circle_trace(p)
+        salem._circle_trace.cache_clear()
+        assert points and all(-2 <= x <= 2 for x in points)
+        assert len(brackets) == n_brackets
+        for iv in brackets:
+            assert -2 <= iv.lo <= iv.hi <= 2
+            assert (iv.width == 0 and -2 < iv.lo < 2 and t_poly(iv.lo) == 0) or t_poly(iv.lo) * t_poly(iv.hi) < 0
 
     def test_closed_form_boxes(self):
         # g+- = (tau +- sqrt(tau^2 - 4))/2 with tau = b1 + b2 sqrt(-D), the

@@ -113,6 +113,21 @@ class TestQuadOrderMatrix:
         with pytest.raises(BadParametersError):
             QuadOrderMatrix(0, (((1, 0), (0, 0)), ((0, 0), (1, 0))))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # the 7 was once dropped, leaving [[0, -1], [1, sqrt(-2)]]
+            (((0, 0, 7), (-1, 0)), ((1, 0), (0, 1))),
+            (((0,), (-1, 0)), ((1, 0), (0, 1))),
+            (((0, 0), (-1, 0)), ((1, 0), ())),
+            (((0, 0), (-1, 0)), ((1, 0), (0, 1), (0, 0))),
+            (((0, 0), (-1, 0)),),
+        ],
+    )
+    def test_entries_must_be_pairs(self, entries):
+        with pytest.raises(BadParametersError, match="2x2 matrix of"):
+            QuadOrderMatrix(2, entries)
+
     @pytest.mark.parametrize("bad", [0.5, Fraction(3, 2), "1"])
     def test_non_integral_entry_raises(self, bad):
         # an entry is never truncated: (0.5, 1.9) was once stored as (0, 1)
