@@ -8,9 +8,9 @@ The test runs entirely in integer arithmetic: the substitution u = t + 1/t
 halves the degree, Sturm counts of the image polynomial on (-inf, -2),
 (-2, 2), (2, inf) decide the root layout, and under the Salem layout
 Kronecker's theorem reduces irreducibility to a few exact divisions of the
-image.  The same image gives the circle roots of a reciprocal polynomial
-whose image has only real roots.  Other complex roots get inclusion discs
-from Aberth's iteration in Gaussian integers; no step uses floating point.
+image.  Root isolation takes one route per kind of root: real roots from a
+Sturm subdivision, every other root an inclusion disc from Aberth's
+iteration in Gaussian integers; no step uses floating point.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     NotSquarefreeError,
     OddDegreeError,
 )
-from .intervals import Box, Interval, isqrt_bounds
+from .intervals import Box, Interval
 from .poly import CYCLOTOMIC_INDICES, IntPoly, cyclotomic, factor_bounded, remainder_sequence
 
 MAX_DEGREE = 8
@@ -38,9 +38,10 @@ MAX_DEGREE = 8
 # 2**-28
 _LAMBDA_BITS = 48
 _REAL_BITS = 28
-# _aberth's boxes and torus's closed-form ones are certified at 2**-200 or
-# finer, so their 12-place decimals are the roots' own; an _aberth box on the
-# axis or over 2**-24 wide doubles that, up to _ABERTH_ROUNDS times
+# every non-real root box, _aberth's and torus's closed-form ones, starts on
+# a grid of 2**-200 or finer, so their 12-place decimals are the roots' own;
+# an _aberth box on the axis or over 2**-24 wide doubles that, up to
+# _ABERTH_ROUNDS times
 _BOX_BITS = 200
 _MAX_BOX_WIDTH = Fraction(1, 1 << 24)
 _ABERTH_ROUNDS = 3
@@ -395,12 +396,12 @@ def isolate_real_roots(p: IntPoly):
     """
     if not p.is_monic:
         raise NotMonicError("real root isolation needs a monic polynomial")
-    return _real_roots(p, SturmChain(p), cauchy_bound(p))
+    return _real_roots(p, SturmChain(p))
 
 
-def _real_roots(p: IntPoly, chain: SturmChain, b: int):
-    """isolate_real_roots(p) for the roots in (-b, b], given the Sturm chain
-    of p."""
+def _real_roots(p: IntPoly, chain: SturmChain):
+    """isolate_real_roots(p), given the Sturm chain of p."""
+    b = cauchy_bound(p)
     if not chain.squarefree:
         # every entry vanishes at a repeated root; count with the radical
         chain = SturmChain(chain.radical())
@@ -554,10 +555,8 @@ def isolate_all_roots(p: IntPoly):
     roots flagged with zero imaginary part and listed first in ascending
     order, then each upper-half-plane root followed by its conjugate, the
     upper ones ordered by the (re, im) of their box centres; conjugate_index
-    wires up each pair.  The real roots come from the Sturm chain of p, the
-    upper ones from the trace polynomial when _circle_trace finds that they
-    lie on the unit circle, and from _aberth otherwise.  Results are
-    memoised per polynomial.
+    wires up each pair.  The real roots come from the Sturm subdivision of
+    p, every other root from _aberth.  Results are memoised per polynomial.
     """
     if p.degree > MAX_DEGREE:
         raise DegreeTooLargeError(f"degree {p.degree} > {MAX_DEGREE}")
@@ -566,7 +565,7 @@ def isolate_all_roots(p: IntPoly):
     chain = SturmChain(p)
     if not chain.squarefree:
         raise NotSquarefreeError(f"{p} has repeated roots")
-    reals = _real_roots(p, chain, cauchy_bound(p))
+    reals = _real_roots(p, chain)
     n_pairs, odd = divmod(p.degree - len(reals), 2)
     if odd:
         raise CertificationError(f"{len(reals)} real roots for degree {p.degree}")
@@ -588,13 +587,6 @@ def _with_conjugates(reals, uppers):
 
 
 def _upper_boxes(p: IntPoly, n_pairs: int):
-    circle = _circle_trace(p)
-    if circle is not None:
-        t_poly, brackets = circle
-        if len(brackets) != n_pairs:
-            raise CertificationError(f"{len(brackets)} circle roots for {n_pairs} conjugate pairs of {p}")
-        # the brackets ascend, and so do the real parts u/2
-        return [_circle_box(t_poly, iv, _MAX_BOX_WIDTH) for iv in brackets]
     # the iterates of real roots settle within a unit of the real axis; the
     # n_pairs largest imaginary parts are the upper roots
     for r in range(_ABERTH_ROUNDS):
@@ -604,71 +596,12 @@ def _upper_boxes(p: IntPoly, n_pairs: int):
     raise CertificationError(f"complex root isolation failed for {p}")
 
 
-@lru_cache(maxsize=1024)
-def _circle_trace(p: IntPoly):
-    """(T, brackets) when every non-real root of p lies on the unit circle,
-    read off the trace polynomial; None otherwise.
-
-    With every factor t - 1 and t + 1 divided out, p must leave a
-    reciprocal quotient r of positive even degree whose trace polynomial T
-    is squarefree with only real roots, which T's Sturm chain tells.  A root
-    t of r is then real or on the circle, over the root u = t + 1/t of T:
-    |u| > 2 for a real pair, u in (-2, 2) for the circle pair
-    (u +- i sqrt(4 - u**2))/2.  T is nonzero at +-2, as r has no root +-1,
-    so a subdivision of (-2, 2] alone gives brackets: one within [-2, 2]
-    for each root of T in (-2, 2), ascending.
-    """
-    r = p
-    for x in (1, -1):
-        while kern.eval_int(r.coeffs, x) == 0:
-            r //= IntPoly((-x, 1))
-    if r.degree == 0 or r.degree % 2 or not r.is_reciprocal:
-        return None
-    t_poly = trace_transform(r)
-    chain = SturmChain(t_poly)
-    if not chain.squarefree or chain.count_real() != t_poly.degree:
-        return None
-    return t_poly, tuple(_real_roots(t_poly, chain, 2))
-
-
-def _circle_box(t_poly: IntPoly, iv: Interval, width: Fraction) -> Box:
-    """Box, at most width wide, around the upper circle root
-    (u + i sqrt(4 - u**2))/2 over the root u in (-2, 2) of t_poly that iv,
-    within [-2, 2], brackets.
-
-    The bracket is continued by _continue_bracket on t_poly until it lies
-    inside (-2, 2), squaring its width each time, and until the box over it
-    is narrow enough: u/2 over the bracket, and over its ends the square
-    root bounds of 4 - u**2, nearest and farthest from 0.
-    """
-    target = 2 * width
-    while True:
-        if iv.width > target:
-            iv = _continue_bracket(t_poly, iv, target)
-        if -2 < iv.lo and iv.hi < 2:
-            far, near = max(-iv.lo, iv.hi), max(0, iv.lo, -iv.hi)
-            v, w = 4 - far * far, 4 - near * near
-            # 2**-bits is below width / 4 and below sqrt(v) / 2
-            bits = max(_bits_below(width) + 1, (v.denominator // v.numerator).bit_length() // 2 + 2)
-            # sqrt(x) for x = n / d lies in isqrt_bounds(n d 4**bits) / (d 2**bits)
-            lo = isqrt_bounds(v.numerator * v.denominator << 2 * bits)[0]
-            hi = isqrt_bounds(w.numerator * w.denominator << 2 * bits)[1]
-            im = Interval(Fraction(lo, v.denominator << bits + 1), Fraction(hi, w.denominator << bits + 1))
-            if im.width <= width:
-                return Box(Interval(iv.lo / 2, iv.hi / 2), im)
-            # sqrt(4 - u**2)/2 has slope below 1/(2 im.lo) on the bracket, so
-            # a bracket width * im.lo / 2 wide spreads it by width/4 at most
-            target = min(target / 2, width * im.lo / 2)
-        else:
-            target = min(target / 2, target * target)
-
-
 def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
-    """Shrink a certified box around its root to the requested width.
+    """Shrink a box that isolate_all_roots(p) returned to the requested
+    width.
 
     A lower box is refined as the mirror image of its upper one.  A real
-    box is continued by _continue_bracket on p, a circle box by
-    _continue_bracket on the trace polynomial, and any other box by _aberth
+    box is continued by _continue_bracket on p, and any other box by _aberth
     from its centre alone, which is Newton's method; its new box holds the
     old box's root, as it must lie within the old box.
     """
@@ -679,17 +612,6 @@ def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
         return RootBox(up.re, -up.im, rb.conjugate_index)
     if rb.is_real:
         return RootBox(_continue_bracket(p, rb.re, width), Interval.point(0), rb.conjugate_index)
-    circle = _circle_trace(p)
-    if circle is not None:
-        # a circle root's real part is u/2, so 2 * re holds u, and so does the
-        # one isolating bracket of a root of T in (-2, 2) that 2 * re meets
-        t_poly, brackets = circle
-        u = Interval(2 * rb.re.lo, 2 * rb.re.hi)
-        hits = [iv for iv in brackets if iv.intersects(u)]
-        if len(hits) != 1:
-            raise CertificationError(f"box {rb.box} meets {len(hits)} trace roots of {p} in (-2, 2)")
-        box = _circle_box(t_poly, Interval(max(u.lo, hits[0].lo), min(u.hi, hits[0].hi)), width)
-        return RootBox(box.re, box.im, rb.conjugate_index)
     target = rb.box
     box = _aberth(p, _bits_below(width) + 6, [(target.re.mid, target.im.mid)])[0]
     if not (target.contains(box.re.lo, box.im.lo) and target.contains(box.re.hi, box.im.hi)) or box.re.width > width:

@@ -23,7 +23,7 @@ from math import isqrt
 from operator import index
 
 from ._record import Record
-from .classify import CASE_3B, RANKS, UNCONSTRAINED, _split_complement, salem_case
+from .classify import CASE_3B, RANKS, _split_complement, salem_case
 from .errors import (
     BadParametersError,
     CertificationError,
@@ -281,10 +281,23 @@ class TorusModel(Record):
         return (value > 0) == _same_half(self)
 
     def refined(self, width: Fraction) -> "TorusModel":
-        """New model with every root box shrunk below the given width.  A
-        lower box that mirrors the box it is wired to gets the mirror of
-        that box refined, so each conjugate pair is refined once."""
+        """New model with every root box shrunk below the given width, by
+        the route its constructor took.  An E x E or gl2z model rebuilds its
+        boxes from q in closed form (_q_roots) and keeps its pairing, each
+        new box inside the old box at its index.  A quartic model refines
+        its boxes by refine_root_box, and a lower box that mirrors the box
+        it is wired to gets the mirror of that box refined, so each
+        conjugate pair is refined once."""
         width = Fraction(width)
+        family, qm = (self.origin.family, self.origin.quad) if self.origin is not None else (None, None)
+        if family == "gl2z":
+            qm = _gl2z_block(*self.origin.params)
+        if qm is not None:
+            boxes = _q_roots(qm, self.root_poly, max(_BOX_BITS, _bits_below(width) + 2))[0]
+            for old, new in zip(self.root_boxes, boxes):
+                if not (old.box.contains(new.re.lo, new.im.lo) and old.box.contains(new.re.hi, new.im.hi)):
+                    raise CertificationError(f"refined box {new.box} leaves {old.box} for {self.root_poly}")
+            return self.replace(root_boxes=boxes)
         boxes = []
         for b in self.root_boxes:
             j = b.conjugate_index
@@ -373,15 +386,15 @@ def quad_order_model(qm: QuadOrderMatrix) -> TorusModel:
     if h1 != _norm_charpoly(qm):
         raise CertificationError(f"lifted matrix has characteristic polynomial {h1}, not the norm's")
     root_poly = SturmChain(h1).radical()
-    boxes, pairing = _q_roots(qm, root_poly)
+    boxes, pairing = _q_roots(qm, root_poly, _BOX_BITS)
     return TorusModel(
         matrix, h1, exterior_square(h1), root_poly, boxes, pairing, False, ModelOrigin("quad_order", (), quad=qm)
     )
 
 
-def _q_roots(qm: QuadOrderMatrix, root_poly: IntPoly):
-    """The root boxes of root_poly in isolate_all_roots' order, and the
-    sorted indices of the roots g+ and g- of q.
+def _q_roots(qm: QuadOrderMatrix, root_poly: IntPoly, bits: int):
+    """The root boxes of root_poly in isolate_all_roots' order, at most
+    2**(1 - bits) wide, and the sorted indices of the roots g+ and g- of q.
 
     The roots of root_poly are g+, g- and their conjugates, once each.  The
     closed form gives equal boxes to equal roots: g- and g+ when q has a
@@ -391,7 +404,7 @@ def _q_roots(qm: QuadOrderMatrix, root_poly: IntPoly):
     the precision doubles.  Boxes are (re_lo, re_hi, im_lo, im_hi)
     numerators over 2**(bits + 1) until the last step.
     """
-    bits = _BOX_BITS + _q_disc(qm)[2].bit_length() // 2
+    bits += _q_disc(qm)[2].bit_length() // 2
     for _ in range(4):
         gs = _q_root_boxes(qm, bits)
         den = 1 << (bits + 1)
@@ -484,8 +497,13 @@ def gl2z_model(r: int, det: int) -> TorusModel:
     root_poly = SturmChain(h1).radical()
     if root_poly != IntPoly((det, -r, 1)):
         raise CertificationError(f"root polynomial {root_poly} is not t^2 - {r}t + {det}")
-    boxes, pairing = _q_roots(QuadOrderMatrix(1, (((0, 0), (-det, 0)), ((1, 0), (r, 0)))), root_poly)
+    boxes, pairing = _q_roots(_gl2z_block(r, det), root_poly, _BOX_BITS)
     return TorusModel(matrix, h1, exterior_square(h1), root_poly, boxes, pairing, False, ModelOrigin("gl2z", (r, det)))
+
+
+def _gl2z_block(r: int, det: int) -> QuadOrderMatrix:
+    """The companion of t^2 - r t + det as a matrix over Z[sqrt(-1)]."""
+    return QuadOrderMatrix(1, (((0, 0), (-det, 0)), ((1, 0), (r, 0))))
 
 
 def dyadic_cm_family(n: int, k: int) -> TorusModel:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from salemtori import cli, salem, torus
+from salemtori import cli, torus
 from salemtori.poly import IntPoly, format_poly, quote_token
 from salemtori.salem import is_salem
 
@@ -338,19 +338,22 @@ class TestConstruct:
     def test_refined_boxes_refine_each_upper_box_once(self, monkeypatch):
         # four circle roots, each lower box the mirror of its refined upper one
         calls = []
-        circle_box = salem._circle_box
+        refine = torus.refine_root_box
 
-        def spy(*args):
-            calls.append(args)
-            return circle_box(*args)
+        def spy(p, rb, width):
+            calls.append(rb)
+            return refine(p, rb, width)
 
-        monkeypatch.setattr(salem, "_circle_box", spy)
-        # the count includes the isolation, which an earlier test may have
-        # memoised
-        salem.isolate_all_roots.cache_clear()
+        monkeypatch.setattr(torus, "refine_root_box", spy)
+        model = torus.from_quartic(IntPoly((1, 1, 1, 1, 1)))
+        model.refined(Fraction(1, 1 << 300))
+        assert calls == [b for b in model.root_boxes if b.im.lo > 0] and len(calls) == 2
+        # the boxes start on a grid of 2**-200, fine enough for every decimal
+        # the command prints
+        calls.clear()
         with redirect_stdout(io.StringIO()):
             assert cli.main(["construct", "quartic", "--poly", "1,1,1,1,1"]) == 0
-        assert len(calls) == 14
+        assert calls == []
 
 
 class TestReorientAndNs:

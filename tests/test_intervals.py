@@ -52,7 +52,7 @@ class TestInterval:
 class TestSqrt:
     @given(pos_rational, st.integers(min_value=8, max_value=80))
     def test_bounds_bracket(self, x, bits):
-        # sqrt(x) within 2**-bits, as the circle boxes take it
+        # sqrt(x) within 2**-bits
         n = x.numerator * x.denominator << 2 * bits
         lo, hi = (Fraction(r, x.denominator << bits) for r in isqrt_bounds(n))
         assert lo * lo <= x <= hi * hi

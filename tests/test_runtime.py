@@ -1,7 +1,8 @@
 """salemtori needs nothing beyond the standard library at run time, computes
 with no floating point, generates no code at import, no certification guard
-is an assert that python -O would drop, no private helper and no public name
-is left without a use, and every name the benchmark's tracer wraps exists."""
+is an assert that python -O would drop, no import, private helper or public
+name is left without a use, and every name the benchmark's tracer wraps
+exists."""
 
 import ast
 import inspect
@@ -143,6 +144,25 @@ def test_no_unused_private_helper():
             else:
                 continue
             unused += [f"{path.name}:{name}" for name in names if not name.startswith("__") and name not in kept]
+    assert unused == []
+
+
+def test_every_import_is_loaded():
+    # a name a module imports and never loads is a dead import; mentioning
+    # it in a docstring does not count.  What the two __init__ files import
+    # they re-export
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+                unused += [f"{path.name}:{node.lineno}:{name}" for name in names if name not in loaded]
     assert unused == []
 
 

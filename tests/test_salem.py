@@ -1,5 +1,6 @@
 """Salem certification, trace transform, and certified root isolation."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -552,7 +553,8 @@ class TestIsolateAll:
             refine_root_box(IntPoly((-1, 1)), RootBox(Interval(0, 2), Interval.point(0)), Fraction(1, 8))
 
     def test_disjoint_and_refinable(self):
-        # the Salem quartic's circle pair is refined on its trace polynomial
+        # the Salem quartic's circle pair is refined by Newton's method from
+        # the box centre
         _check_refinable(GOLDEN_QUARTIC)
 
     def test_refinable_off_the_circle(self):
@@ -757,16 +759,15 @@ class TestIsolationOracle:
         assert ims == pytest.approx([0.6180339887, -0.6180339887, 1.6180339887, -1.6180339887])
 
     def test_models_without_mpmath_seeds(self, monkeypatch):
-        # nor Aberth's iteration: quad-order roots come from q, the roots of
-        # the factors of h2 from the trace polynomial; the models are the
-        # benchmark's 80 and a dyadic one
+        # nor Aberth's iteration: quad-order roots come from q, and no factor
+        # of h2 has its roots isolated; the models are the benchmark's 80 and
+        # a dyadic one
         def refuse(*args, **kwargs):
             raise RuntimeError(f"seeds for {args}")
 
         monkeypatch.setattr(mpmath, "polyroots", refuse)
         monkeypatch.setattr(salem, "_aberth", refuse)
         isolate_all_roots.cache_clear()
-        salem._circle_trace.cache_clear()
         model = quad_order_model(a_form_matrix(1, 1, 1))
         assert is_projective(model) is True
         assert is_projective(reorient(model)) is False
@@ -785,15 +786,37 @@ class TestIsolationOracle:
         assert decided == 66
 
 
+def _q_oracle(tau, delta):
+    """g+- = (tau +- sqrt(tau^2 - 4 delta))/2, the roots of
+    q = t^2 - tau t + delta, as (re, im) Fractions at mpmath's precision."""
+    root = mpmath.sqrt(tau * tau - 4 * delta)
+    return [(_mp_fraction(mpmath.re(g)), _mp_fraction(mpmath.im(g))) for g in ((tau + root) / 2, (tau - root) / 2)]
+
+
+def _refined_sweep():
+    """The quad-order grid, gl2z with |r| <= 9, dyadic n in (1, 2, 5, 48)
+    and the quartics t^4 + a t^3 + b t^2 + c t + 1 with |a|, |b|, |c| <= 3
+    and no real root, each model of positive entropy in both orientations."""
+    grid = itertools.product(range(1, 6), range(-3, 4), range(-3, 4))
+    models = [quad_order_model(a_form_matrix(d, b1, b2)) for d, b1, b2 in grid]
+    models += [torus.gl2z_model(r, det) for det in (1, -1) for r in range(-9, 10) if abs(r) > 1 + det]
+    models += [torus.dyadic_cm_family(n, k) for n in (1, 2, 5, 48) for k in range(n + 1)]
+    for a, b, c in itertools.product(range(-3, 4), repeat=3):
+        p = IntPoly((1, c, b, a, 1))
+        if not SturmChain(p).count_real():
+            models.append(torus.from_quartic(p))
+    return models + [reorient(m) for m in models if m.salem_factor().degree]
+
+
 def _dyadic_salem(n):
     """The Salem factor of dyadic_cm_family(n, k), ascending, for any k."""
     return (1, -(1 + 4**n), -(2 ** (2 * n + 1)), -(1 + 4**n), 1)
 
 
 class TestExactRoots:
-    """Circle roots come from the trace polynomial and quad-order roots from
-    q in closed form; both are checked against mpmath roots at a precision
-    scaled to the coefficients."""
+    """Circle roots come from _aberth and quad-order roots from q in closed
+    form; both are checked against mpmath roots at a precision scaled to the
+    coefficients."""
 
     @pytest.mark.parametrize("n", (33, 48, 80, 200))
     def test_dyadic_salem_factor(self, n):
@@ -819,46 +842,11 @@ class TestExactRoots:
             assert sum(_in_widened(rb, z, slack) for z in roots) == 1
 
     def test_circle_box_refines_a_cyclotomic_point(self):
-        # Phi_4 = t^2 + 1 has the integer trace root 0, so the real part of
-        # its circle boxes is the point 0
-        boxes = isolate_all_roots(cyclotomic(4) * IntPoly((-1, 1)))
-        assert [b.re for b in boxes[1:]] == [Interval.point(0)] * 2
-        rb = refine_root_box(cyclotomic(4) * IntPoly((-1, 1)), boxes[2], Fraction(1, 1 << 100))
-        assert rb.re == Interval.point(0) and rb.im.contains(-1) and rb.im.width <= Fraction(1, 1 << 100)
-
-    @pytest.mark.parametrize(
-        "p, n_brackets",
-        [
-            # T has roots near 4**33 and near -2
-            (IntPoly(_dyadic_salem(33)), 1),
-            (IntPoly((1, -5, -1, -5, 1)), 1),
-            (cyclotomic(4) * IntPoly((-1, 1)), 1),
-            # repeated roots +-1 leave no root +-2 in T: dividing t -+ 1 out
-            # once would leave T the point root 2, or the root -2 at the end
-            # of a bracket
-            (IntPoly((-1, 1)) ** 3 * cyclotomic(5), 2),
-            (IntPoly((1, 1)) ** 3 * cyclotomic(5), 2),
-        ],
-    )
-    def test_circle_trace_evaluates_only_within_the_circle_range(self, monkeypatch, p, n_brackets):
-        # the roots of T outside [-2, 2] are never isolated: T's Sturm chain
-        # is evaluated at no point beyond +-2
-        points = []
-        variations_at = SturmChain.variations_at
-
-        def spy(chain, num, den=1):
-            points.append(Fraction(num, den))
-            return variations_at(chain, num, den)
-
-        monkeypatch.setattr(SturmChain, "variations_at", spy)
-        salem._circle_trace.cache_clear()
-        t_poly, brackets = salem._circle_trace(p)
-        salem._circle_trace.cache_clear()
-        assert points and all(-2 <= x <= 2 for x in points)
-        assert len(brackets) == n_brackets
-        for iv in brackets:
-            assert -2 <= iv.lo <= iv.hi <= 2
-            assert (iv.width == 0 and -2 < iv.lo < 2 and t_poly(iv.lo) == 0) or t_poly(iv.lo) * t_poly(iv.hi) < 0
+        # the roots +-i of Phi_4 = t^2 + 1 have the real part 0
+        p = cyclotomic(4) * IntPoly((-1, 1))
+        rb = refine_root_box(p, isolate_all_roots(p)[2], Fraction(1, 1 << 100))
+        assert rb.box.contains(0, -1)
+        assert rb.re.width <= Fraction(1, 1 << 100) and rb.im.width <= Fraction(1, 1 << 100)
 
     def test_closed_form_boxes(self):
         # g+- = (tau +- sqrt(tau^2 - 4))/2 with tau = b1 + b2 sqrt(-D), the
@@ -871,10 +859,7 @@ class TestExactRoots:
         with mpmath.workdps(250):
             for d, b1, b2 in params:
                 model = quad_order_model(a_form_matrix(d, b1, b2))
-                tau = b1 + b2 * mpmath.sqrt(d) * 1j
-                root = mpmath.sqrt(tau * tau - 4)
-                gs = [((tau + sign * root) / 2) for sign in (1, -1)]
-                gs = [(_mp_fraction(mpmath.re(g)), _mp_fraction(mpmath.im(g))) for g in gs]
+                gs = _q_oracle(b1 + b2 * mpmath.sqrt(d) * 1j, 1)
                 boxes = model.root_boxes
                 i, j = model.pairing
                 assert _in_widened(boxes[i], gs[0], slack) and _in_widened(boxes[j], gs[1], slack) or (
@@ -884,4 +869,38 @@ class TestExactRoots:
                 for b in boxes:
                     assert b.re.width <= Fraction(1, 1 << 200) and b.im.width <= Fraction(1, 1 << 200)
                     assert sum(_in_widened(b, z, slack) for z in roots) == 1, (d, b1, b2)
+
+    def test_refined_keeps_the_pairing(self):
+        # E x E and gl2z models rebuild their boxes from q, quartic models
+        # refine theirs by refine_root_box; purely imaginary roots (b1 = 0)
+        # and the dyadic n = 48 roots are among them
+        models = _refined_sweep()
+        assert len(models) == 881
+        width, slack = Fraction(1, 1 << 300), Fraction(1, 10**150)
+        with mpmath.workdps(250):
+            for model in models:
+                out = model.refined(width)
+                assert (out.pairing, out.reoriented) == (model.pairing, model.reoriented)
+                for old, new in zip(model.root_boxes, out.root_boxes, strict=True):
+                    assert new.re.width <= width and new.im.width <= width
+                    assert old.box.contains(new.re.lo, new.im.lo) and old.box.contains(new.re.hi, new.im.hi)
+                    assert new.conjugate_index == old.conjugate_index
+                family, params = model.origin.family, model.origin.params
+                if family == "quartic":
+                    roots = _oracle_roots(model.root_poly)
+                    assert all(sum(_in_widened(b, z) for z in roots) == 1 for b in out.root_boxes), params
+                    continue
+                if family == "gl2z":
+                    gs = _q_oracle(params[0], params[1])
+                else:
+                    qm = model.origin.quad
+                    (ta, tb), (da, db), root_d = qm.trace(), qm.det(), mpmath.sqrt(qm.d_param)
+                    gs = _q_oracle(ta + tb * root_d * 1j, da + db * root_d * 1j)
+                # g1 and g2 are g+ and g-, in either order; reorient takes
+                # the conjugate of g2
+                g1, g2 = out.gamma1, out.gamma2
+                flip = -1 if out.reoriented else 1
+                assert any(
+                    _in_widened(g1, x, slack) and _in_widened(g2, (y[0], flip * y[1]), slack) for x, y in (gs, gs[::-1])
+                ), (family, params, model.origin.quad)
 

@@ -16,12 +16,11 @@ from salemtori.errors import (
     WrongDegreeError,
     ZeroEntropyError,
 )
-from salemtori.classify import CASE_3B, _split_complement, salem_case
+from salemtori.classify import CASE_3B, UNCONSTRAINED, _split_complement, salem_case
 from salemtori.poly import IntPoly, cyclotomic
 from salemtori.torus import (
     NotForced,
     QuadOrderMatrix,
-    UNCONSTRAINED,
     _charpoly,
     _qo_mul,
     a_form_matrix,
