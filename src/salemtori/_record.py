@@ -22,8 +22,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # a "__dict__" slot holds what cached_property stores, not a field
-        fields = tuple(name for name in cls.__dict__["__slots__"] if name != "__dict__")
+        fields = cls.__dict__["__slots__"]
         get = attrgetter(*fields)
         cls._fields = fields
         cls._astuple = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))

@@ -398,9 +398,9 @@ def remainder_sequence(a: IntPoly, b: IntPoly) -> list:
     return seq
 
 
-# every n with totient(n) <= 6; no other cyclotomic polynomial can divide
-# a polynomial of degree <= 6
-CYCLOTOMIC_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)
+# every n with totient(n) <= 8; no other cyclotomic polynomial can divide
+# a polynomial of degree <= 8
+CYCLOTOMIC_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 24, 30)
 
 
 @lru_cache(maxsize=None)
@@ -418,13 +418,15 @@ def cyclotomic(n: int) -> IntPoly:
 
 @lru_cache(maxsize=1024)
 def split_cyclotomic(p: IntPoly):
-    """Split off all cyclotomic factors.
+    """Split off all cyclotomic factors of a monic p of degree <= 8.
 
     Returns ((n, multiplicity), ...) and the non-cyclotomic cofactor, so that
     p == prod(cyclotomic(n)**m) * rest.  Results are memoised per p.
     """
     if not p.is_monic:
         raise NotMonicError("split_cyclotomic expects a monic polynomial")
+    if p.degree > 8:
+        raise DegreeTooLargeError(f"degree {p.degree} > 8")
     rest = p
     parts = []
     for n in CYCLOTOMIC_INDICES:

@@ -472,6 +472,10 @@ def _round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
+class _UndefinedIterate(CertificationError):
+    """An Aberth iterate where the correction or p' is undefined."""
+
+
 def _aberth(p: IntPoly, bits: int, starts=None):
     """One certified box per iterate of Aberth's simultaneous iteration
     (Aberth, 1973), around the root the iterate reaches.
@@ -492,7 +496,8 @@ def _aberth(p: IntPoly, bits: int, starts=None):
     A box is the inclusion disc of radius n*|p/p'| at the last iterate,
     n = p.degree, which holds a root, rounded outward to units of 2**-bits
     with one unit to spare.  Raises CertificationError after _ABERTH_SWEEPS
-    sweeps, or where a correction or a radius is undefined.
+    sweeps, and _UndefinedIterate where a correction or a radius is
+    undefined.
     """
     c, n = p.coeffs, p.degree
     if starts is None:
@@ -522,7 +527,7 @@ def _aberth(p: IntPoly, bits: int, starts=None):
             dr, di = qr * br - qi * bi - pr * ar + pi * ai, qr * bi + qi * br - pr * ai - pi * ar
             den = dr * dr + di * di
             if den == 0:
-                raise CertificationError(f"Aberth's correction is undefined at an iterate for {p}")
+                raise _UndefinedIterate(f"Aberth's correction is undefined at an iterate for {p}")
             dx, dy = _round_div(nr * dr + ni * di, den), _round_div(ni * dr - nr * di, den)
             x, y, zs[i] = x - dx, y - dy, None
             while (x, y) in zs:
@@ -541,7 +546,7 @@ def _aberth(p: IntPoly, bits: int, starts=None):
     for x, y in zs:
         pr, pi, qr, qi = _scaled_values(c, x, y, k)
         if qr == qi == 0:
-            raise CertificationError(f"p' vanishes at an Aberth iterate for {p}")
+            raise _UndefinedIterate(f"p' vanishes at an Aberth iterate for {p}")
         r = math.isqrt(-(-(n * n * (pr * pr + pi * pi)) // (qr * qr + qi * qi))) + 2
         boxes.append(Box(Interval(x - r, x + r) * unit, Interval(y - r, y + r) * unit))
     return boxes
@@ -588,9 +593,15 @@ def _with_conjugates(reals, uppers):
 
 def _upper_boxes(p: IntPoly, n_pairs: int):
     # the iterates of real roots settle within a unit of the real axis; the
-    # n_pairs largest imaginary parts are the upper roots
+    # n_pairs largest imaginary parts are the upper roots.  An undefined
+    # iterate fails a round as a box on the axis does; one that does not
+    # settle raises at once
     for r in range(_ABERTH_ROUNDS):
-        boxes = sorted(_aberth(p, _BOX_BITS << r), key=lambda b: -b.im.mid)[:n_pairs]
+        try:
+            boxes = _aberth(p, _BOX_BITS << r)
+        except _UndefinedIterate:
+            continue
+        boxes = sorted(boxes, key=lambda b: -b.im.mid)[:n_pairs]
         if all(b.im.lo > 0 and b.re.width <= _MAX_BOX_WIDTH for b in boxes):
             return sorted(boxes, key=lambda b: (b.re.mid, b.im.mid))
     raise CertificationError(f"complex root isolation failed for {p}")

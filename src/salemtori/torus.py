@@ -17,7 +17,6 @@ from_quartic's pairing check.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import isqrt
 from operator import index
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .intervals import Box, Interval, isqrt_bounds, log_interval
 from .poly import ONE, IntPoly, split_cyclotomic
-from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, SturmChain, _bits_below, _continue_bracket, _with_conjugates
+from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, SturmChain, _bits_below, _with_conjugates
 from .salem import isolate_all_roots, lambda_interval, refine_root_box, trace_layout, trace_transform
 from .wedge import exterior_square
 
@@ -186,9 +185,8 @@ class TorusModel(Record):
     the two eigenvalue indices (g1, g2) carrying the complex structure.
     """
 
-    # __dict__ holds the verdict of the cached _projective
     __slots__ = (
-        "matrix", "h1_charpoly", "h2_charpoly", "root_poly", "root_boxes", "pairing", "reoriented", "origin", "__dict__"
+        "matrix", "h1_charpoly", "h2_charpoly", "root_poly", "root_boxes", "pairing", "reoriented", "origin"
     )
 
     def __init__(
@@ -221,73 +219,14 @@ class TorusModel(Record):
         """Non-cyclotomic part of h2_charpoly; the constant 1 at entropy zero."""
         return split_cyclotomic(self.h2_charpoly)[1]
 
-    @cached_property
-    def _projective(self) -> bool:
-        """is_projective's verdict, decided once per model; a model made by
-        replace, as reorient and refined make theirs, decides afresh.  A
-        model whose origin no rule below covers raises.
-
-        An E x E model (origin.quad set) is decided without its root boxes.
-        Its pairing is the two roots g1, g2 of q = t**2 - tau t + delta, as
-        _q_roots sets it and reorient, refined and dyadic_cm_family keep it;
-        reorient alone swaps g2 for its conjugate.  The degree-2 action has
-        the six roots g1 g2 = delta, conj(delta), lambda = |g1|**2,
-        1/lambda = |g2|**2, g1 conj(g2) and its conjugate, and lambda is not
-        1 since the entropy is positive.  delta is a unit of an imaginary
-        quadratic order, so a root of unity: the model is projective.  After
-        reorient the product is g1 conj(g2), of modulus |delta| = 1.  If it is
-        a root of unity, so is its conjugate, and the Salem factor has the two
-        roots lambda and 1/lambda.  If not, it is not real, and it and its
-        conjugate are two more roots of the Salem factor, of degree 4.  So
-        the factor has degree 2 or 4 in either orientation, and after
-        reorient the model is projective exactly at degree 2.
-
-        A gl2z model has g1 g2 = det = +-1 and a real g2, which reorient
-        leaves in place: it is projective in both orientations.
-
-        A quartic model pairs one root of each conjugate pair of its roots
-        a = r e(x), b = e(y)/r and their conjugates, with x, y in (0, pi) and
-        e(x) = cos x + i sin x.  Besides r**2 and 1/r**2 the degree-2 action
-        has the same-half pair a b, conj(a b), of trace 2 cos(x + y), and the
-        opposite-half pair a conj(b), conj(a) b, of the larger trace
-        2 cos(x - y) = 2 cos(x + y) + 4 sin x sin y.  At positive entropy
-        the Salem factor S holds r**2 and 1/r**2, and each pair, of modulus
-        1, lies whole in S or in its cofactor.  So S of degree 2 makes the
-        model projective and S of degree 6 does not.  At degree 4 the
-        cofactor is the other pair, t**2 + j t + 1 of trace -j, and T_S, the
-        trace polynomial of S, has the roots r**2 + 1/r**2 > 2 and the trace
-        u of the pair in S.  So T_S(-j) > 0 exactly when u > -j, when the
-        cofactor holds the same-half pair, which holds g1 g2 exactly when g1
-        and g2 share a half-plane; T_S(-j) != 0 as u is irrational.
-        """
-        rest = _salem_rest(self)
-        family, quad = (self.origin.family, self.origin.quad) if self.origin is not None else (None, None)
-        if quad is not None:
-            if rest.degree not in (2, 4):
-                raise CertificationError(f"E x E model has a Salem factor {rest} of degree {rest.degree}, not 2 or 4")
-            return not self.reoriented or rest.degree == 2
-        if family == "gl2z":
-            return True
-        if family != "quartic":
-            raise CertificationError(f"no projectivity rule for a model of origin {self.origin}")
-        if rest.degree in (2, 6):
-            return rest.degree == 2
-        c = (self.h2_charpoly // rest).coeffs
-        if rest.degree != 4 or len(c) != 3 or c[0] != 1 or c[2] != 1:
-            raise CertificationError(f"quartic Salem factor {rest} has the cofactor {IntPoly(c)}, not t^2 + jt + 1")
-        value = trace_transform(rest)(-c[1])
-        if value == 0:
-            raise CertificationError(f"the trace polynomial of {rest} vanishes at {-c[1]}")
-        return (value > 0) == _same_half(self)
-
     def refined(self, width: Fraction) -> "TorusModel":
         """New model with every root box shrunk below the given width, by
         the route its constructor took.  An E x E or gl2z model rebuilds its
         boxes from q in closed form (_q_roots) and keeps its pairing, each
         new box inside the old box at its index.  A quartic model refines
-        its boxes by refine_root_box, and a lower box that mirrors the box
-        it is wired to gets the mirror of that box refined, so each
-        conjugate pair is refined once."""
+        each real and upper box by refine_root_box, once, and lists the
+        results with the mirror image of each upper one by _with_conjugates,
+        as isolate_all_roots does."""
         width = Fraction(width)
         family, qm = (self.origin.family, self.origin.quad) if self.origin is not None else (None, None)
         if family == "gl2z":
@@ -298,15 +237,9 @@ class TorusModel(Record):
                 if not (old.box.contains(new.re.lo, new.im.lo) and old.box.contains(new.re.hi, new.im.hi)):
                     raise CertificationError(f"refined box {new.box} leaves {old.box} for {self.root_poly}")
             return self.replace(root_boxes=boxes)
-        boxes = []
-        for b in self.root_boxes:
-            j = b.conjugate_index
-            mate = self.root_boxes[j] if j is not None and j < len(boxes) else None
-            if mate is not None and mate.re == b.re and mate.im == -b.im:
-                boxes.append(RootBox(boxes[j].re, -boxes[j].im, j))
-            else:
-                boxes.append(refine_root_box(self.root_poly, b, width))
-        return self.replace(root_boxes=tuple(boxes))
+        boxes = [refine_root_box(self.root_poly, b, width) for b in self.root_boxes if b.im.hi >= 0]
+        reals, uppers = [b.re for b in boxes if b.is_real], [b.box for b in boxes if not b.is_real]
+        return self.replace(root_boxes=_with_conjugates(reals, uppers))
 
 
 def _same_half(model: TorusModel) -> bool:
@@ -547,10 +480,62 @@ def reorient(model: TorusModel) -> TorusModel:
 def is_projective(model: TorusModel) -> bool:
     """True iff g1*g2 is a root of unity (a root of the cyclotomic cofactor).
 
-    Decided once per model, exactly and with no root box refined, by the
-    rules that TorusModel._projective derives for each constructor.
+    Decided exactly, with no root box refined, by the rule below for the
+    constructor the model came from; a model whose origin no rule covers
+    raises.
+
+    An E x E model (origin.quad set) is decided without its root boxes.
+    Its pairing is the two roots g1, g2 of q = t**2 - tau t + delta, as
+    _q_roots sets it and reorient, refined and dyadic_cm_family keep it;
+    reorient alone swaps g2 for its conjugate.  The degree-2 action has
+    the six roots g1 g2 = delta, conj(delta), lambda = |g1|**2,
+    1/lambda = |g2|**2, g1 conj(g2) and its conjugate, and lambda is not
+    1 since the entropy is positive.  delta is a unit of an imaginary
+    quadratic order, so a root of unity: the model is projective.  After
+    reorient the product is g1 conj(g2), of modulus |delta| = 1.  If it is
+    a root of unity, so is its conjugate, and the Salem factor has the two
+    roots lambda and 1/lambda.  If not, it is not real, and it and its
+    conjugate are two more roots of the Salem factor, of degree 4.  So
+    the factor has degree 2 or 4 in either orientation, and after
+    reorient the model is projective exactly at degree 2.
+
+    A gl2z model has g1 g2 = det = +-1 and a real g2, which reorient
+    leaves in place: it is projective in both orientations.
+
+    A quartic model pairs one root of each conjugate pair of its roots
+    a = r e(x), b = e(y)/r and their conjugates, with x, y in (0, pi) and
+    e(x) = cos x + i sin x.  Besides r**2 and 1/r**2 the degree-2 action
+    has the same-half pair a b, conj(a b), of trace 2 cos(x + y), and the
+    opposite-half pair a conj(b), conj(a) b, of the larger trace
+    2 cos(x - y) = 2 cos(x + y) + 4 sin x sin y.  At positive entropy
+    the Salem factor S holds r**2 and 1/r**2, and each pair, of modulus
+    1, lies whole in S or in its cofactor.  So S of degree 2 makes the
+    model projective and S of degree 6 does not.  At degree 4 the
+    cofactor is the other pair, t**2 + j t + 1 of trace -j, and T_S, the
+    trace polynomial of S, has the roots r**2 + 1/r**2 > 2 and the trace
+    u of the pair in S.  So T_S(-j) > 0 exactly when u > -j, when the
+    cofactor holds the same-half pair, which holds g1 g2 exactly when g1
+    and g2 share a half-plane; T_S(-j) != 0 as u is irrational.
     """
-    return model._projective
+    rest = _salem_rest(model)
+    family, quad = (model.origin.family, model.origin.quad) if model.origin is not None else (None, None)
+    if quad is not None:
+        if rest.degree not in (2, 4):
+            raise CertificationError(f"E x E model has a Salem factor {rest} of degree {rest.degree}, not 2 or 4")
+        return not model.reoriented or rest.degree == 2
+    if family == "gl2z":
+        return True
+    if family != "quartic":
+        raise CertificationError(f"no projectivity rule for a model of origin {model.origin}")
+    if rest.degree in (2, 6):
+        return rest.degree == 2
+    c = (model.h2_charpoly // rest).coeffs
+    if rest.degree != 4 or len(c) != 3 or c[0] != 1 or c[2] != 1:
+        raise CertificationError(f"quartic Salem factor {rest} has the cofactor {IntPoly(c)}, not t^2 + jt + 1")
+    value = trace_transform(rest)(-c[1])
+    if value == 0:
+        raise CertificationError(f"the trace polynomial of {rest} vanishes at {-c[1]}")
+    return (value > 0) == _same_half(model)
 
 
 def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
@@ -570,13 +555,11 @@ def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
     # rest has none of: rest is Salem, and nothing is factored
     if not (rest.is_reciprocal and rest.degree % 2 == 0 and trace_layout(rest)[1] == (1, 0, rest.degree // 2 - 1)):
         raise CertificationError(f"non-cyclotomic part {rest} failed certification")
-    # 2**-8 below the width lambda_approx takes for eps; continuing the
-    # 2**-_LAMBDA_BITS bracket ends where a fresh bisection to 2**-bits does
+    # 2**-8 below the width lambda_approx takes for eps; each pass brackets
+    # lambda afresh at its own precision
     bits = max(_LAMBDA_BITS, _bits_below(eps) + 8)
-    lam = lambda_interval(rest)
     while True:
-        lam = _continue_bracket(rest, lam, Fraction(1, 1 << bits))
-        out = log_interval(lam, bits=bits + 16)
+        out = log_interval(lambda_interval(rest, bits), bits=bits + 16)
         if out.width <= eps:
             return out
         bits *= 2
@@ -663,7 +646,7 @@ def _split_index(model: TorusModel, quads) -> int:
     j < k, that vanishes at g1*g2 in a projective case-3b model.
 
     quads[0] has the larger root trace -j: for a quartic model that is the
-    opposite-half pair (TorusModel._projective).  For an E x E model g1*g2
+    opposite-half pair (is_projective).  For an E x E model g1*g2
     is delta = det(quad) (_det_factor), and after reorient a root of the
     other quadratic.  A gl2z Salem trace r**2 - 2 det passes a square test.
     """

@@ -1,6 +1,6 @@
-"""Spies on torus's decisions, shared by test_torus and test_cli."""
+"""A guard on torus's decisions, shared by test_torus and test_cli."""
 
-from functools import cached_property, wraps
+from functools import wraps
 
 import pytest
 
@@ -9,22 +9,6 @@ from salemtori import torus
 
 def _refuse(*args):
     raise AssertionError("root isolation or refinement in a decision")
-
-
-@pytest.fixture
-def verdicts(monkeypatch):
-    """The models whose projectivity verdict is computed, in order."""
-    calls = []
-    decide = torus.TorusModel._projective.func
-
-    def spy(model):
-        calls.append(model)
-        return decide(model)
-
-    prop = cached_property(spy)
-    prop.__set_name__(torus.TorusModel, "_projective")
-    monkeypatch.setattr(torus.TorusModel, "_projective", prop)
-    return calls
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salemtori.errors import NotMonicError, ParseError
+from salemtori.errors import DegreeTooLargeError, NotMonicError, ParseError
 from salemtori.poly import (
     CYCLOTOMIC_INDICES,
     ONE,
@@ -213,8 +213,8 @@ class TestQuadraticSplit:
 
 class TestCyclotomic:
     def test_supported_indices(self):
-        # exactly the cyclotomics of degree <= 4 can divide our complements
-        assert set(CYCLOTOMIC_INDICES) == {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18}
+        # exactly the cyclotomics of degree <= 8, the package's degree cap
+        assert set(CYCLOTOMIC_INDICES) == {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 24, 30}
 
     def test_values(self):
         assert cyclotomic(1) == IntPoly((-1, 1))
@@ -230,6 +230,15 @@ class TestCyclotomic:
         assert parts == ((1, 2), (12, 1))
         assert rest == IntPoly((1, -3, 1))
         assert split_cyclotomic(cyclotomic(5) * cyclotomic(8))[1] == ONE
+
+    @pytest.mark.parametrize("n", [15, 16, 20, 24, 30])
+    def test_split_of_degree_8(self, n):
+        assert cyclotomic(n).degree == 8
+        assert split_cyclotomic(cyclotomic(n)) == (((n, 1),), ONE)
+
+    def test_split_degree_cap(self):
+        with pytest.raises(DegreeTooLargeError, match="degree 9 > 8"):
+            split_cyclotomic(cyclotomic(2) * cyclotomic(30))
 
     def test_split_of_pure_salem(self):
         parts, rest = split_cyclotomic(IntPoly((1, 0, -1, -1, -1, 0, 1)))

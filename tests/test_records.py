@@ -160,6 +160,12 @@ def test_assignment_and_deletion_raise(record, values, text):
 
 
 @pytest.mark.parametrize("record, values, text", RECORDS, ids=IDS)
+def test_fields_and_nothing_else(record, values, text):
+    # no __dict__, so nothing but the slots can be stored on a record
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("record, values, text", RECORDS, ids=IDS)
 def test_pickle_and_copy_round_trip(record, values, text):
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(twin) is type(record)
@@ -168,7 +174,7 @@ def test_pickle_and_copy_round_trip(record, values, text):
 
 
 @pytest.mark.parametrize("flip", [False, True])
-def test_model_with_a_cached_verdict_round_trips(flip):
+def test_model_with_a_verdict_round_trips(flip):
     model = quad_order_model(a_form_matrix(2, 0, 1))
     model = reorient(model) if flip else model
     verdict = is_projective(model)
@@ -187,10 +193,3 @@ def test_replace_runs_the_constructor():
         P.replace(coeffs=(1.5,))
     with pytest.raises(TypeError, match="width"):
         IV.replace(width=1)
-
-
-def test_replace_drops_a_cached_verdict():
-    model = quad_order_model(a_form_matrix(2, 0, 1))
-    assert is_projective(model)
-    forged = model.replace(h2_charpoly=IntPoly.from_descending((1, 0, -1, -1, -1, 0, 1)))
-    assert "_projective" not in vars(forged)

@@ -164,12 +164,18 @@ def _with_cyclotomic(n, p):
     return p * cyclotomic(n) ** (2 if n <= 2 else 1)
 
 
+# every n with phi(n) <= 6: Phi_n times a Salem factor can stay within
+# degree 8
+_PHI_6_INDICES = tuple(n for n in poly.CYCLOTOMIC_INDICES if cyclotomic(n).degree <= 6)
+
+
 def _each_cyclotomic_factor(test):
-    """An @example Phi_n (t^2 - 3t + 1) for every n in CYCLOTOMIC_INDICES,
-    with Phi_1 and Phi_2 squared: (t - 1)^2 exercises the table entry u - 2,
-    and (t + 1)^2 leaves the Salem layout.  Each other product keeps the
-    layout, so only the table entry for n tells it from a Salem polynomial."""
-    for n in poly.CYCLOTOMIC_INDICES:
+    """An @example Phi_n (t^2 - 3t + 1) of degree <= 8 for every n in
+    CYCLOTOMIC_INDICES with phi(n) <= 6, with Phi_1 and Phi_2 squared:
+    (t - 1)^2 exercises the table entry u - 2, and (t + 1)^2 leaves the
+    Salem layout.  Each other product keeps the layout, so only the table
+    entry for n tells it from a Salem polynomial."""
+    for n in _PHI_6_INDICES:
         test = example(_with_cyclotomic(n, SALEM_2))(test)
     return test
 
@@ -184,7 +190,7 @@ def _reciprocal_polys(draw):
 
 @st.composite
 def _cyclotomic_products(draw):
-    n = draw(st.sampled_from(poly.CYCLOTOMIC_INDICES))
+    n = draw(st.sampled_from(_PHI_6_INDICES))
     return draw(st.sampled_from([q for s in SMALL_SALEM if (q := _with_cyclotomic(n, s)).degree <= 8]))
 
 
@@ -322,7 +328,7 @@ class TestLambda:
 
     def test_entropy_continues_a_fresh_bracket(self, monkeypatch):
         # the first log enclosure is made too wide, so entropy doubles its
-        # bits and goes on from its own last bracket
+        # bits and brackets lambda afresh at the new precision
         seen = []
         real_log = torus.log_interval
 
@@ -600,6 +606,30 @@ class TestIsolateAll:
                 (True, True, False),
                 (True, False, True),
             ]
+
+    @pytest.mark.parametrize("k", [400, 790])
+    def test_undefined_iterate_fails_one_round(self, monkeypatch, k):
+        # (t^2 - 2**k)^2 + 1 has the roots +-sqrt(2**k +- i), two pairs
+        # about 2**(-k/2) apart: on the 2**-200 grid of round 1 the iterates
+        # of a pair meet, off the upper half-plane at k = 400 and where p'
+        # vanishes at k = 790, so the boxes come from round 2
+        rounds = []
+        aberth = salem._aberth
+
+        def spy(p, bits, starts=None):
+            rounds.append(bits)
+            return aberth(p, bits, starts)
+
+        monkeypatch.setattr(salem, "_aberth", spy)
+        p = IntPoly((4**k + 1, 0, -2 * 2**k, 0, 1))
+        boxes = isolate_all_roots.__wrapped__(p)
+        assert rounds == [salem._BOX_BITS, 2 * salem._BOX_BITS]
+        with mpmath.workdps(1000):
+            roots = [s * mpmath.sqrt(mpmath.mpf(2) ** k + u * 1j) for s in (1, -1) for u in (1, -1)]
+            roots = [(_mp_fraction(mpmath.re(z)), _mp_fraction(mpmath.im(z))) for z in roots]
+        assert len(boxes) == 4
+        assert all(sum(_in_widened(b, z, 0) for z in roots) == 1 for b in boxes)
+        assert all(sum(_in_widened(b, z, 0) for b in boxes) == 1 for z in roots)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
