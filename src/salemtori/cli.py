@@ -23,7 +23,7 @@ from .classify import SHORT_CASE, InfiniteFamily, realizable
 from .errors import ParseError, SalemToriError
 from .intervals import Interval, RoundingBoundaryError, decimal_string
 from .poly import IntPoly, format_poly, parse_ints, parse_poly, quote_token
-from .salem import is_salem, lambda_approx
+from .salem import _salem_certificate, is_salem, lambda_approx
 from .torus import (
     NotForced,
     QuadOrderMatrix,
@@ -84,11 +84,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    """Write text to the file out_path, or to stdout when there is none; a
+    file that cannot be written ends the command with exit 1."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"salemtori: cannot write {quote_token(out_path)}: {exc.strerror or exc}\n")
+        sys.exit(1)
 
 
 def _dump_json(obj, out_path) -> int:
@@ -414,10 +420,13 @@ def _atlas_row(coeffs):
     # sum of the coefficients in either order.
     if not sum(coeffs) < 0 < sum(coeffs[::2]) - sum(coeffs[1::2]):
         return None
-    p = IntPoly.from_descending(coeffs)
-    cert = is_salem(p)
-    if not cert:
-        return None
+    # the decision alone: a rejected candidate is dropped unfactored
+    cert = _salem_certificate(IntPoly.from_descending(coeffs))[0]
+    return cert and _salem_row(cert)
+
+
+def _salem_row(cert):
+    """The CSV row (tuple of 9 strings) of a Salem polynomial's certificate."""
     report = realizable(cert)
     lam = _lambda_decimal(cert)
     fin = _finiteness_label(report)
@@ -439,7 +448,7 @@ def _atlas_row(coeffs):
     types = "+".join(sorted(report.projective_types))
     ranks = "+".join(f"{k}:{v}" for k, v in sorted(report.picard_ranks))
     return (
-        format_poly(p),
+        format_poly(cert.poly),
         str(cert.degree),
         lam,
         SHORT_CASE[report.case_tag],
@@ -467,7 +476,8 @@ def _collect_rows(degree: int, bound: int, workers: int):
             rows = [r for r in pool.map(_atlas_row, cands, chunksize=chunk) if r is not None]
     else:
         rows = [r for r in map(_atlas_row, cands) if r is not None]
-    rows.sort(key=lambda r: (int(r[1]), Fraction(r[2]), r[0]))
+    # every lambda has 12 decimal places, so its digits order it as an integer
+    rows.sort(key=lambda r: (int(r[1]), int(r[2].replace(".", "")), r[0]))
     return rows
 
 

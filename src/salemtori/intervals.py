@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, isqrt
+from math import isqrt
 
 from ._record import Record, set_field
 
@@ -211,15 +211,18 @@ def decimal_string(iv: Interval, places: int = 12) -> str:
 
     Raises RoundingBoundaryError when iv meets a rounding boundary
     (k + 1/2) * 10**-places, since the numbers of iv then need not all round
-    to the same decimal.  Narrow the enclosure and try again.
+    to the same decimal.  Narrow the enclosure and try again.  The work is
+    floor divisions of the endpoints' numerators and denominators.
     """
-    scale = 2 * 10**places
-    # in units of 1/scale the boundaries are the odd integers
-    lo, hi = iv.lo * scale, iv.hi * scale
-    if floor((hi - 1) / 2) >= ceil((lo - 1) / 2):
+    unit = 10**places
+    a, b, c, d = iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
+    # in units of 10**-places the boundaries are k + 1/2; iv meets one when
+    # the last boundary at or below hi, floor(hi * unit - 1/2), is at or
+    # above the first at or above lo, ceil(lo * unit - 1/2)
+    if (2 * c * unit - d) // (2 * d) >= -((b - 2 * a * unit) // (2 * b)):
         raise RoundingBoundaryError(f"{iv} meets a rounding boundary at {places} places")
-    n = floor((lo + 1) / 2)
+    # lo * unit rounded to the nearest integer
+    n = (2 * a * unit + b) // (2 * b)
     sign = "-" if n < 0 else ""
     n = abs(n)
-    unit = 10**places
     return f"{sign}{n // unit}.{n % unit:0{places}d}"

@@ -281,16 +281,46 @@ def _trace_cyclotomics(e: int):
     )
 
 
+def _salem_certificate(p: IntPoly):
+    """The decision of is_salem, without its witnesses: (certificate, layout)
+    for a monic reciprocal p of even degree 2e >= 2.
+
+    certificate is p's SalemCertificate when p is Salem, and None otherwise.
+    layout is the trace layout of p when it was computed, and None when the
+    signs of p at 1 and -1 rule the Salem layout out first: a Salem p has
+    p(1) = T(2) < 0 < p(-1) = (-1)**e T(-2).  Under the Salem layout,
+    Kronecker's rule decides irreducibility: p over the minimal polynomial
+    of its root above 1 has every root on the unit circle, so it is a
+    product of cyclotomic polynomials, and p is irreducible when no T_n
+    divides T.  Nothing here factors p.
+    """
+    if not sum(p.coeffs) < 0 < kern.eval_int(p.coeffs, -1):
+        return None, None
+    e = p.degree // 2
+    t_poly, layout = trace_layout(p)
+    if layout != (1, 0, e - 1) or not all(
+        kern.divmod_monic(t_poly.coeffs, t_n)[1] for _, t_n in _trace_cyclotomics(e)
+    ):
+        return None, layout
+    cert = SalemCertificate(
+        poly=p,
+        degree=p.degree,
+        trace_poly=t_poly,
+        root_interval=lambda_interval(p),
+        circle_root_count=p.degree - 2,
+    )
+    return cert, layout
+
+
 def is_salem(p: IntPoly):
     """Certify p as a Salem polynomial.
 
     Returns a SalemCertificate (truthy) or NotSalem (falsy) with a reason in
     {not-monic, not-reciprocal, reducible, wrong-circle-count} and a witness.
-    A p whose trace polynomial has the Salem layout and no cyclotomic factor
-    is certified without factoring; every other p is factored, and a
-    reducible one is reported as such before its layout.  The layout is not
-    computed for a p whose signs at 1 and -1 already rule the Salem layout
-    out, until an irreducible p needs it as its witness.
+    Past the input guards, _salem_certificate decides without factoring;
+    only a p it rejects is factored, for the witness, and a reducible one
+    is reported as such before its layout.  An irreducible p's witness is
+    its layout, computed here only when the decision did not compute it.
     """
     if p.degree > MAX_DEGREE:
         raise DegreeTooLargeError(f"degree {p.degree} > {MAX_DEGREE}")
@@ -309,34 +339,16 @@ def is_salem(p: IntPoly):
         return NotSalem("reducible", witness=IntPoly((1, 1)), detail="odd degree forces the factor t + 1")
     if p.degree < 2:
         return NotSalem("wrong-circle-count", witness=(0, 0, 0), detail="degree below 2")
-    e = p.degree // 2
-    salem_layout = (1, 0, e - 1)
-    layout = None
-    # a Salem p has p(1) = T(2) < 0 < p(-1) = (-1)**e T(-2), so other signs
-    # rule out the Salem layout before it is computed
-    if sum(p.coeffs) < 0 < kern.eval_int(p.coeffs, -1):
-        t_poly, layout = trace_layout(p)
-        # Kronecker's rule: under the Salem layout, p over the minimal
-        # polynomial of its root above 1 has every root on the unit circle,
-        # so it is a product of cyclotomic polynomials, and p is irreducible
-        # when no T_n divides T
-        if layout == salem_layout and all(
-            kern.divmod_monic(t_poly.coeffs, t_n)[1] for _, t_n in _trace_cyclotomics(e)
-        ):
-            return SalemCertificate(
-                poly=p,
-                degree=p.degree,
-                trace_poly=t_poly,
-                root_interval=lambda_interval(p),
-                circle_root_count=p.degree - 2,
-            )
+    cert, layout = _salem_certificate(p)
+    if cert:
+        return cert
     factors = factor_bounded(p)
     if factors != ((p, 1),):
         g = factors[0][0]
         return NotSalem("reducible", witness=g, detail=f"factor {g}")
     if layout is None:
         layout = trace_layout(p)[1]
-    if layout == salem_layout:
+    if layout == (1, 0, p.degree // 2 - 1):
         raise CertificationError(f"{p} has a cyclotomic factor yet factors as irreducible")
     n_hi, n_lo, n_mid = layout
     return NotSalem(

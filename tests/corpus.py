@@ -15,7 +15,8 @@ second, and do not yet: each is a strict xfail with its reason, and
 test_cli.py stops each at 1 s.
 
 MALFORMED holds malformed commands: empty or stray coefficients, pairings
-and entry lists of the wrong length, and parameters out of range.  Each
+and entry lists of the wrong length, parameters out of range, and --out
+paths that cannot be written.  Each
 must end at once with exit 0, 1 or 2 and one stderr line or one JSON
 object; test_cli.py runs them too.
 """
@@ -106,9 +107,10 @@ def _poly_commands():
             yield (cmd, "--", p) if p.startswith("-") else (cmd, p)
 
 
+# bound 12 at degree 2 gives lambda up to 11.9, two digits before the point
 ENUMERATE_COMMANDS = tuple(
-    ("enumerate", "--degree", str(degree), "--max-coeff", "4", "--format", fmt)
-    for degree in (2, 4, 6)
+    ("enumerate", "--degree", str(degree), "--max-coeff", str(bound), "--format", fmt)
+    for degree, bound in ((2, 4), (4, 4), (6, 4), (2, 12))
     for fmt in ("csv", "json")
 )
 
@@ -149,6 +151,7 @@ HEAVY = (
     ),
 )
 
+_NO_DIRECTORY = "no-such-directory/out.json"
 _PAIRING = ("construct", "quartic", "--poly", "1,-2,4,-2,1", "--pairing")
 MALFORMED = (
     ("is-salem", "1,,1"),
@@ -167,4 +170,10 @@ MALFORMED = (
     ("construct", "dyadic-cm", "--n", "3", "--k", "5"),
     ("enumerate", "--degree", "3"),
     ("enumerate", "--degree", "-2"),
+    # an --out path that cannot be written: a directory, or a file in a
+    # directory that does not exist
+    ("is-salem", "1,-3,1", "--out", _NO_DIRECTORY),
+    ("is-salem", "1,1,1", "--out", "."),
+    ("construct", "gl2z", "--r", "3", "--det", "1", "--out", _NO_DIRECTORY),
+    ("enumerate", "--degree", "2", "--max-coeff", "3", "--out", "."),
 )

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from salemtori import cli, torus
+from salemtori import cli, salem, torus
 from salemtori.poly import IntPoly, format_poly, quote_token
 from salemtori.salem import is_salem
 
@@ -418,15 +418,16 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("degree", (2, 4, 6))
     def test_sign_prefilter_keeps_every_salem_candidate(self, monkeypatch, degree):
-        # only candidates with p(1) < 0 < p(-1) reach is_salem, and every
+        # only candidates with p(1) < 0 < p(-1) reach the decision, and every
         # candidate is_salem accepts is among them
         reached = []
+        decide = cli._salem_certificate
 
         def spy(p):
             reached.append(p)
-            return is_salem(p)
+            return decide(p)
 
-        monkeypatch.setattr(cli, "is_salem", spy)
+        monkeypatch.setattr(cli, "_salem_certificate", spy)
         for bound in range(1, 5):
             cands = [IntPoly.from_descending(c) for c in cli._sweep(degree, bound)]
             reached.clear()
@@ -436,6 +437,22 @@ class TestEnumerate:
             assert set(salem) <= set(reached)
             assert [r[0] for r in rows if r is not None] == [format_poly(p) for p in salem]
 
+    @pytest.mark.parametrize("degree", (2, 4, 6))
+    def test_sweep_never_factors(self, monkeypatch, degree):
+        # the rows are those of the candidates is_salem certifies, each one
+        # tried, in the order of degree, lambda and polynomial; a sweep that
+        # factored a rejected candidate would raise
+        def refuse(*args):
+            raise AssertionError(f"factoring {args}")
+
+        expected = {}
+        for bound in range(1, 5):
+            certs = [is_salem(IntPoly.from_descending(c)) for c in cli._sweep(degree, bound)]
+            rows = [cli._salem_row(cert) for cert in certs if cert]
+            expected[bound] = sorted(rows, key=lambda r: (int(r[1]), Fraction(r[2]), r[0]))
+        monkeypatch.setattr(salem, "factor_bounded", refuse)
+        for bound in range(1, 5):
+            assert cli._collect_rows(degree, bound, 1) == expected[bound]
 
     def test_oversized_sweep_is_refused_up_front(self, monkeypatch, capsys):
         # 2001**3 candidates: refused before a single one is built
@@ -471,6 +488,19 @@ def test_out_flag(tmp_path):
     out = run("wedge", "1,0,0,1,1", "--out", str(target))
     assert out.returncode == 0
     assert json.loads(target.read_text())["exterior_square"] == "1,0,-1,-1,-1,0,1"
+
+
+@pytest.mark.parametrize("name", ("missing/result.json", "."))
+@pytest.mark.parametrize("argv", (("is-salem", "1,-3,1"), ("is-salem", "1,1,1")))
+def test_out_that_cannot_be_written_ends_in_one_line(tmp_path, monkeypatch, argv, name):
+    # a directory, or a file in a directory that does not exist, once
+    # ended in a traceback; the second command is rejected, with exit 2
+    # when its JSON is written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = main_in_process(*argv, "--out", name)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"salemtori: cannot write {name!r}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", HOSTILE, ids=lambda argv: " ".join(a[:12] for a in argv))

@@ -251,7 +251,8 @@ class TestKronecker:
     def test_signs_skip_the_layout(self, monkeypatch):
         # p(1) >= 0 or p(-1) <= 0 rules the Salem layout out: a reducible p
         # is reported without its layout, and an irreducible one computes it
-        # once, for its witness
+        # once, for its witness.  Where p(1) < 0 < p(-1), the decision
+        # computes the layout, and the witness reuses it
         calls = []
         layout = salem.trace_layout
         monkeypatch.setattr(salem, "trace_layout", lambda p: calls.append(p) or layout(p))
@@ -260,6 +261,10 @@ class TestKronecker:
         assert calls == []
         assert is_salem(cyclotomic(5)).witness == (0, 0, 2)
         assert calls == [cyclotomic(5)]
+        calls.clear()
+        p = IntPoly((1, -1, 0, -4, 0, -1, 1))
+        assert is_salem(p).witness == (1, 0, 0)
+        assert calls == [p]
 
 
 @st.composite
