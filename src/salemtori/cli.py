@@ -493,6 +493,10 @@ def cmd_enumerate(args, parser) -> int:
             f"salemtori: enumerate: {count} candidates, more than the limit of {MAX_CANDIDATES}\n"
         )
         return 1
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        # open() fails on such a path and creates no file, so _emit ends the
+        # command with its one line now instead of after the sweep
+        _emit("", args.out)
     # more processes than CPUs gain nothing; the rows do not depend on it
     workers = min(args.workers, os.cpu_count() or 1)
     rows = _collect_rows(args.degree, args.max_coeff, workers)

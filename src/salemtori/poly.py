@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import isqrt
 from operator import index
 
 from . import _kernels as kern
@@ -214,7 +214,7 @@ def format_poly(p: IntPoly) -> str:
 
 
 def divisors(n: int):
-    """Sorted positive divisors of a nonzero integer."""
+    """Divisors of n != 0 by increasing size, each followed by its negative."""
     n = abs(n)
     if n == 0:
         raise ValueError("zero has no divisor list")
@@ -222,9 +222,9 @@ def divisors(n: int):
     d = 1
     while d * d <= n:
         if n % d == 0:
-            small.append(d)
+            small += (d, -d)
             if d * d != n:
-                large.append(n // d)
+                large += (-(n // d), n // d)
         d += 1
     return small + large[::-1]
 
@@ -248,21 +248,6 @@ def _quadratic_split(c: IntPoly):
     return None
 
 
-def _signed_divisors(n: int):
-    out = []
-    for d in divisors(n):
-        out.append(d)
-        out.append(-d)
-    return out
-
-
-def _mignotte_bounds(c, m):
-    # any monic degree-m factor g of monic p obeys
-    # |g_i| <= C(m-1,i)*||p||_2 + C(m-1,i-1)
-    b = isqrt(sum(x * x for x in c)) + 1
-    return [comb(m - 1, i) * b + (comb(m - 1, i - 1) if i >= 1 else 0) for i in range(m)]
-
-
 def _trial(c, g):
     q, r = kern.divmod_monic(c, g)
     return q if not r else None
@@ -277,16 +262,16 @@ def _find_factor(c):
     even- and odd-index coefficients, leading 1 included, u = e + o and
     v = e - o: a quadratic is fixed by (a0, u), a cubic by the triple, and a
     quartic up to a3, which pairing g(2) with g(-2) settles after the walk.
-    Before trial division a candidate must also pass the Mignotte bounds and
-    g(x) != 0, g(x) | c(x) at x = -2, 3, -3.  Each of these is a necessary
-    condition for g | c (c(x) != 0 since c has no integer roots), so they
-    only prune: no factor can be missed, and trial division confirms every
-    hit.  A quadratic or cubic hit is irreducible as c has no linear factor,
-    and a quartic hit as the walk has ruled out every quadratic factor.
+    The tests that prune come before trial division: g(x) != 0 and
+    g(x) | c(x) at x = -2, 3, -3, and at x = -1 for a quadratic, as only
+    cubics and quartics take g(-1) from the divisors of c(-1).  Mignotte's
+    coefficient bound rejects too few candidates to pay.  Each test is a
+    necessary condition for g | c (c(x) != 0 since c has no integer roots),
+    so no factor can be missed, and trial division confirms every hit.  A
+    quadratic or cubic hit is irreducible as c has no linear factor, and a
+    quartic hit as the walk has ruled out every quadratic factor.
     """
     deg = len(c) - 1
-    # the bounds for degree deg//2 dominate those for every smaller degree
-    bound = _mignotte_bounds(c, deg // 2)
     pm1 = kern.eval_int(c, -1)
     checks = tuple((x, kern.eval_int(c, x)) for x in (-2, 3, -3))
 
@@ -297,29 +282,27 @@ def _find_factor(c):
                 return False
         return _trial(c, g) is not None
 
-    us = _signed_divisors(kern.eval_int(c, 1))
-    vs = _signed_divisors(pm1) if deg >= 6 else ()
+    us = divisors(kern.eval_int(c, 1))
+    vs = divisors(pm1) if deg >= 6 else ()
     seeds = []  # (a0, a2, a1 + a3) of the quartic candidates
-    for a0 in _signed_divisors(c[0]):
-        if abs(a0) > bound[0]:
-            continue
+    for a0 in divisors(c[0]):
         for u in us:
             a1 = u - 1 - a0
             gm1 = a0 - a1 + 1
-            if abs(a1) <= bound[1] and gm1 and pm1 % gm1 == 0 and divides((a0, a1, 1)):
+            if gm1 and pm1 % gm1 == 0 and divides((a0, a1, 1)):
                 return (a0, a1, 1)
             for v in vs:
                 if (u + v) & 1:
                     continue
                 e, o = (u + v) // 2, (u - v) // 2
-                if abs(e - a0) <= bound[2] and abs(o - 1) <= bound[1] and divides((a0, o - 1, e - a0, 1)):
+                if divides((a0, o - 1, e - a0, 1)):
                     return (a0, o - 1, e - a0, 1)
-                if deg == 8 and abs(e - 1 - a0) <= bound[2]:
+                if deg == 8:
                     seeds.append((a0, e - 1 - a0, o))
     if not seeds:
         return None
     pm2 = checks[0][1]
-    d2s = _signed_divisors(kern.eval_int(c, 2))
+    d2s = divisors(kern.eval_int(c, 2))
     # g(2) + g(-2) = 32 + 8*a2 + 2*a0, so (a0, a2) pairs each divisor
     # d2 = g(2) with g(-2); keep the d2 whose partner divides c(-2), once per
     # value of the sum
@@ -335,7 +318,7 @@ def _find_factor(c):
             a3 = num // 6
             g = (a0, s - a3, a2, a3, 1)
             # g(-2) | c(-2) by the pairing
-            if abs(a3) <= bound[3] and abs(s - a3) <= bound[1] and divides(g, checks[1:]):
+            if divides(g, checks[1:]):
                 return g
     return None
 
@@ -359,7 +342,7 @@ def factor_bounded(p: IntPoly):
         record((0, 1))
         c = c[1:]
     if len(c) > 1:
-        for r in sorted(_signed_divisors(c[0]), key=lambda d: (abs(d), d)):
+        for r in divisors(c[0]):
             lin = (-r, 1)
             while True:
                 q = _trial(c, lin)

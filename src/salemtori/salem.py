@@ -626,8 +626,11 @@ def refine_root_box(p: IntPoly, rb: RootBox, width: Fraction) -> RootBox:
     A lower box is refined as the mirror image of its upper one.  A real
     box is continued by _continue_bracket on p, and any other box by _aberth
     from its centre alone, which is Newton's method; its new box holds the
-    old box's root, as it must lie within the old box.
+    old box's root, as it must lie within the old box.  Raises ValueError
+    unless width > 0.
     """
+    if width <= 0:
+        raise ValueError("width must be positive")
     if rb.re.width <= width and rb.im.width <= width:
         return rb
     if rb.im.hi < 0:

@@ -226,8 +226,11 @@ class TorusModel(Record):
         new box inside the old box at its index.  A quartic model refines
         each real and upper box by refine_root_box, once, and lists the
         results with the mirror image of each upper one by _with_conjugates,
-        as isolate_all_roots does."""
+        as isolate_all_roots does.  Raises BadParametersError unless
+        width > 0."""
         width = Fraction(width)
+        if width <= 0:
+            raise BadParametersError("width must be positive")
         family, qm = (self.origin.family, self.origin.quad) if self.origin is not None else (None, None)
         if family == "gl2z":
             qm = _gl2z_block(*self.origin.params)
@@ -427,9 +430,10 @@ def gl2z_model(r: int, det: int) -> TorusModel:
         (0, 0, 1, r),
     )
     h1 = _charpoly(matrix)
-    root_poly = SturmChain(h1).radical()
-    if root_poly != IntPoly((det, -r, 1)):
-        raise CertificationError(f"root polynomial {root_poly} is not t^2 - {r}t + {det}")
+    # r^2 - 4 det > 0, so q is squarefree: the radical of h1 = q^2
+    root_poly = IntPoly((det, -r, 1))
+    if h1 != root_poly * root_poly:
+        raise CertificationError(f"H^1 polynomial {h1} is not the square of {root_poly}")
     boxes, pairing = _q_roots(_gl2z_block(r, det), root_poly, _BOX_BITS)
     return TorusModel(matrix, h1, exterior_square(h1), root_poly, boxes, pairing, False, ModelOrigin("gl2z", (r, det)))
 

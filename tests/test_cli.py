@@ -466,6 +466,32 @@ class TestEnumerate:
         assert captured.err.count("\n") == 1
         assert str(2001**3) in captured.err and str(cli.MAX_CANDIDATES) in captured.err
 
+    @pytest.mark.parametrize("name", ("missing/rows.csv", "."))
+    def test_out_is_checked_before_the_sweep(self, tmp_path, monkeypatch, name):
+        # a directory, or a file in a directory that does not exist, once
+        # failed only after the whole sweep had run
+        def refuse(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "_collect_rows", refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = main_in_process("enumerate", "--degree", "6", "--max-coeff", "12", "--out", name)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"salemtori: cannot write {name!r}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_sweep_that_fails_leaves_its_out_as_it_was(self, tmp_path, monkeypatch):
+        # the file is written only once the rows exist
+        def fail(*args):
+            raise OSError("the sweep failed")
+
+        target = tmp_path / "rows.csv"
+        target.write_text("kept\n")
+        monkeypatch.setattr(cli, "_collect_rows", fail)
+        code, out, _ = main_in_process("enumerate", "--degree", "2", "--max-coeff", "3", "--out", str(target))
+        assert code == "traceback" and out == ""
+        assert target.read_text() == "kept\n"
+
     def test_largest_allowed_sweep_is_counted_exactly(self):
         assert cli._candidate_count(6, 49) == 99**3 <= cli.MAX_CANDIDATES < cli._candidate_count(6, 50)
         for degree in (2, 4, 6):

@@ -1,5 +1,7 @@
 """factor_bounded against sympy's factor_list, an independent factoriser."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -42,3 +44,15 @@ def test_factor_bounded_matches_sympy(factors):
     for f in factors:
         p = p * IntPoly(f)
     assert [(f.coeffs, m) for f, m in factor_bounded(p)] == sympy_factors(p)
+
+
+# the reciprocal quartics t^4 + a t^3 + b t^2 + a t + 1 with |a|, |b| <= 2
+RECIPROCAL_QUARTICS = tuple(IntPoly((1, a, b, a, 1)) for a in range(-2, 3) for b in range(-2, 3))
+
+
+def test_products_of_reciprocal_quartics_match_sympy():
+    # an octic with two irreducible quartic factors is split by the quartic
+    # stage of the walk, after the quadratic and cubic candidates fail
+    for f, g in combinations_with_replacement(RECIPROCAL_QUARTICS, 2):
+        p = f * g
+        assert [(h.coeffs, m) for h, m in factor_bounded(p)] == sympy_factors(p), (f, g)

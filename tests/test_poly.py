@@ -13,6 +13,7 @@ from salemtori.poly import (
     ONE,
     IntPoly,
     cyclotomic,
+    divisors,
     factor_bounded,
     format_poly,
     _quadratic_split,
@@ -113,6 +114,17 @@ class TestParse:
     @given(small_poly)
     def test_roundtrip(self, p):
         assert parse_poly(format_poly(p)) == p
+
+
+class TestDivisors:
+    @pytest.mark.parametrize("n", (1, -1, 12, -36, 97, 2160))
+    def test_both_signs_positive_first_by_size(self, n):
+        expected = [s * d for d in range(1, abs(n) + 1) if n % d == 0 for s in (1, -1)]
+        assert divisors(n) == expected
+
+    def test_zero_has_no_divisor_list(self):
+        with pytest.raises(ValueError):
+            divisors(0)
 
 
 class TestFactor:

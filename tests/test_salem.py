@@ -563,6 +563,16 @@ class TestIsolateAll:
         with pytest.raises(CertificationError):
             refine_root_box(IntPoly((-1, 1)), RootBox(Interval(0, 2), Interval.point(0)), Fraction(1, 8))
 
+    @pytest.mark.parametrize("width", (0, Fraction(-1, 8)), ids=str)
+    @pytest.mark.parametrize("p", (IntPoly((1, -3, 1)), IntPoly((1, 1, 0, 0, 1))), ids=("real", "non-real"))
+    def test_refine_rejects_a_width_that_is_not_positive(self, p, width):
+        # 0 once divided by zero; -1/8 returned a real box 2**-29 wide, as
+        # if refined, and raised "could not refine box" on a non-real one
+        rb = isolate_all_roots(p)[-1]
+        assert rb.is_real == (p.degree == 2)
+        with pytest.raises(ValueError, match="width must be positive"):
+            refine_root_box(p, rb, width)
+
     def test_disjoint_and_refinable(self):
         # the Salem quartic's circle pair is refined by Newton's method from
         # the box centre

@@ -568,3 +568,19 @@ class TestH20:
         assert fine.pairing == m.pairing
         for b in fine.root_boxes:
             assert b.re.width <= Fraction(1, 1 << 40)
+
+    @pytest.mark.parametrize("width", (0, -1))
+    @pytest.mark.parametrize(
+        "build",
+        (
+            lambda: quad_order_model(a_form_matrix(2, 0, 1)),
+            lambda: gl2z_model(3, 1),
+            lambda: from_quartic(IntPoly((1, -2, 4, -2, 1))),
+        ),
+        ids=("quad-order", "gl2z", "quartic"),
+    )
+    def test_refined_rejects_a_width_that_is_not_positive(self, build, width):
+        # 0 once divided by zero, and -1 returned a closed-form model's
+        # 2**-200 boxes unchanged
+        with pytest.raises(BadParametersError, match="width must be positive"):
+            build().refined(width)
