@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from operator import index
 
 from . import _kernels as kern
@@ -213,11 +213,25 @@ def format_poly(p: IntPoly) -> str:
     return ",".join(str(c) for c in reversed(p.coeffs))
 
 
+# |n| from which divisors() lists the divisors from the prime factorisation;
+# the two routes break even near 2**16.5
+_FACTOR_FROM = 1 << 17
+
+
 def divisors(n: int):
-    """Divisors of n != 0 by increasing size, each followed by its negative."""
+    """Divisors of n != 0 by increasing size, each followed by its negative.
+
+    Below _FACTOR_FROM by trial division up to sqrt(|n|); from there by the
+    prime factorisation of |n|, in about |n|**(1/3) steps.
+    """
     n = abs(n)
     if n == 0:
         raise ValueError("zero has no divisor list")
+    if n >= _FACTOR_FROM:
+        ds = [1]
+        for p, e in _prime_factors(n).items():
+            ds = [d * p**i for d in ds for i in range(e + 1)]
+        return [s for d in sorted(ds) for s in (d, -d)]
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -227,6 +241,77 @@ def divisors(n: int):
                 large += (-(n // d), n // d)
         d += 1
     return small + large[::-1]
+
+
+def _icbrt(n: int) -> int:
+    """floor(n ** (1/3)) for n >= 0, by Newton's method in integers."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)  # above the root, as n < 2**bits
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_factors(n: int) -> dict:
+    """{p: e} with n = prod(p**e), for n >= 1.
+
+    Trial division takes out every prime d <= max(cbrt(m), 30) of what is
+    left, m.  Each prime factor of m then lies above cbrt(m), so m is 1, a
+    prime, the square of one, or a product p*q that _lehman splits; the
+    floor 30 leaves _lehman no m below 31.
+    """
+    out = {}
+    m, d = n, 2
+    bound = max(_icbrt(m), 30)
+    while d <= bound and d * d <= m:
+        if m % d == 0:
+            while m % d == 0:
+                m //= d
+                out[d] = out.get(d, 0) + 1
+            bound = max(_icbrt(m), 30)
+        d += 1 if d == 2 else 2
+    if m == 1:
+        return out
+    if d * d <= m:  # else m is a prime, as no d <= sqrt(m) divides it
+        r = isqrt(m)
+        g = r if r * r == m else _lehman(m)
+        if g is not None:
+            for q in (g, m // g):
+                out[q] = out.get(q, 0) + 1
+            return out
+    out[m] = out.get(m, 0) + 1
+    return out
+
+
+def _lehman(n: int):
+    """A factor 1 < g < n of n, or None when n is prime (Lehman, Math. Comp.
+    28, 1974; Crandall & Pomerance, Algorithm 5.1.2).
+
+    n must be odd, above 21, and free of prime factors up to cbrt(n).  Then
+    n = p*q is composite exactly when a**2 - 4*k*n is a square b**2 for some
+    k <= cbrt(n) and sqrt(4kn) <= a <= sqrt(4kn) + n**(1/6) / (4 sqrt(k)),
+    and gcd(a + b, n) splits n.  Both bounds are rounded outward.
+    """
+    near = _icbrt(n >> 12)  # n // (4096 k**3) is 0 for every k > near
+    four_kn = 0
+    for k in range(1, _icbrt(n) + 2):
+        four_kn += 4 * n
+        root = isqrt(four_kn)
+        top = root + 1
+        if k <= near:
+            # floor(n**(1/6) / (4 sqrt(k))) = floor((n / (4096 k**3)) ** (1/6))
+            top += _icbrt(isqrt(n // (4096 * k * k * k)))
+        for a in range(root + (root * root < four_kn), top + 1):
+            b2 = a * a - four_kn
+            b = isqrt(b2)
+            if b * b == b2:
+                g = gcd(a + b, n)
+                if 1 < g < n:
+                    return g
+    return None
 
 
 def _is_square(n: int) -> bool:

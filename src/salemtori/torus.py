@@ -422,7 +422,7 @@ def gl2z_model(r: int, det: int) -> TorusModel:
         raise BadParametersError(f"det must be +1 or -1, got {det}")
     hyperbolic = (det == 1 and abs(r) > 2) or (det == -1 and r != 0)
     if not hyperbolic:
-        raise NotHyperbolicError(f"t^2 - {r}t + {det} has no real root off the unit circle")
+        raise NotHyperbolicError(f"{IntPoly((det, -r, 1))} has no real root off the unit circle")
     matrix = (
         (0, -det, 0, 0),
         (1, r, 0, 0),

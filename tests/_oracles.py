@@ -8,6 +8,7 @@ agreement with the package is meaningful.
 import decimal
 from fractions import Fraction
 from itertools import permutations
+from math import isqrt
 
 import mpmath
 
@@ -70,6 +71,15 @@ def o_divmod(a, b):
     while q and q[-1] == 0:
         q.pop()
     return tuple(q), tuple(r)
+
+
+def o_divisors(n):
+    """Divisors of n != 0 by trial of every d up to sqrt(|n|), by increasing
+    size, each followed by its negative."""
+    n = abs(n)
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    high = [n // d for d in reversed(low) if d * d != n]
+    return [s for d in low + high for s in (d, -d)]
 
 
 def o_companion(coeffs):

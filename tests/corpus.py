@@ -11,8 +11,8 @@ HOSTILE holds oversized inputs that must end at once with exit 1 and one
 line on stderr, under cli.MAX_BITS; test_cli.py runs them.
 
 HEAVY holds valid inputs under cli.MAX_BITS that must also end within a
-second, and do not yet: each is a strict xfail with its reason, and
-test_cli.py stops each at 1 s.
+second; test_cli.py stops each at 1 s.  Those that do not end in time yet
+are strict xfails with their reason.
 
 MALFORMED holds malformed commands: empty or stray coefficients, pairings
 and entry lists of the wrong length, parameters out of range, and --out
@@ -131,16 +131,25 @@ HOSTILE = (
 )
 
 
-def _heavy(argv, ident, reason):
+def _heavy(argv, ident, reason=None):
+    if reason is None:
+        return pytest.param(argv, id=ident)
     return pytest.param(argv, marks=pytest.mark.xfail(strict=True, reason=reason), id=ident)
 
 
-# at A = 10**30, p(1) > 0 puts p off the Salem layout, so is_salem factors
-# p, and factor_bounded lists the divisors of p(1) by trial division up to
-# its square root
-_TRIAL_DIVISION = "factor_bounded's trial division takes about sqrt(p(1)), over 10**15 steps"
+# with A > 0, p(1) > 0 puts p off the Salem layout, so is_salem factors p,
+# and factor_bounded lists the divisors of p(1), p(-1) and p(2): by trial
+# division up to their cube roots, then Lehman's method.  At A = 10**30
+# these values have prime factors of 61 to 108 bits.
+_TRIAL_DIVISION = "factor_bounded's divisor lists take about cbrt(p(1)), 10**9 to 10**10 trial divisions"
 _A = 10**30
 HEAVY = (
+    _heavy(("is-salem", f"1,{10**15},12345,{10**15},1"), "is-salem 1,10^15,12345,10^15,1"),
+    _heavy(("classify", f"1,{10**15},3,{10**15},1"), "classify 1,10^15,3,10^15,1"),
+    _heavy(
+        ("is-salem", f"1,{10**13},3,{10**13},7,{10**13},3,{10**13},1"),
+        "is-salem 1,10^13,3,10^13,7,10^13,3,10^13,1",
+    ),
     _heavy(("is-salem", f"1,{_A},12345,{_A},1"), "is-salem 1,A,12345,A,1", _TRIAL_DIVISION),
     _heavy(("is-salem", f"1,{_A},3,{_A},7,{_A},3,{_A},1"), "is-salem 1,A,3,A,7,A,3,A,1", _TRIAL_DIVISION),
     _heavy(("classify", f"1,{_A},3,{_A},1"), "classify 1,A,3,A,1", _TRIAL_DIVISION),

@@ -1,5 +1,6 @@
 """Exact polynomial layer: arithmetic, parsing, factoring, cyclotomics."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salemtori import poly
 from salemtori.errors import DegreeTooLargeError, NotMonicError, ParseError
 from salemtori.poly import (
     CYCLOTOMIC_INDICES,
     ONE,
     IntPoly,
+    _icbrt,
+    _lehman,
     cyclotomic,
     divisors,
     factor_bounded,
@@ -24,7 +28,7 @@ from salemtori.poly import (
 )
 from salemtori.salem import SturmChain
 
-from _oracles import o_divmod, o_eval, o_mul
+from _oracles import o_divisors, o_divmod, o_eval, o_mul
 
 coeff = st.integers(min_value=-50, max_value=50)
 small_poly = st.lists(coeff, min_size=0, max_size=8).map(lambda c: IntPoly(tuple(c)))
@@ -125,6 +129,43 @@ class TestDivisors:
     def test_zero_has_no_divisor_list(self):
         with pytest.raises(ValueError):
             divisors(0)
+
+    @pytest.mark.parametrize("factor_from", (poly._FACTOR_FROM, 1), ids=("as-is", "all-factorised"))
+    def test_small_n_match_trial_division(self, monkeypatch, factor_from):
+        # with the switch at 1, the factorisation route lists these too
+        monkeypatch.setattr(poly, "_FACTOR_FROM", factor_from)
+        for n in range(1, 3000):
+            assert divisors(n) == o_divisors(n), n
+
+    def test_large_n_match_trial_division(self):
+        rng = random.Random(29)
+        sample = [rng.randrange(10**e, 10 ** (e + 1)) for e in range(4, 13)]
+        powers = [2**36, 3**21, 7**12, 101**3, 1009**2, 65521**2, 1009**2 * 53]
+        products = [p * q for p, q in SEMIPRIMES]
+        for n in sample + powers + products + list(CERTIFY_VALUES):
+            assert divisors(n) == divisors(-n) == o_divisors(n), n
+
+    def test_lehman_splits_products_of_two_large_primes(self):
+        for p, q in SEMIPRIMES + ((32771, 1073938427), (65521, 4293001429)):
+            assert _lehman(p * q) in (p, q), (p, q)
+
+    @pytest.mark.parametrize("p", (2311, 1018057, 1000000000039, 10000000000037, 35184372088891))
+    def test_lehman_finds_no_factor_of_a_prime(self, p):
+        assert _lehman(p) is None
+
+    def test_integer_cube_root(self):
+        for n in range(200):
+            assert _icbrt(n) ** 3 <= n < (_icbrt(n) + 1) ** 3, n
+        for k in (2, 21, 1000, 10**10, 3**70):
+            assert (_icbrt(k**3 - 1), _icbrt(k**3), _icbrt(k**3 + 1)) == (k - 1, k, k)
+
+
+# products p * q of primes with cbrt(p * q) < p <= q; the first two lie
+# below the divisor list's switch to factorisation, the rest above it
+SEMIPRIMES = ((101, 103), (53, 2311), (1009, 1013), (1009, 1018057), (10007, 100003), (999983, 1000003))
+# |p(1)| and p(-1) of the 10**12 reciprocal quartic of the certify benchmark
+# at seed 7
+CERTIFY_VALUES = (2092697344164, 10452339343535)
 
 
 class TestFactor:

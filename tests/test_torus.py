@@ -192,6 +192,12 @@ class TestGl2z:
             gl2z_model(0, -1)
         assert gl2z_model(3, 1).salem_factor() == IntPoly((1, -7, 1))
 
+    @pytest.mark.parametrize("r, det, shown", ((-1, 1, "t^2 + t + 1"), (0, -1, "t^2 - 1")))
+    def test_not_hyperbolic_message_prints_the_polynomial(self, r, det, shown):
+        with pytest.raises(NotHyperbolicError) as err:
+            gl2z_model(r, det)
+        assert str(err.value) == f"{shown} has no real root off the unit circle"
+
     def test_det_validated(self):
         with pytest.raises(BadParametersError):
             gl2z_model(5, 2)
