@@ -15,11 +15,12 @@ that split and RANKS holds the Picard ranks each case forces; torus reads both.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 from ._record import Record
 from .errors import CertificationError, NotSalemInputError, WrongDegreeError
-from .poly import ONE, IntPoly, _quadratic_split, cyclotomic
+from .poly import ONE, IntPoly, _is_square, _quadratic_split, cyclotomic
 from .salem import NotSalem, SalemCertificate, SturmChain, is_salem
 from .wedge import invert_wedge
 
@@ -176,6 +177,12 @@ def _complement_pool(degree: int) -> tuple:
     return split + irred
 
 
+@lru_cache(maxsize=None)
+def _complement_sieve(degree: int) -> tuple:
+    """(C, C(1), C(-1)) for each C of _complement_pool(degree)."""
+    return tuple((c, c(1), c(-1)) for c in _complement_pool(degree))
+
+
 def pairing_classes(p: IntPoly) -> tuple:
     """Complex-structure choices on the companion torus of P, up to conjugation.
 
@@ -213,10 +220,14 @@ def realizable(s) -> ClassificationReport:
     """
     report = case_of(s)
     cert = report.salem
+    s1, sm1 = cert.poly(1), cert.poly(-1)
     witnesses = []
-    for c_poly in _complement_pool(cert.degree):
+    for c_poly, c1, cm1 in _complement_sieve(cert.degree):
+        # a Q that fails the square filter has no verified preimage, and
+        # Q(+-1) = S(+-1) C(+-1) decides that filter before Q is formed
+        if not (_is_square(-s1 * c1) and _is_square(sm1 * cm1)):
+            continue
         q_poly = cert.poly * c_poly
-        # a Q that fails the square filter has no verified preimage
         for p_poly in invert_wedge(q_poly).verified:
             classes = pairing_classes(p_poly)
             if not classes:

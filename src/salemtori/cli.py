@@ -465,13 +465,20 @@ def _candidate_count(degree: int, bound: int) -> int:
     return (2 * bound + 1) ** (degree // 2)
 
 
+# a sweep of fewer candidates runs in process whatever --workers says: on a
+# 2-CPU host the pool's start-up made two workers lose to one at 2,197
+# candidates (degree 6), and two won from 2,601 (degree 4) and 3,375 (degree 6)
+_POOL_FROM = 2200
+
+
 def _collect_rows(degree: int, bound: int, workers: int):
     cands = _sweep(degree, bound)
-    if workers > 1:
+    count = _candidate_count(degree, bound)
+    if workers > 1 and count >= _POOL_FROM:
         # only a parallel sweep pays for loading the process pool
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, _candidate_count(degree, bound) // (workers * 4))
+        chunk = max(1, count // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [r for r in pool.map(_atlas_row, cands, chunksize=chunk) if r is not None]
     else:
@@ -515,6 +522,12 @@ def cmd_enumerate(args, parser) -> int:
 # parser wiring
 
 
+def _add_poly_flags(sub, run):
+    sub.add_argument("poly")
+    sub.add_argument("--out", default=None)
+    sub.set_defaults(run=run)
+
+
 def _add_model_flags(sub):
     sub.add_argument("family", choices=("gl2z", "quad-order", "quartic", "dyadic-cm"))
     sub.add_argument("--r", type=_int_option, default=None)
@@ -530,47 +543,54 @@ def _add_model_flags(sub):
     sub.add_argument("--out", default=None)
 
 
-# the commands that take one polynomial: (name, handler, help)
-_POLY_COMMANDS = (
-    ("is-salem", cmd_is_salem, "certify a polynomial as Salem"),
-    ("classify", cmd_classify, "case, finiteness and witnesses for a Salem polynomial"),
-    ("wedge", cmd_wedge, "exterior square of a monic quartic"),
-    ("invert-wedge", cmd_invert_wedge, "quartic preimages of a monic sextic"),
+def _add_construct_flags(sub, flip):
+    _add_model_flags(sub)
+    sub.add_argument("--eps", default="1/1000000000", help="entropy interval width target")
+    sub.set_defaults(run=cmd_construct, reorient_after=flip)
+
+
+def _add_ns_flags(sub):
+    _add_model_flags(sub)
+    sub.add_argument("--reoriented", dest="reorient_after", action="store_true")
+    sub.set_defaults(run=cmd_ns)
+
+
+def _add_enumerate_flags(sub):
+    sub.add_argument("--degree", type=_int_option, choices=(2, 4, 6), required=True)
+    sub.add_argument("--max-coeff", type=_int_option, required=True)
+    sub.add_argument("--out", default=None)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--workers", type=_int_option, default=1)
+    sub.set_defaults(run=cmd_enumerate)
+
+
+# (name, help line, the function that adds the command's arguments)
+_COMMANDS = (
+    ("is-salem", "certify a polynomial as Salem", partial(_add_poly_flags, run=cmd_is_salem)),
+    ("classify", "case, finiteness and witnesses for a Salem polynomial", partial(_add_poly_flags, run=cmd_classify)),
+    ("wedge", "exterior square of a monic quartic", partial(_add_poly_flags, run=cmd_wedge)),
+    ("invert-wedge", "quartic preimages of a monic sextic", partial(_add_poly_flags, run=cmd_invert_wedge)),
+    ("construct", "build an explicit torus model", partial(_add_construct_flags, flip=False)),
+    ("reorient", "build a model, then flip its orientation", partial(_add_construct_flags, flip=True)),
+    ("ns", "divisor-class characteristic polynomial, when forced", _add_ns_flags),
+    ("enumerate", "atlas sweep over bounded reciprocal polynomials", _add_enumerate_flags),
 )
 
 
-def build_parser() -> _Parser:
+def build_parser(command=None) -> _Parser:
+    """The parser of every subcommand, each listed with its help line.
+
+    When command names one, only its arguments are added: argparse reads
+    the arguments of the subcommand it is given and no other, so a process
+    does not pay for building the rest.
+    """
     parser = _Parser(prog="salemtori", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    for name, run, text in _POLY_COMMANDS:
-        s = subs.add_parser(name, help=text)
-        s.add_argument("poly")
-        s.add_argument("--out", default=None)
-        s.set_defaults(run=run)
-
-    for name, text, flip in (
-        ("construct", "build an explicit torus model", False),
-        ("reorient", "build a model, then flip its orientation", True),
-    ):
-        s = subs.add_parser(name, help=text)
-        _add_model_flags(s)
-        s.add_argument("--eps", default="1/1000000000", help="entropy interval width target")
-        s.set_defaults(run=cmd_construct, reorient_after=flip)
-
-    s = subs.add_parser("ns", help="divisor-class characteristic polynomial, when forced")
-    _add_model_flags(s)
-    s.add_argument("--reoriented", dest="reorient_after", action="store_true")
-    s.set_defaults(run=cmd_ns)
-
-    s = subs.add_parser("enumerate", help="atlas sweep over bounded reciprocal polynomials")
-    s.add_argument("--degree", type=_int_option, choices=(2, 4, 6), required=True)
-    s.add_argument("--max-coeff", type=_int_option, required=True)
-    s.add_argument("--out", default=None)
-    s.add_argument("--format", choices=("csv", "json"), default="csv")
-    s.add_argument("--workers", type=_int_option, default=1)
-    s.set_defaults(run=cmd_enumerate)
-
+    whole = command not in (name for name, _, _ in _COMMANDS)
+    for name, text, add_flags in _COMMANDS:
+        sub = subs.add_parser(name, help=text)
+        if whole or name == command:
+            add_flags(sub)
     return parser
 
 
@@ -594,8 +614,9 @@ def _as_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_as_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = _as_values(sys.argv[1:] if argv is None else list(argv))
+    parser = build_parser(argv[0] if argv else None)
+    args = parser.parse_args(argv)
     try:
         return args.run(args, parser)
     except ParseError as exc:

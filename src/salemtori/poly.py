@@ -484,30 +484,38 @@ def cyclotomic(n: int) -> IntPoly:
     return num
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_sieve():
+    """(n, Phi_n coefficients, Phi_n(2)) for every n in CYCLOTOMIC_INDICES.
+
+    Phi_n(2) != 0, as every root of Phi_n lies on the unit circle."""
+    return tuple((n, cyclotomic(n).coeffs, cyclotomic(n)(2)) for n in CYCLOTOMIC_INDICES)
+
+
 @lru_cache(maxsize=1024)
 def split_cyclotomic(p: IntPoly):
     """Split off all cyclotomic factors of a monic p of degree <= 8.
 
     Returns ((n, multiplicity), ...) and the non-cyclotomic cofactor, so that
-    p == prod(cyclotomic(n)**m) * rest.  Results are memoised per p.
+    p == prod(cyclotomic(n)**m) * rest.  Results are memoised per p.  Phi_n
+    divides the cofactor c only if Phi_n(2) divides c(2), so only then is
+    the division tried; c(2) = 0 rules nothing out.
     """
     if not p.is_monic:
         raise NotMonicError("split_cyclotomic expects a monic polynomial")
     if p.degree > 8:
         raise DegreeTooLargeError(f"degree {p.degree} > 8")
-    rest = p
+    rest = p.coeffs
+    at2 = kern.eval_int(rest, 2)
     parts = []
-    for n in CYCLOTOMIC_INDICES:
-        phi = cyclotomic(n)
-        if phi.degree > rest.degree:
-            continue
+    for n, phi, phi2 in _cyclotomic_sieve():
         m = 0
-        while rest.degree >= phi.degree:
-            q, r = divmod(rest, phi)
-            if not r.is_zero:
+        while len(rest) >= len(phi) and at2 % phi2 == 0:
+            q, r = kern.divmod_monic(rest, phi)
+            if r:
                 break
-            rest = q
+            rest, at2 = q, at2 // phi2
             m += 1
         if m:
             parts.append((n, m))
-    return tuple(parts), rest
+    return tuple(parts), IntPoly(rest) if parts else p

@@ -281,6 +281,17 @@ def _trace_cyclotomics(e: int):
     )
 
 
+# T_n divides T only if T_n(x) divides T(x) at this integer x > 2, where
+# T_n(x) != 0 as every root of T_n lies in [-2, 2]
+_SIEVE_AT = 10
+
+
+@lru_cache(maxsize=None)
+def _trace_sieve(e: int):
+    """(T_n(_SIEVE_AT), T_n) for each (n, T_n) of _trace_cyclotomics(e)."""
+    return tuple((kern.eval_int(t_n, _SIEVE_AT), t_n) for _, t_n in _trace_cyclotomics(e))
+
+
 def _salem_certificate(p: IntPoly):
     """The decision of is_salem, without its witnesses: (certificate, layout)
     for a monic reciprocal p of even degree 2e >= 2.
@@ -292,15 +303,19 @@ def _salem_certificate(p: IntPoly):
     Kronecker's rule decides irreducibility: p over the minimal polynomial
     of its root above 1 has every root on the unit circle, so it is a
     product of cyclotomic polynomials, and p is irreducible when no T_n
-    divides T.  Nothing here factors p.
+    divides T.  A T_n is divided into T only when T_n(_SIEVE_AT) divides
+    T(_SIEVE_AT), which T(_SIEVE_AT) = 0 always passes.  Nothing here
+    factors p.
     """
     if not sum(p.coeffs) < 0 < kern.eval_int(p.coeffs, -1):
         return None, None
     e = p.degree // 2
     t_poly, layout = trace_layout(p)
-    if layout != (1, 0, e - 1) or not all(
-        kern.divmod_monic(t_poly.coeffs, t_n)[1] for _, t_n in _trace_cyclotomics(e)
-    ):
+    if layout != (1, 0, e - 1):
+        return None, layout
+    t = t_poly.coeffs
+    at = kern.eval_int(t, _SIEVE_AT)
+    if any(at % v == 0 and not kern.divmod_monic(t, t_n)[1] for v, t_n in _trace_sieve(e)):
         return None, layout
     cert = SalemCertificate(
         poly=p,

@@ -7,8 +7,9 @@ agreement with the package is meaningful.
 
 import decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath
 
@@ -80,6 +81,37 @@ def o_divisors(n):
     low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     high = [n // d for d in reversed(low) if d * d != n]
     return [s for d in low + high for s in (d, -d)]
+
+
+@lru_cache(maxsize=None)
+def o_cyclotomic(n):
+    """Phi_n, ascending: t**n - 1 over Phi_d for every d < n dividing n."""
+    num = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            num, r = o_divmod(num, o_cyclotomic(d))
+            if r:
+                raise ArithmeticError(f"Phi_{d} does not divide t^{n} - 1")
+    return tuple(int(c) for c in num)
+
+
+def o_split_cyclotomic(coeffs):
+    """((n, m), ...) and the cofactor of a monic p (ascending tuple): Phi_n
+    for each n with totient(n) <= 8, in increasing order, divided out by
+    long division while the remainder is zero."""
+    rest, parts = tuple(coeffs), []
+    for n in range(1, 31):
+        if sum(1 for k in range(1, n + 1) if gcd(k, n) == 1) > 8:
+            continue
+        phi, m = o_cyclotomic(n), 0
+        while len(rest) >= len(phi):
+            q, r = o_divmod(rest, phi)
+            if r:
+                break
+            rest, m = tuple(int(c) for c in q), m + 1
+        if m:
+            parts.append((n, m))
+    return tuple(parts), rest
 
 
 def o_companion(coeffs):

@@ -1,7 +1,10 @@
 """Case table, complement pool and square filter, witness search, finiteness."""
 
+import itertools
+
 import pytest
 
+from salemtori import classify
 from salemtori.classify import (
     CASE_3A,
     CASE_3B,
@@ -236,6 +239,50 @@ class TestRealizable:
         rep = realizable(p)
         assert rep.witnesses == ()
         assert rep.finiteness is None
+
+
+def _salem_up_to(bound):
+    """Every Salem polynomial of degree 2, 4 and 6 with reciprocal
+    coefficients in [-bound, bound]."""
+    out = []
+    for degree in (2, 4, 6):
+        for half in itertools.product(range(-bound, bound + 1), repeat=degree // 2):
+            cert = is_salem(IntPoly((1, *half, *half[-2::-1], 1)))
+            if cert:
+                out.append(cert)
+    return out
+
+
+class TestValueSieve:
+    """realizable forms Q = S*C and inverts it only when -S(1)C(1) and
+    S(-1)C(-1), the values -Q(1) and Q(-1), are squares."""
+
+    def test_inverts_only_what_passes_the_value_test(self, monkeypatch):
+        seen = []
+        invert = classify.invert_wedge
+        monkeypatch.setattr(classify, "invert_wedge", lambda q: seen.append(q) or invert(q))
+        certs = _salem_up_to(4)
+        assert sorted({c.degree for c in certs}) == [2, 4, 6]
+        for cert in certs:
+            seen.clear()
+            realizable(cert)
+            products = [cert.poly * c for c in _complement_pool(cert.degree)]
+            assert seen == [q for q in products if square_values(q)]
+            assert all(invert(q).obstruction == "not-square" for q in products if q not in seen)
+
+    def test_same_reports_as_without_the_sieve(self, monkeypatch):
+        certs = _salem_up_to(4)
+        sieved = [realizable(cert) for cert in certs]
+        # a value test that passes everything inverts every product
+        monkeypatch.setattr(classify, "_is_square", lambda n: True)
+        assert [realizable(cert) for cert in certs] == sieved
+        assert sum(bool(r.witnesses) for r in sieved) > 0
+
+    def test_sieve_table(self):
+        for degree in (2, 4, 6):
+            table = classify._complement_sieve(degree)
+            assert [c for c, _, _ in table] == list(_complement_pool(degree))
+            assert all((c1, cm1) == (c(1), c(-1)) for c, c1, cm1 in table)
 
 
 class TestFiniteness:

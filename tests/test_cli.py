@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -15,6 +15,7 @@ from salemtori import cli, salem, torus
 from salemtori.poly import IntPoly, format_poly, quote_token
 from salemtori.salem import is_salem
 
+import corpus
 from compare_corpus import run_commands
 from corpus import HEAVY, HOSTILE, MALFORMED
 
@@ -507,6 +508,110 @@ def test_workers_capped_at_cpu_count(monkeypatch, capsys, cpus, asked, used):
     assert cli.main(argv) == 0
     assert seen == [used]
     assert capsys.readouterr().out.startswith("s_poly,")
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records each pool and maps in
+    this process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    import concurrent.futures
+
+    _InProcessPool.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    return _InProcessPool.made
+
+
+class TestPoolThreshold:
+    def test_small_sweep_runs_in_process(self, monkeypatch, pool_spy):
+        # 169 candidates: the pool's start-up would cost more than the sweep
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ("enumerate", "--degree", "4", "--max-coeff", "6")
+        one = main_in_process(*argv, "--workers", "1")
+        two = main_in_process(*argv, "--workers", "2")
+        assert pool_spy == []
+        assert one == two and one[0] == 0 and one[1].count("\n") > 1
+
+    def test_the_pool_starts_at_the_threshold(self, monkeypatch, pool_spy):
+        count = cli._candidate_count(4, 2)
+        expected = cli._collect_rows(4, 2, 1)
+        monkeypatch.setattr(cli, "_POOL_FROM", count + 1)
+        assert cli._collect_rows(4, 2, 2) == expected and pool_spy == []
+        monkeypatch.setattr(cli, "_POOL_FROM", count)
+        assert cli._collect_rows(4, 2, 2) == expected and pool_spy == [2]
+
+    def test_pool_rows_match_in_process_rows(self, monkeypatch):
+        # a real pool, below the threshold for speed
+        monkeypatch.setattr(cli, "_POOL_FROM", 0)
+        assert cli._collect_rows(4, 3, 2) == cli._collect_rows(4, 3, 1)
+
+
+# argument lists beside the corpus: none, or none that names a subcommand
+# first, and each subcommand's --help
+_OTHER_ARGVS = (
+    (),
+    ("--help",),
+    ("-h",),
+    ("--",),
+    ("--", "is-salem", "1,-3,1"),
+    ("no-such-command", "1"),
+    ("-1,3,-1",),
+    *((name, "--help") for name, _, _ in cli._COMMANDS),
+)
+
+
+def _parse(parser, argv):
+    """(namespace or None, exit code, stdout, stderr) of parser.parse_args."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            ns = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            ns, code = None, exc.code
+    return ns, code, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    @pytest.mark.parametrize("family", ("ORDINARY", "MALFORMED", "HOSTILE", "OTHER"))
+    def test_parser_of_one_command_reads_as_the_whole_parser(self, family):
+        argvs = _OTHER_ARGVS if family == "OTHER" else getattr(corpus, family)
+        whole, parsers = cli.build_parser(), {}
+        for argv in argvs:
+            argv = cli._as_values(list(argv))
+            first = argv[0] if argv else None
+            if first not in parsers:
+                parsers[first] = cli.build_parser(first)
+            assert _parse(parsers[first], argv) == _parse(whole, argv), argv
+
+    def test_only_the_named_command_gets_its_arguments(self):
+        parser = cli.build_parser("is-salem")
+        argv = ["enumerate", "--degree", "4", "--max-coeff", "1"]
+        _, code, _, err = _parse(parser, argv)
+        assert code == 1 and "unrecognized arguments" in err
+        assert _parse(cli.build_parser("enumerate"), argv)[0]["degree"] == 4
+
+    def test_help_lists_every_command(self):
+        text = cli.build_parser().format_help()
+        assert text == cli.build_parser("is-salem").format_help()
+        for name, line, _ in cli._COMMANDS:
+            assert re.search(rf"^    {re.escape(name)} +{re.escape(line)}$", text, re.M), name
 
 
 def test_out_flag(tmp_path):

@@ -28,7 +28,7 @@ from salemtori.poly import (
 )
 from salemtori.salem import SturmChain
 
-from _oracles import o_divisors, o_divmod, o_eval, o_mul
+from _oracles import o_divisors, o_divmod, o_eval, o_mul, o_split_cyclotomic
 
 coeff = st.integers(min_value=-50, max_value=50)
 small_poly = st.lists(coeff, min_size=0, max_size=8).map(lambda c: IntPoly(tuple(c)))
@@ -297,6 +297,76 @@ class TestCyclotomic:
         parts, rest = split_cyclotomic(IntPoly((1, 0, -1, -1, -1, 0, 1)))
         assert parts == ()
         assert rest == IntPoly((1, 0, -1, -1, -1, 0, 1))
+
+
+def _cyclotomic_products(top, start=0):
+    """Every product of cyclotomic(n), n in CYCLOTOMIC_INDICES, of degree
+    <= top, as (indices, product), the empty product included."""
+    yield (), ONE
+    for i, n in enumerate(CYCLOTOMIC_INDICES[start:], start):
+        if cyclotomic(n).degree <= top:
+            for rest, prod in _cyclotomic_products(top - cyclotomic(n).degree, i):
+                yield (n, *rest), cyclotomic(n) * prod
+
+
+def _random_monic(rng, degree):
+    return IntPoly(tuple(rng.randint(-3, 3) for _ in range(degree)) + (1,))
+
+
+class TestCyclotomicSieve:
+    """split_cyclotomic divides by Phi_n only where Phi_n(2) divides p(2);
+    the memo is bypassed, so that each input runs the sieve."""
+
+    @staticmethod
+    def check(p):
+        parts, rest = split_cyclotomic.__wrapped__(p)
+        assert (parts, rest.coeffs) == o_split_cyclotomic(p.coeffs), p
+
+    def test_products_with_random_cofactors(self):
+        rng = random.Random(2021)
+        products = list(_cyclotomic_products(8))
+        assert len(products) == 501
+        for _, prod in products:
+            self.check(prod)
+            self.check(prod * _random_monic(rng, rng.randint(0, 8 - prod.degree)))
+
+    def test_a_root_at_two_rules_nothing_out(self):
+        # p(2) = 0: every Phi_n(2) divides it, so every division is tried
+        rng = random.Random(2022)
+        t_minus_2 = IntPoly((-2, 1))
+        for indices, prod in _cyclotomic_products(7):
+            p = t_minus_2 * prod
+            assert p(2) == 0
+            self.check(p)
+            q = p * _random_monic(rng, rng.randint(0, 7 - prod.degree))
+            self.check(q)
+            assert split_cyclotomic.__wrapped__(q)[0] == split_cyclotomic.__wrapped__(q // t_minus_2)[0]
+            assert dict(split_cyclotomic.__wrapped__(p)[0]) == {n: indices.count(n) for n in indices}
+
+    def test_values_that_divide_without_the_factor(self):
+        # Phi_n(2) | p(2) is necessary, not sufficient: such p must come
+        # through with Phi_n left in place
+        rng = random.Random(2023)
+        seen = 0
+        for n in CYCLOTOMIC_INDICES:
+            phi = cyclotomic(n)
+            for _ in range(20):
+                p = _random_monic(rng, rng.randint(phi.degree, 8))
+                # shift the constant term so that Phi_n(2) divides p(2)
+                p = p - p(2) % phi(2)
+                assert p(2) % phi(2) == 0
+                if phi.divides(p):
+                    continue
+                seen += 1
+                self.check(p)
+                assert n not in dict(split_cyclotomic.__wrapped__(p)[0])
+        assert seen > 300
+
+    def test_sieve_values(self):
+        sieve = poly._cyclotomic_sieve()
+        assert [n for n, _, _ in sieve] == list(CYCLOTOMIC_INDICES)
+        for n, phi, at2 in sieve:
+            assert phi == cyclotomic(n).coeffs and at2 == o_eval(phi, 2) != 0
 
 
 @given(small_poly, st.integers(min_value=-4, max_value=4))

@@ -33,6 +33,16 @@ names = ("mpmath", "concurrent.futures.process", "dataclasses", "inspect", "typi
 print(sorted(m for m in names if m in sys.modules))
 """
 
+# the tables built on first use: a table built at import would cost every
+# CLI process, whatever command it runs
+TABLES = """
+import salemtori.cli
+from salemtori import classify, poly, salem
+tables = (poly.cyclotomic, poly._cyclotomic_sieve, salem._trace_cyclotomics, salem._trace_sieve,
+          classify._complement_sieve)
+print([t.cache_info().currsize for t in tables])
+"""
+
 # with the entry None, every import of mpmath raises ImportError
 WITHOUT_MPMATH = """
 import sys
@@ -53,6 +63,12 @@ def test_cli_import_loads_neither_mpmath_nor_the_process_pool():
     out = python(LOADED, "-S")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_table():
+    out = python(TABLES)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 def test_entropy_without_mpmath():

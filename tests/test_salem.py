@@ -248,6 +248,37 @@ class TestKronecker:
         with pytest.raises(CertificationError, match="cyclotomic factor"):
             is_salem(cyclotomic(3) * SALEM_2)
 
+    def test_a_trace_that_vanishes_at_the_sieve_point_is_still_divided(self):
+        # T(x) = 0 at the sieve point x passes every value test, so each T_n
+        # is divided into T: (t^2 - xt + 1) Phi_n has the Salem layout for
+        # n != 2 and T_n | T, and must be reported reducible
+        x = salem._SIEVE_AT
+        base = IntPoly((1, -x, 1))
+        p = base * cyclotomic(3)
+        assert kern.eval_int(trace_transform(p).coeffs, x) == 0
+        assert salem._salem_certificate(p) == (None, (1, 0, 1))
+        assert is_salem(p).reason == "reducible"
+        for n in _PHI_6_INDICES:
+            q = _with_cyclotomic(n, base)
+            assert kern.eval_int(trace_transform(q).coeffs, x) == 0
+            assert salem._salem_certificate(q)[0] is None
+            assert is_salem(q) == _factor_first(q)
+
+    @pytest.mark.parametrize("degree, bound", [(4, 6), (6, 4), (8, 2)])
+    def test_every_small_reciprocal_polynomial_as_factor_first(self, degree, bound):
+        # the value sieve only skips divisions that cannot succeed
+        half = itertools.product(range(-bound, bound + 1), repeat=degree // 2)
+        for h in half:
+            p = IntPoly((1, *h, *h[-2::-1], 1))
+            assert is_salem(p) == _factor_first(p)
+
+    def test_sieve_table(self):
+        # the values sit beside _trace_cyclotomics, whose pairs stay as they were
+        for e in range(1, 5):
+            sieve = salem._trace_sieve(e)
+            assert [t_n for _, t_n in sieve] == [t_n for _, t_n in _trace_cyclotomics(e)]
+            assert all(v == o_eval(t_n, salem._SIEVE_AT) != 0 for v, t_n in sieve)
+
     def test_signs_skip_the_layout(self, monkeypatch):
         # p(1) >= 0 or p(-1) <= 0 rules the Salem layout out: a reducible p
         # is reported without its layout, and an irreducible one computes it
