@@ -213,34 +213,19 @@ def format_poly(p: IntPoly) -> str:
     return ",".join(str(c) for c in reversed(p.coeffs))
 
 
-# |n| from which divisors() lists the divisors from the prime factorisation;
-# the two routes break even near 2**16.5
-_FACTOR_FROM = 1 << 17
-
-
-def divisors(n: int):
+@lru_cache(maxsize=1024)
+def divisors(n: int) -> tuple:
     """Divisors of n != 0 by increasing size, each followed by its negative.
 
-    Below _FACTOR_FROM by trial division up to sqrt(|n|); from there by the
-    prime factorisation of |n|, in about |n|**(1/3) steps.
+    Built from the prime factorisation of |n|, in about |n|**(1/3) steps.
+    Results are memoised per n, so callers share the tuple.
     """
-    n = abs(n)
     if n == 0:
         raise ValueError("zero has no divisor list")
-    if n >= _FACTOR_FROM:
-        ds = [1]
-        for p, e in _prime_factors(n).items():
-            ds = [d * p**i for d in ds for i in range(e + 1)]
-        return [s for d in sorted(ds) for s in (d, -d)]
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small += (d, -d)
-            if d * d != n:
-                large += (-(n // d), n // d)
-        d += 1
-    return small + large[::-1]
+    ds = [1]
+    for p, e in _prime_factors(abs(n)).items():
+        ds = [d * p**i for d in ds for i in range(e + 1)]
+    return tuple(s for d in sorted(ds) for s in (d, -d))
 
 
 def _icbrt(n: int) -> int:
@@ -355,8 +340,14 @@ def _find_factor(c):
     so no factor can be missed, and trial division confirms every hit.  A
     quadratic or cubic hit is irreducible as c has no linear factor, and a
     quartic hit as the walk has ruled out every quadratic factor.
+
+    A quartic with c(0) = 1 skips the walk: it can only split as
+    (t^2 + at + s)(t^2 + bt + s) with s = +-1, which _quadratic_split solves.
     """
     deg = len(c) - 1
+    if deg == 4 and c[0] == 1:
+        split = _quadratic_split(IntPoly(c))
+        return None if split is None else (split[2], split[0], 1)
     pm1 = kern.eval_int(c, -1)
     checks = tuple((x, kern.eval_int(c, x)) for x in (-2, 3, -3))
 

@@ -80,7 +80,7 @@ def o_divisors(n):
     n = abs(n)
     low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     high = [n // d for d in reversed(low) if d * d != n]
-    return [s for d in low + high for s in (d, -d)]
+    return tuple(s for d in low + high for s in (d, -d))
 
 
 @lru_cache(maxsize=None)

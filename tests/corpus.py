@@ -137,12 +137,15 @@ def _heavy(argv, ident, reason=None):
     return pytest.param(argv, marks=pytest.mark.xfail(strict=True, reason=reason), id=ident)
 
 
-# with A > 0, p(1) > 0 puts p off the Salem layout, so is_salem factors p,
-# and factor_bounded lists the divisors of p(1), p(-1) and p(2): by trial
-# division up to their cube roots, then Lehman's method.  At A = 10**30
-# these values have prime factors of 61 to 108 bits.
+# with A > 0, p(1) > 0 puts p off the Salem layout, so is_salem factors p.
+# factor_bounded splits a quartic with p(0) = 1 in closed form, but lists the
+# divisors of the octic's p(1), p(-1) and p(2): by trial division up to their
+# cube roots, then Lehman's method.  At A = 10**30 these values have prime
+# factors of 61 to 108 bits.
 _TRIAL_DIVISION = "factor_bounded's divisor lists take about cbrt(p(1)), 10**9 to 10**10 trial divisions"
 _A = 10**30
+# C, the largest coefficient under cli.MAX_BITS = 4000
+_C = (1 << 4000) - 1
 HEAVY = (
     _heavy(("is-salem", f"1,{10**15},12345,{10**15},1"), "is-salem 1,10^15,12345,10^15,1"),
     _heavy(("classify", f"1,{10**15},3,{10**15},1"), "classify 1,10^15,3,10^15,1"),
@@ -150,9 +153,11 @@ HEAVY = (
         ("is-salem", f"1,{10**13},3,{10**13},7,{10**13},3,{10**13},1"),
         "is-salem 1,10^13,3,10^13,7,10^13,3,10^13,1",
     ),
-    _heavy(("is-salem", f"1,{_A},12345,{_A},1"), "is-salem 1,A,12345,A,1", _TRIAL_DIVISION),
+    _heavy(("is-salem", f"1,{_A},12345,{_A},1"), "is-salem 1,A,12345,A,1"),
     _heavy(("is-salem", f"1,{_A},3,{_A},7,{_A},3,{_A},1"), "is-salem 1,A,3,A,7,A,3,A,1", _TRIAL_DIVISION),
-    _heavy(("classify", f"1,{_A},3,{_A},1"), "classify 1,A,3,A,1", _TRIAL_DIVISION),
+    _heavy(("classify", f"1,{_A},3,{_A},1"), "classify 1,A,3,A,1"),
+    _heavy(("is-salem", f"1,{_C},12345,{_C},1"), "is-salem 1,C,12345,C,1"),
+    _heavy(("classify", f"1,{_C},3,{_C},1"), "classify 1,C,3,C,1"),
     _heavy(
         ("construct", "quartic", "--poly", f"1,{-(1 << 2000)},{(1 << 3998) + 1},0,1"),
         "construct quartic --poly 1,-2^2000,2^3998+1,0,1",

@@ -1,11 +1,12 @@
 """factor_bounded against sympy's factor_list, an independent factoriser."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from salemtori import poly
 from salemtori.poly import ONE, IntPoly, factor_bounded
 from salemtori.salem import is_salem
 
@@ -59,6 +60,14 @@ def test_products_of_reciprocal_quartics_match_sympy():
         assert [(h.coeffs, m) for h, m in factor_bounded(p)] == sympy_factors(p), (f, g)
 
 
+def test_unit_constant_quartics_match_sympy():
+    # every t^4 + a t^3 + b t^2 + c t + 1 with |a|, |b|, |c| <= 6: split in
+    # closed form, after the linear factors, by _quadratic_split
+    for a, b, c in product(range(-6, 7), repeat=3):
+        p = IntPoly((1, c, b, a, 1))
+        assert [(f.coeffs, m) for f, m in factor_bounded(p)] == sympy_factors(p), p
+
+
 def sympy_layout(p: IntPoly):
     """(roots above 2, below -2, between) of the trace polynomial T of a
     reciprocal p of degree 2e, p(t) = t^e T(t + 1/t), counted by sympy.
@@ -74,15 +83,27 @@ def sympy_layout(p: IntPoly):
 
 
 # the factoring commands of tests/corpus.py HEAVY, highest degree first
-HEAVY_SHAPES = (
+HEAVY_QUARTICS = (
     lambda a: (1, a, 12345, a, 1),
     lambda a: (1, a, 3, a, 1),
-    lambda a: (1, a, 3, a, 7, a, 3, a, 1),
 )
+HEAVY_SHAPES = HEAVY_QUARTICS + (lambda a: (1, a, 3, a, 7, a, 3, a, 1),)
+SHAPE_IDS = ("quartic-12345", "quartic-3", "octic")
+# the largest coefficient under cli.MAX_BITS = 4000
+CAP = (1 << 4000) - 1
 
 
-@pytest.mark.parametrize("a", (10**10, 10**12, -(10**12)))
-@pytest.mark.parametrize("shape", HEAVY_SHAPES, ids=("quartic-12345", "quartic-3", "octic"))
+HEAVY_CASES = [
+    pytest.param(shape, a, id=f"{ident}-{a}")
+    for a in (10**10, 10**12, -(10**12))
+    for shape, ident in zip(HEAVY_SHAPES, SHAPE_IDS)
+]
+# the octic's divisor lists still take about cbrt(A) steps, so only the
+# quartics, which _quadratic_split solves, reach A = 10**30
+HEAVY_CASES += [pytest.param(shape, 10**30, id=f"{ident}-{10**30}") for shape, ident in zip(HEAVY_QUARTICS, SHAPE_IDS)]
+
+
+@pytest.mark.parametrize("shape, a", HEAVY_CASES)
 def test_heavy_shapes_match_sympy(shape, a):
     p = IntPoly.from_descending(shape(a))
     factors = sympy_factors(p)
@@ -96,3 +117,22 @@ def test_heavy_shapes_match_sympy(shape, a):
         assert cert
     else:
         assert (cert.reason, cert.witness) == ("wrong-circle-count", layout)
+
+
+@pytest.mark.parametrize("a", (10**30, -(10**30), CAP, -CAP), ids=("1e30", "-1e30", "cap", "-cap"))
+def test_big_unit_constant_quartics_list_no_divisors(monkeypatch, a):
+    # only the linear stage's list of the divisors of p(0) = 1 is allowed
+    real = poly.divisors
+
+    def spy(n):
+        if abs(n) > 1:
+            raise AssertionError(f"divisors({n}) called")
+        return real(n)
+
+    monkeypatch.setattr(poly, "divisors", spy)
+    for shape in HEAVY_QUARTICS:
+        p = IntPoly.from_descending(shape(a))
+        assert factor_bounded(p) == ((p, 1),)
+    for s in (1, -1):
+        f, g = IntPoly((s, a, 1)), IntPoly((s, 3 - a, 1))
+        assert factor_bounded(f * g) == tuple(sorted(((f, 1), (g, 1)), key=lambda fm: fm[0].coeffs))

@@ -123,19 +123,26 @@ class TestParse:
 class TestDivisors:
     @pytest.mark.parametrize("n", (1, -1, 12, -36, 97, 2160))
     def test_both_signs_positive_first_by_size(self, n):
-        expected = [s * d for d in range(1, abs(n) + 1) if n % d == 0 for s in (1, -1)]
+        expected = tuple(s * d for d in range(1, abs(n) + 1) if n % d == 0 for s in (1, -1))
         assert divisors(n) == expected
 
     def test_zero_has_no_divisor_list(self):
         with pytest.raises(ValueError):
             divisors(0)
 
-    @pytest.mark.parametrize("factor_from", (poly._FACTOR_FROM, 1), ids=("as-is", "all-factorised"))
-    def test_small_n_match_trial_division(self, monkeypatch, factor_from):
-        # with the switch at 1, the factorisation route lists these too
-        monkeypatch.setattr(poly, "_FACTOR_FROM", factor_from)
+    def test_small_n_match_trial_division(self):
         for n in range(1, 3000):
             assert divisors(n) == o_divisors(n), n
+
+    def test_memo_gives_the_cold_sequence(self):
+        # the memo shares its tuples, and holds n and -n apart
+        for n in (1, 12, 97, 2160, 1009 * 1018057) + CERTIFY_VALUES:
+            divisors.cache_clear()
+            cold = (divisors(n), divisors(-n))
+            warm = (divisors(n), divisors(-n))
+            assert cold == warm == (o_divisors(n), o_divisors(n)), n
+            assert warm[0] is cold[0] and warm[1] is cold[1]
+        assert divisors.cache_info().maxsize is not None
 
     def test_large_n_match_trial_division(self):
         rng = random.Random(29)
@@ -160,8 +167,8 @@ class TestDivisors:
             assert (_icbrt(k**3 - 1), _icbrt(k**3), _icbrt(k**3 + 1)) == (k - 1, k, k)
 
 
-# products p * q of primes with cbrt(p * q) < p <= q; the first two lie
-# below the divisor list's switch to factorisation, the rest above it
+# products p * q of primes with cbrt(p * q) < p <= q, which trial division
+# to the cube root leaves whole for _lehman to split
 SEMIPRIMES = ((101, 103), (53, 2311), (1009, 1013), (1009, 1018057), (10007, 100003), (999983, 1000003))
 # |p(1)| and p(-1) of the 10**12 reciprocal quartic of the certify benchmark
 # at seed 7

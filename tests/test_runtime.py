@@ -33,12 +33,12 @@ names = ("mpmath", "concurrent.futures.process", "dataclasses", "inspect", "typi
 print(sorted(m for m in names if m in sys.modules))
 """
 
-# the tables built on first use: a table built at import would cost every
-# CLI process, whatever command it runs
+# the tables and memos built on first use: one built at import would cost
+# every CLI process, whatever command it runs
 TABLES = """
 import salemtori.cli
 from salemtori import classify, poly, salem
-tables = (poly.cyclotomic, poly._cyclotomic_sieve, salem._trace_cyclotomics, salem._trace_sieve,
+tables = (poly.cyclotomic, poly._cyclotomic_sieve, poly.divisors, salem._trace_cyclotomics, salem._trace_sieve,
           classify._complement_sieve)
 print([t.cache_info().currsize for t in tables])
 """
@@ -68,7 +68,7 @@ def test_cli_import_loads_neither_mpmath_nor_the_process_pool():
 def test_cli_import_builds_no_table():
     out = python(TABLES)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0]"
 
 
 def test_entropy_without_mpmath():

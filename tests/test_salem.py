@@ -356,6 +356,11 @@ class TestLambda:
             iv = lambda_interval(p, bits)
             assert (iv.lo, iv.hi) == want, p
 
+    def test_approx_rejects_eps_zero(self):
+        # eps = 0 is refused before anything divides by it
+        with pytest.raises(ValueError):
+            lambda_approx(is_salem(IntPoly((1, -3, 1))), 0)
+
     def test_approx_continues_the_bracket(self):
         for p in _salem_polys(2):
             iv = lambda_approx(is_salem(p), Fraction(1, 10**30))
@@ -584,6 +589,15 @@ class TestIsolateAll:
         assert boxes[0].is_real and boxes[1].is_real
         assert boxes[0].re.hi <= boxes[1].re.lo
         assert not boxes[2].is_real
+
+    def test_degree_cap(self):
+        # the Salem octic t^8 - t^5 - t^4 - t^3 + 1 sits at the cap: two
+        # real roots and three conjugate pairs
+        octic = IntPoly.from_descending((1, 0, 0, -1, -1, -1, 0, 0, 1))
+        boxes = isolate_all_roots(octic)
+        assert len(boxes) == 8 and sum(b.is_real for b in boxes) == 2
+        with pytest.raises(DegreeTooLargeError):
+            isolate_all_roots(octic * IntPoly((-2, 1)))
 
     def test_squarefree_gate(self):
         with pytest.raises(NotSquarefreeError):
