@@ -165,8 +165,6 @@ def _jsonify(value):
         return format_poly(value)
     if isinstance(value, (tuple, list)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
     return value
 
 

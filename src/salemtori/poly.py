@@ -475,12 +475,15 @@ def cyclotomic(n: int) -> IntPoly:
     return num
 
 
+# Phi_n divides c only if Phi_n(x) divides c(x) at this integer x, where
+# Phi_n(x) != 0 as every root of Phi_n lies on the unit circle
+_SIEVE_AT = 10
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic_sieve():
-    """(n, Phi_n coefficients, Phi_n(2)) for every n in CYCLOTOMIC_INDICES.
-
-    Phi_n(2) != 0, as every root of Phi_n lies on the unit circle."""
-    return tuple((n, cyclotomic(n).coeffs, cyclotomic(n)(2)) for n in CYCLOTOMIC_INDICES)
+    """(n, Phi_n coefficients, Phi_n(_SIEVE_AT)) for every n in CYCLOTOMIC_INDICES."""
+    return tuple((n, cyclotomic(n).coeffs, cyclotomic(n)(_SIEVE_AT)) for n in CYCLOTOMIC_INDICES)
 
 
 @lru_cache(maxsize=1024)
@@ -488,24 +491,24 @@ def split_cyclotomic(p: IntPoly):
     """Split off all cyclotomic factors of a monic p of degree <= 8.
 
     Returns ((n, multiplicity), ...) and the non-cyclotomic cofactor, so that
-    p == prod(cyclotomic(n)**m) * rest.  Results are memoised per p.  Phi_n
-    divides the cofactor c only if Phi_n(2) divides c(2), so only then is
-    the division tried; c(2) = 0 rules nothing out.
+    p == prod(cyclotomic(n)**m) * rest.  Results are memoised per p.  The
+    division of the cofactor c by Phi_n is tried only where Phi_n(_SIEVE_AT)
+    divides c(_SIEVE_AT); c(_SIEVE_AT) = 0 rules nothing out.
     """
     if not p.is_monic:
         raise NotMonicError("split_cyclotomic expects a monic polynomial")
     if p.degree > 8:
         raise DegreeTooLargeError(f"degree {p.degree} > 8")
     rest = p.coeffs
-    at2 = kern.eval_int(rest, 2)
+    at = kern.eval_int(rest, _SIEVE_AT)
     parts = []
-    for n, phi, phi2 in _cyclotomic_sieve():
+    for n, phi, v in _cyclotomic_sieve():
         m = 0
-        while len(rest) >= len(phi) and at2 % phi2 == 0:
+        while len(rest) >= len(phi) and at % v == 0:
             q, r = kern.divmod_monic(rest, phi)
             if r:
                 break
-            rest, at2 = q, at2 // phi2
+            rest, at = q, at // v
             m += 1
         if m:
             parts.append((n, m))

@@ -7,10 +7,10 @@ else on the circle.  Degree 2 is allowed, with an empty circle part.
 The test runs entirely in integer arithmetic: the substitution u = t + 1/t
 halves the degree, Sturm counts of the image polynomial on (-inf, -2),
 (-2, 2), (2, inf) decide the root layout, and under the Salem layout
-Kronecker's theorem reduces irreducibility to a few exact divisions of the
-image.  Root isolation takes one route per kind of root: real roots from a
-Sturm subdivision, every other root an inclusion disc from Aberth's
-iteration in Gaussian integers; no step uses floating point.
+Kronecker's theorem reduces irreducibility to a few exact divisions by
+cyclotomic polynomials.  Root isolation takes one route per kind of root:
+real roots from a Sturm subdivision, every other root an inclusion disc from
+Aberth's iteration in Gaussian integers; no step uses floating point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     OddDegreeError,
 )
 from .intervals import Box, Interval
-from .poly import CYCLOTOMIC_INDICES, IntPoly, cyclotomic, factor_bounded, remainder_sequence
+from .poly import _SIEVE_AT, IntPoly, _cyclotomic_sieve, factor_bounded, remainder_sequence
 
 MAX_DEGREE = 8
 # is_salem brackets lambda to 2**-48, and isolate_real_roots the real roots to
@@ -262,36 +262,6 @@ def trace_layout(p: IntPoly):
     return t_poly, (v_hi - count(at_pos_inf), count(at_neg_inf) - v_lo, v_lo - v_hi)
 
 
-@lru_cache(maxsize=None)
-def _trace_cyclotomics(e: int):
-    """(n, T_n) for every n in CYCLOTOMIC_INDICES but 2 with phi(n) <= 2(e - 1),
-    where T_n, the minimal polynomial of 2cos(2pi/n), is the trace polynomial
-    of Phi_n, and of Phi_1**2 = t**2 - 2t + 1 for n = 1.
-
-    If the trace polynomial T of p (degree 2e) has the Salem layout, a
-    cyclotomic factor Phi_n of p has its trace roots in (-2, 2] beside the
-    root of T above 2, so phi(n) <= 2(e - 1); and n != 2, as no root of T
-    is -2.  Phi_n divides p exactly when T_n divides T, and Phi_1 does so
-    only squared, as u - 2 = (t - 1)**2 / t.
-    """
-    return tuple(
-        (n, (-2, 1) if n == 1 else trace_transform(cyclotomic(n)).coeffs)
-        for n in CYCLOTOMIC_INDICES
-        if n != 2 and cyclotomic(n).degree <= 2 * (e - 1)
-    )
-
-
-# T_n divides T only if T_n(x) divides T(x) at this integer x > 2, where
-# T_n(x) != 0 as every root of T_n lies in [-2, 2]
-_SIEVE_AT = 10
-
-
-@lru_cache(maxsize=None)
-def _trace_sieve(e: int):
-    """(T_n(_SIEVE_AT), T_n) for each (n, T_n) of _trace_cyclotomics(e)."""
-    return tuple((kern.eval_int(t_n, _SIEVE_AT), t_n) for _, t_n in _trace_cyclotomics(e))
-
-
 def _salem_certificate(p: IntPoly):
     """The decision of is_salem, without its witnesses: (certificate, layout)
     for a monic reciprocal p of even degree 2e >= 2.
@@ -302,21 +272,23 @@ def _salem_certificate(p: IntPoly):
     p(1) = T(2) < 0 < p(-1) = (-1)**e T(-2).  Under the Salem layout,
     Kronecker's rule decides irreducibility: p over the minimal polynomial
     of its root above 1 has every root on the unit circle, so it is a
-    product of cyclotomic polynomials, and p is irreducible when no T_n
-    divides T.  A T_n is divided into T only when T_n(_SIEVE_AT) divides
-    T(_SIEVE_AT), which T(_SIEVE_AT) = 0 always passes.  Nothing here
-    factors p.
+    product of cyclotomic polynomials, and p is irreducible when no Phi_n
+    divides p.  Such a Phi_n has n > 2, as p(1) and p(-1) are not 0, and
+    phi(n) <= 2e - 2, as it leaves out p's two real roots.  A Phi_n is
+    divided into p only when Phi_n(_SIEVE_AT) divides p(_SIEVE_AT), which
+    p(_SIEVE_AT) = 0 always passes.  Nothing here factors p.
     """
-    if not sum(p.coeffs) < 0 < kern.eval_int(p.coeffs, -1):
+    c = p.coeffs
+    if not sum(c) < 0 < kern.eval_int(c, -1):
         return None, None
     e = p.degree // 2
     t_poly, layout = trace_layout(p)
     if layout != (1, 0, e - 1):
         return None, layout
-    t = t_poly.coeffs
-    at = kern.eval_int(t, _SIEVE_AT)
-    if any(at % v == 0 and not kern.divmod_monic(t, t_n)[1] for v, t_n in _trace_sieve(e)):
-        return None, layout
+    at = kern.eval_int(c, _SIEVE_AT)
+    for n, phi, v in _cyclotomic_sieve():
+        if n > 2 and len(phi) < 2 * e and at % v == 0 and not kern.divmod_monic(c, phi)[1]:
+            return None, layout
     cert = SalemCertificate(
         poly=p,
         degree=p.degree,

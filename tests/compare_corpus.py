@@ -3,11 +3,11 @@
     python tests/compare_corpus.py REV
 
 Checks REV out with `git worktree` into a temporary directory, runs every
-command of corpus.ORDINARY in process on that checkout and on the working
-tree, one child interpreter per tree, and prints each command whose stdout,
-stderr or exit code differs, `lo`/`hi` endpoints included.  The worktree is
-removed afterwards.  Exits 0 when nothing differs and 1 otherwise.  pytest
-does not collect this file.
+command of corpus.ORDINARY, corpus.MALFORMED and corpus.HOSTILE in process
+on that checkout and on the working tree, one child interpreter per tree,
+and prints each command whose stdout, stderr or exit code differs, `lo`/`hi`
+endpoints included.  The worktree is removed afterwards.  Exits 0 when
+nothing differs and 1 otherwise.  pytest does not collect this file.
 """
 
 import io
@@ -62,9 +62,9 @@ def _clip(text: str) -> str:
 
 def main(rev: str) -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    from corpus import ORDINARY
+    from corpus import HOSTILE, MALFORMED, ORDINARY
 
-    argvs = [list(argv) for argv in ORDINARY]
+    argvs = [list(argv) for argv in (*ORDINARY, *MALFORMED, *HOSTILE)]
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "rev"
         git = ["git", "-C", str(ROOT), "worktree"]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from salemtori import poly
 from salemtori.errors import DegreeTooLargeError, NotMonicError, ParseError
 from salemtori.poly import (
+    _SIEVE_AT,
     CYCLOTOMIC_INDICES,
     ONE,
     IntPoly,
@@ -321,8 +322,9 @@ def _random_monic(rng, degree):
 
 
 class TestCyclotomicSieve:
-    """split_cyclotomic divides by Phi_n only where Phi_n(2) divides p(2);
-    the memo is bypassed, so that each input runs the sieve."""
+    """split_cyclotomic divides by Phi_n only where Phi_n(x) divides p(x) at
+    the sieve point x = _SIEVE_AT; the memo is bypassed, so that each input
+    runs the sieve."""
 
     @staticmethod
     def check(p):
@@ -338,7 +340,8 @@ class TestCyclotomicSieve:
             self.check(prod * _random_monic(rng, rng.randint(0, 8 - prod.degree)))
 
     def test_a_root_at_two_rules_nothing_out(self):
-        # p(2) = 0: every Phi_n(2) divides it, so every division is tried
+        # p(2) = 0, a root off the sieve point: each split matches the
+        # oracle's and does not depend on the factor t - 2
         rng = random.Random(2022)
         t_minus_2 = IntPoly((-2, 1))
         for indices, prod in _cyclotomic_products(7):
@@ -350,18 +353,30 @@ class TestCyclotomicSieve:
             assert split_cyclotomic.__wrapped__(q)[0] == split_cyclotomic.__wrapped__(q // t_minus_2)[0]
             assert dict(split_cyclotomic.__wrapped__(p)[0]) == {n: indices.count(n) for n in indices}
 
+    def test_a_root_at_the_sieve_point_rules_nothing_out(self):
+        # c(x) = 0 at the sieve point x: every Phi_n(x) divides it, so every
+        # division is tried, and c = (t - x) Phi_n, or (t - x) times any
+        # product of degree <= 7, must still split
+        t_minus_x = IntPoly((-_SIEVE_AT, 1))
+        for indices, prod in _cyclotomic_products(7):
+            c = t_minus_x * prod
+            assert c(_SIEVE_AT) == 0
+            self.check(c)
+            parts, rest = split_cyclotomic.__wrapped__(c)
+            assert dict(parts) == {n: indices.count(n) for n in indices} and rest == t_minus_x
+
     def test_values_that_divide_without_the_factor(self):
-        # Phi_n(2) | p(2) is necessary, not sufficient: such p must come
-        # through with Phi_n left in place
+        # Phi_n(x) | p(x) at the sieve point is necessary, not sufficient:
+        # such p must come through with Phi_n left in place
         rng = random.Random(2023)
         seen = 0
         for n in CYCLOTOMIC_INDICES:
             phi = cyclotomic(n)
             for _ in range(20):
                 p = _random_monic(rng, rng.randint(phi.degree, 8))
-                # shift the constant term so that Phi_n(2) divides p(2)
-                p = p - p(2) % phi(2)
-                assert p(2) % phi(2) == 0
+                # shift the constant term so that Phi_n(x) divides p(x)
+                p = p - p(_SIEVE_AT) % phi(_SIEVE_AT)
+                assert p(_SIEVE_AT) % phi(_SIEVE_AT) == 0
                 if phi.divides(p):
                     continue
                 seen += 1
@@ -370,10 +385,11 @@ class TestCyclotomicSieve:
         assert seen > 300
 
     def test_sieve_values(self):
+        assert _SIEVE_AT == 10
         sieve = poly._cyclotomic_sieve()
         assert [n for n, _, _ in sieve] == list(CYCLOTOMIC_INDICES)
-        for n, phi, at2 in sieve:
-            assert phi == cyclotomic(n).coeffs and at2 == o_eval(phi, 2) != 0
+        for n, phi, v in sieve:
+            assert phi == cyclotomic(n).coeffs and v == o_eval(phi, 10) != 0
 
 
 @given(small_poly, st.integers(min_value=-4, max_value=4))

@@ -20,7 +20,6 @@ from salemtori.salem import (
     SalemCertificate,
     SturmChain,
     _continue_bracket,
-    _trace_cyclotomics,
     cauchy_bound,
     is_salem,
     isolate_all_roots,
@@ -172,9 +171,9 @@ _PHI_6_INDICES = tuple(n for n in poly.CYCLOTOMIC_INDICES if cyclotomic(n).degre
 def _each_cyclotomic_factor(test):
     """An @example Phi_n (t^2 - 3t + 1) of degree <= 8 for every n in
     CYCLOTOMIC_INDICES with phi(n) <= 6, with Phi_1 and Phi_2 squared:
-    (t - 1)^2 exercises the table entry u - 2, and (t + 1)^2 leaves the
-    Salem layout.  Each other product keeps the layout, so only the table
-    entry for n tells it from a Salem polynomial."""
+    (t - 1)^2 and (t + 1)^2 vanish at 1 and -1, which the signs rule out.
+    Each other product keeps the Salem layout, so only the division by
+    Phi_n tells it from a Salem polynomial."""
     for n in _PHI_6_INDICES:
         test = example(_with_cyclotomic(n, SALEM_2))(test)
     return test
@@ -222,17 +221,6 @@ class TestKronecker:
     def test_same_output_as_factor_first(self, p):
         assert is_salem(p) == _factor_first(p)
 
-    def test_table_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
-        for e in range(1, 5):
-            table = dict(_trace_cyclotomics(e))
-            want = [n for n in range(1, 100) if n != 2 and sympy.totient(n) <= 2 * (e - 1)]
-            assert sorted(table) == want
-            for n, t_n in table.items():
-                mp = sympy.minimal_polynomial(2 * sympy.cos(2 * sympy.pi / n), x)
-                assert tuple(int(c) for c in reversed(sympy.Poly(mp, x).all_coeffs())) == t_n
-
     def test_irreducible_table_hit_raises(self, monkeypatch):
         # a factoriser that wrongly calls (t - 1)^2 (t^2 - 3t + 1) irreducible
         # contradicts its Salem layout, which must not be taken on trust;
@@ -243,24 +231,25 @@ class TestKronecker:
             is_salem(p)
 
     def test_irreducible_table_hit_with_salem_signs_raises(self, monkeypatch):
-        # Phi_3 (t^2 - 3t + 1) has p(1) < 0 < p(-1), and T_3 divides T
+        # Phi_3 (t^2 - 3t + 1) has p(1) < 0 < p(-1), and Phi_3 divides p
         monkeypatch.setattr(salem, "factor_bounded", lambda q: ((q, 1),))
         with pytest.raises(CertificationError, match="cyclotomic factor"):
             is_salem(cyclotomic(3) * SALEM_2)
 
     def test_a_trace_that_vanishes_at_the_sieve_point_is_still_divided(self):
-        # T(x) = 0 at the sieve point x passes every value test, so each T_n
-        # is divided into T: (t^2 - xt + 1) Phi_n has the Salem layout for
-        # n != 2 and T_n | T, and must be reported reducible
-        x = salem._SIEVE_AT
-        base = IntPoly((1, -x, 1))
+        # (t^2 - 10t + 1) Phi_n, whose trace polynomial vanishes at 10, has
+        # the Salem layout for n != 2 and the value Phi_n(10) at the sieve
+        # point 10, so Phi_n passes the value test and is divided into p:
+        # each must be reported reducible
+        base = IntPoly((1, -10, 1))
         p = base * cyclotomic(3)
-        assert kern.eval_int(trace_transform(p).coeffs, x) == 0
+        assert kern.eval_int(trace_transform(p).coeffs, 10) == 0
+        assert p(poly._SIEVE_AT) == cyclotomic(3)(poly._SIEVE_AT)
         assert salem._salem_certificate(p) == (None, (1, 0, 1))
         assert is_salem(p).reason == "reducible"
         for n in _PHI_6_INDICES:
             q = _with_cyclotomic(n, base)
-            assert kern.eval_int(trace_transform(q).coeffs, x) == 0
+            assert kern.eval_int(trace_transform(q).coeffs, 10) == 0
             assert salem._salem_certificate(q)[0] is None
             assert is_salem(q) == _factor_first(q)
 
@@ -271,13 +260,6 @@ class TestKronecker:
         for h in half:
             p = IntPoly((1, *h, *h[-2::-1], 1))
             assert is_salem(p) == _factor_first(p)
-
-    def test_sieve_table(self):
-        # the values sit beside _trace_cyclotomics, whose pairs stay as they were
-        for e in range(1, 5):
-            sieve = salem._trace_sieve(e)
-            assert [t_n for _, t_n in sieve] == [t_n for _, t_n in _trace_cyclotomics(e)]
-            assert all(v == o_eval(t_n, salem._SIEVE_AT) != 0 for v, t_n in sieve)
 
     def test_signs_skip_the_layout(self, monkeypatch):
         # p(1) >= 0 or p(-1) <= 0 rules the Salem layout out: a reducible p
@@ -617,6 +599,13 @@ class TestIsolateAll:
         assert rb.is_real == (p.degree == 2)
         with pytest.raises(ValueError, match="width must be positive"):
             refine_root_box(p, rb, width)
+
+    def test_refine_returns_a_box_already_at_the_width(self):
+        # a box no wider than asked for is returned as it is, also when a
+        # side is exactly as wide, which < in place of <= would refine again
+        for p in (GOLDEN_QUARTIC, IntPoly((1, 1, 0, 0, 1))):
+            for rb in isolate_all_roots(p):
+                assert refine_root_box(p, rb, max(rb.re.width, rb.im.width)) == rb
 
     def test_disjoint_and_refinable(self):
         # the Salem quartic's circle pair is refined by Newton's method from
