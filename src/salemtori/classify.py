@@ -19,9 +19,9 @@ from functools import lru_cache
 from math import isqrt
 
 from ._record import Record
-from .errors import CertificationError, NotSalemInputError, WrongDegreeError
+from .errors import CertificationError, NotMonicError, NotSalemInputError, WrongDegreeError
 from .poly import ONE, IntPoly, _is_square, _quadratic_split, cyclotomic
-from .salem import NotSalem, SalemCertificate, SturmChain, is_salem
+from .salem import NotSalem, SalemCertificate, is_salem
 from .wedge import invert_wedge
 
 CASE_DEG6 = "Case1_deg6"
@@ -184,30 +184,47 @@ def _complement_sieve(degree: int) -> tuple:
 
 
 def pairing_classes(p: IntPoly) -> tuple:
-    """Complex-structure choices on the companion torus of P, up to conjugation.
+    """Complex-structure choices on the companion torus of a monic quartic
+    P, up to conjugation.
 
     Squarefree P with no real roots: two classes, (upper, upper) and
     (upper, lower) across the two conjugate pairs.  P = G^2 with G real
     hyperbolic: the single diagonal class through gl2z_model.  Anything
     else admits no pairing.  Indices follow isolate_all_roots, which lists
     the two pairs of a quartic without real roots as (upper, lower, upper,
-    lower), so an exact Sturm count decides the classes.
+    lower).  Both facts come in closed form from the coefficients of
+    P = t^4 + a t^3 + b t^2 + c t + d.  A P with disc P != 0 is squarefree,
+    and it has no real root exactly when disc P > 0 and 8b - 3a^2 > 0 or
+    64d - 16b^2 + 16a^2 b - 16ac - 3a^4 > 0 (Rees, 1922); otherwise it has
+    two or four real roots.  A P with disc P = 0 qualifies only as the
+    square of G = t^2 + (a/2) t + (b - a^2/4)/2 with integer coefficients,
+    G(0) = +-1 and G hyperbolic.  Raises WrongDegreeError
+    unless P is a quartic and NotMonicError unless it is monic: a non-monic
+    P is the characteristic polynomial of no integer matrix.
     """
     if p.degree != 4:
         raise WrongDegreeError(f"expected a quartic, got degree {p.degree}")
-    chain = SturmChain(p)
-    if chain.squarefree:
-        if chain.count_real():
-            return ()
-        return (
-            PairingClass("conjugate", indices=(0, 2)),
-            PairingClass("conjugate", indices=(0, 3)),
-        )
-    g = chain.radical()
-    if g.degree == 2 and g * g == p:
-        c0, c1, _ = g.coeffs
-        if (c0 == 1 and abs(c1) > 2) or (c0 == -1 and c1 != 0):
-            return (PairingClass("real", gl_params=(-c1, c0)),)
+    if not p.is_monic:
+        raise NotMonicError(f"pairing classes need a monic quartic, got {p}")
+    d, c, b, a, _ = p.coeffs
+    disc = (
+        256 * d**3 - 192 * a * c * d**2 - 128 * b**2 * d**2 + 144 * b * c**2 * d - 27 * c**4
+        + 144 * a**2 * b * d**2 - 6 * a**2 * c**2 * d - 80 * a * b**2 * c * d + 18 * a * b * c**3
+        + 16 * b**4 * d - 4 * b**3 * c**2 - 27 * a**4 * d**2 + 18 * a**3 * b * c * d
+        - 4 * a**3 * c**3 - 4 * a**2 * b**3 * d + a**2 * b**2 * c**2
+    )
+    if disc:
+        if disc > 0 and (8 * b - 3 * a * a > 0 or 64 * d - 16 * b * b + 16 * a * a * b - 16 * a * c - 3 * a**4 > 0):
+            return (
+                PairingClass("conjugate", indices=(0, 2)),
+                PairingClass("conjugate", indices=(0, 3)),
+            )
+        return ()
+    # a G with integer coefficients is the one floor division finds
+    c1 = a // 2
+    c0 = (b - c1 * c1) // 2
+    if IntPoly((c0, c1, 1)) ** 2 == p and ((c0 == 1 and abs(c1) > 2) or (c0 == -1 and c1 != 0)):
+        return (PairingClass("real", gl_params=(-c1, c0)),)
     return ()
 
 

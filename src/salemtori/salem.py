@@ -5,12 +5,14 @@ root outside the unit circle (real, > 1) and its inverse inside; everything
 else on the circle.  Degree 2 is allowed, with an empty circle part.
 
 The test runs entirely in integer arithmetic: the substitution u = t + 1/t
-halves the degree, Sturm counts of the image polynomial on (-inf, -2),
-(-2, 2), (2, inf) decide the root layout, and under the Salem layout
-Kronecker's theorem reduces irreducibility to a few exact divisions by
-cyclotomic polynomials.  Root isolation takes one route per kind of root:
-real roots from a Sturm subdivision, every other root an inclusion disc from
-Aberth's iteration in Gaussian integers; no step uses floating point.
+halves the degree, and the root layout of the image polynomial T on
+(-inf, -2), (-2, 2), (2, inf) is decided by the signs of T(+-2), with the
+discriminant and T'(+-2) of a cubic T and Sturm counts only for a quartic
+T.  Under the Salem layout Kronecker's theorem reduces irreducibility to a
+few exact divisions by cyclotomic polynomials.  Root isolation takes one
+route per kind of root: real roots from a Sturm subdivision, every other
+root an inclusion disc from Aberth's iteration in Gaussian integers; no step
+uses floating point.
 """
 
 from __future__ import annotations
@@ -245,8 +247,16 @@ def lambda_interval(p: IntPoly, bits: int = _LAMBDA_BITS) -> Interval:
 def trace_layout(p: IntPoly):
     """The trace polynomial T of a monic reciprocal p of even degree 2e, and
     how many distinct roots T has above 2, below -2 and between, (n_hi,
-    n_lo, n_mid).  A Salem p has the layout (1, 0, e - 1)."""
+    n_lo, n_mid), from the Sturm chain of T.  A Salem p has the layout
+    (1, 0, e - 1).  The Salem decision reads that layout in closed form up
+    to e = 3 (_salem_trace); the chain serves e = 4 and the witness
+    of a rejected irreducible p."""
     t_poly = trace_transform(p)
+    return t_poly, _sturm_layout(t_poly)
+
+
+def _sturm_layout(t_poly: IntPoly):
+    """trace_layout's counts for the trace polynomial t_poly."""
     at_lo, at_hi, at_neg_inf, at_pos_inf = [], [], [], []
     for f in SturmChain(t_poly).chain:
         # f(2) and f(-2) from one pass: the even and odd parts of f at 2
@@ -259,7 +269,43 @@ def trace_layout(p: IntPoly):
         at_pos_inf.append(f[-1])
     count = SturmChain._variations
     v_lo, v_hi = count(at_lo), count(at_hi)
-    return t_poly, (v_hi - count(at_pos_inf), count(at_neg_inf) - v_lo, v_lo - v_hi)
+    return v_hi - count(at_pos_inf), count(at_neg_inf) - v_lo, v_lo - v_hi
+
+
+def _salem_trace(p: IntPoly):
+    """The trace polynomial T of a monic reciprocal p of even degree 2e >= 2
+    when p(1) < 0 < p(-1) and trace_layout(p) is the Salem layout
+    (1, 0, e - 1), and None otherwise.
+
+    p(1) = T(2) and p(-1) = (-1)**e T(-2).  Up to e = 2 these signs are the
+    layout: T(2) < 0 puts one root of T above 2, and (-1)**e T(-2) > 0 puts
+    the rest in (-2, 2).  For e = 3 and T = u**3 + a u**2 + b u + c they
+    leave T(2) < 0 and T(-2) < 0, and the layout holds exactly when T has
+    three real roots r1 < r2 < r3, disc T > 0, and its smaller critical
+    point x1, in (r1, r2), lies in (-2, 2).  x1 > -2 exactly when
+    T'(-2) = 12 - 4a + b > 0 and the midpoint -a/3 of the critical points
+    is above -2, a < 6; then x1 < 2 exactly when 2 lies between the
+    critical points, T'(2) = 12 + 4a + b < 0, or their midpoint is below 2,
+    a > -6.  T rises up to x1, so T(-2) < 0 puts r1 above -2, and T(2) < 0
+    puts 2 between r2 and r3.  For e = 4 the Sturm chain of T decides.
+    """
+    if not sum(p.coeffs) < 0 < kern.eval_int(p.coeffs, -1):
+        return None
+    e = p.degree // 2
+    t_poly = trace_transform(p)
+    if e <= 2:
+        return t_poly
+    if e == 4:
+        return t_poly if _sturm_layout(t_poly) == (1, 0, 3) else None
+    c, b, a, _ = t_poly.coeffs
+    if (
+        a * a * b * b - 4 * b * b * b - 4 * a * a * a * c - 27 * c * c + 18 * a * b * c > 0
+        and 12 - 4 * a + b > 0
+        and a < 6
+        and (12 + 4 * a + b < 0 or a > -6)
+    ):
+        return t_poly
+    return None
 
 
 def _salem_certificate(p: IntPoly):
@@ -267,9 +313,9 @@ def _salem_certificate(p: IntPoly):
     for a monic reciprocal p of even degree 2e >= 2.
 
     certificate is p's SalemCertificate when p is Salem, and None otherwise.
-    layout is the trace layout of p when it was computed, and None when the
-    signs of p at 1 and -1 rule the Salem layout out first: a Salem p has
-    p(1) = T(2) < 0 < p(-1) = (-1)**e T(-2).  Under the Salem layout,
+    layout is (1, 0, e - 1) when _salem_trace established it, and None
+    otherwise: then p(1) >= 0, p(-1) <= 0 or the trace roots lie otherwise,
+    and the decision computes no other layout.  Under the Salem layout,
     Kronecker's rule decides irreducibility: p over the minimal polynomial
     of its root above 1 has every root on the unit circle, so it is a
     product of cyclotomic polynomials, and p is irreducible when no Phi_n
@@ -278,13 +324,12 @@ def _salem_certificate(p: IntPoly):
     divided into p only when Phi_n(_SIEVE_AT) divides p(_SIEVE_AT), which
     p(_SIEVE_AT) = 0 always passes.  Nothing here factors p.
     """
-    c = p.coeffs
-    if not sum(c) < 0 < kern.eval_int(c, -1):
+    t_poly = _salem_trace(p)
+    if t_poly is None:
         return None, None
+    c = p.coeffs
     e = p.degree // 2
-    t_poly, layout = trace_layout(p)
-    if layout != (1, 0, e - 1):
-        return None, layout
+    layout = (1, 0, e - 1)
     at = kern.eval_int(c, _SIEVE_AT)
     for n, phi, v in _cyclotomic_sieve():
         if n > 2 and len(phi) < 2 * e and at % v == 0 and not kern.divmod_monic(c, phi)[1]:
@@ -307,7 +352,8 @@ def is_salem(p: IntPoly):
     Past the input guards, _salem_certificate decides without factoring;
     only a p it rejects is factored, for the witness, and a reducible one
     is reported as such before its layout.  An irreducible p's witness is
-    its layout, computed here only when the decision did not compute it.
+    its trace layout: the Salem layout when the decision established it,
+    which contradicts irreducibility, and otherwise trace_layout's count.
     """
     if p.degree > MAX_DEGREE:
         raise DegreeTooLargeError(f"degree {p.degree} > {MAX_DEGREE}")

@@ -36,8 +36,8 @@ from .errors import (
 )
 from .intervals import Box, Interval, isqrt_bounds, log_interval
 from .poly import ONE, IntPoly, split_cyclotomic
-from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, SturmChain, _bits_below, _with_conjugates
-from .salem import isolate_all_roots, lambda_interval, refine_root_box, trace_layout, trace_transform
+from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, SturmChain, _bits_below, _salem_trace, _with_conjugates
+from .salem import isolate_all_roots, lambda_interval, refine_root_box, trace_transform
 from .wedge import exterior_square
 
 
@@ -545,7 +545,10 @@ def is_projective(model: TorusModel) -> bool:
 def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
     """Certified interval of width <= eps around log(max |eigenvalue|^2).
 
-    Exactly [0, 0] when the spectrum lies on the unit circle.
+    Exactly [0, 0] when the spectrum lies on the unit circle.  Otherwise
+    salem._salem_trace certifies the Salem factor, of degree at most 6, in
+    closed form, and lambda is bracketed afresh at each precision: nothing
+    is factored and no Sturm chain is built.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -556,8 +559,10 @@ def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
     # with the Salem layout of its trace roots, lambda is the one root of
     # rest outside the unit disc; a factor without it would have every root
     # in the closed disc and so, by Kronecker's theorem, be cyclotomic, which
-    # rest has none of: rest is Salem, and nothing is factored
-    if not (rest.is_reciprocal and rest.degree % 2 == 0 and trace_layout(rest)[1] == (1, 0, rest.degree // 2 - 1)):
+    # rest has none of: rest is Salem, and nothing is factored.  rest(1) and
+    # rest(-1) are not 0, so the layout implies the signs _salem_trace tests
+    # first
+    if not (rest.is_reciprocal and rest.degree % 2 == 0) or _salem_trace(rest) is None:
         raise CertificationError(f"non-cyclotomic part {rest} failed certification")
     # 2**-8 below the width lambda_approx takes for eps; each pass brackets
     # lambda afresh at its own precision

@@ -3,6 +3,9 @@
 import itertools
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from salemtori import classify
 from salemtori.classify import (
@@ -17,7 +20,7 @@ from salemtori.classify import (
     pairing_classes,
     realizable,
 )
-from salemtori.errors import NotSalemInputError, WrongDegreeError
+from salemtori.errors import NotMonicError, NotSalemInputError, WrongDegreeError
 from salemtori import poly
 from salemtori.poly import ONE, IntPoly, cyclotomic, split_cyclotomic
 from salemtori.salem import is_salem, isolate_all_roots
@@ -155,7 +158,58 @@ class TestComplements:
         assert S2A * cyclotomic(10) in admissible
 
 
+def _sympy_classes(p):
+    """pairing_classes(p) for a monic quartic p, from sympy's squarefree
+    decomposition and real-root isolation over ZZ: two conjugate classes
+    for a squarefree p without real roots, the real class (-g1, g0) for
+    p = G^2 with G = t^2 + g1 t + g0 real-rooted, G(0) = +-1 and
+    G(+-1) != 0, and none otherwise."""
+    f = [ZZ(c) for c in reversed(p.coeffs)]
+    _, factors = dup_sqf_list(f, ZZ)
+    if factors == [(f, 1)]:
+        if dup_isolate_real_roots_sqf(f, ZZ):
+            return ()
+        return (classify.PairingClass("conjugate", indices=(0, 2)), classify.PairingClass("conjugate", indices=(0, 3)))
+    if len(factors) == 1 and factors[0][1] == 2 and len(factors[0][0]) == 3:
+        g = factors[0][0]
+        g1, g0 = int(g[1]), int(g[2])
+        if abs(g0) == 1 and 1 + g1 + g0 and 1 - g1 + g0 and len(dup_isolate_real_roots_sqf(g, ZZ)) == 2:
+            return (classify.PairingClass("real", gl_params=(-g1, g0)),)
+    return ()
+
+
 class TestPairingClasses:
+    def test_every_small_monic_quartic_against_sympy(self):
+        # a monic quartic negative or zero at some integer has a real root,
+        # and is no G^2 for a hyperbolic G, whose roots are irrational: it
+        # has no class, and sympy is asked only about the others
+        asked = 0
+        for a, b, c, d in itertools.product(range(-5, 6), repeat=4):
+            p = IntPoly((d, c, b, a, 1))
+            if all(p(k) > 0 for k in range(-6, 7)):
+                asked += 1
+                assert pairing_classes(p) == _sympy_classes(p), p
+            else:
+                assert pairing_classes(p) == (), p
+        assert asked > 2000
+
+    def test_every_small_square_against_sympy(self):
+        found = 0
+        for g0, g1 in itertools.product(range(-30, 31), repeat=2):
+            p = IntPoly((g0, g1, 1)) ** 2
+            want = _sympy_classes(p)
+            assert pairing_classes(p) == want, p
+            found += bool(want)
+        # G(0) = 1 with |g1| > 2, or G(0) = -1 with g1 != 0
+        assert found == 56 + 60
+
+    def test_not_monic_raises(self):
+        # 2t^4 + 1 has no real root, but no integer matrix has it as its
+        # characteristic polynomial
+        for coeffs in ((1, 0, 0, 0, 2), (1, 0, 0, 0, -1), (-1, 3, 0, 0, -1)):
+            with pytest.raises(NotMonicError):
+                pairing_classes(IntPoly(coeffs))
+
     def test_no_real_quartic_two_classes(self):
         cls = pairing_classes(IntPoly((1, 1, 0, 0, 1)))
         assert len(cls) == 2

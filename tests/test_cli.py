@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from salemtori import cli, salem, torus
+from salemtori import classify, cli, salem, torus
 from salemtori.poly import IntPoly, format_poly, quote_token
 from salemtori.salem import is_salem
 
@@ -454,6 +454,25 @@ class TestEnumerate:
         monkeypatch.setattr(salem, "factor_bounded", refuse)
         for bound in range(1, 5):
             assert cli._collect_rows(degree, bound, 1) == expected[bound]
+
+    def test_atlas_rows_and_entropy_build_no_sturm_chain(self, monkeypatch):
+        # the Salem decision below degree 8, the pairing classes of each
+        # witness and entropy's certificate of a Salem factor are closed
+        # forms; a Sturm chain built by any of them raises
+        models = [torus.quad_order_model(torus.a_form_matrix(d, 1, b2)) for d in (1, 2, 3) for b2 in (1, 2)]
+
+        def refuse(chain, p):
+            raise AssertionError(f"Sturm chain of {p}")
+
+        monkeypatch.setattr(salem.SturmChain, "__init__", refuse)
+        code, out, err = main_in_process("enumerate", "--degree", "6", "--max-coeff", "6", "--workers", "1")
+        assert code == 0, err
+        rows = out.splitlines()[1:]
+        assert len(rows) == 395
+        for row in rows:
+            s_poly = IntPoly.from_descending(tuple(int(c) for c in row.split('"')[1].split(",")))
+            assert classify.realizable(s_poly).salem.poly == s_poly
+        assert all(torus.entropy(m).lo > 0 for m in models)
 
     def test_oversized_sweep_is_refused_up_front(self, monkeypatch, capsys):
         # 2001**3 candidates: refused before a single one is built

@@ -264,8 +264,9 @@ class TestKronecker:
     def test_signs_skip_the_layout(self, monkeypatch):
         # p(1) >= 0 or p(-1) <= 0 rules the Salem layout out: a reducible p
         # is reported without its layout, and an irreducible one computes it
-        # once, for its witness.  Where p(1) < 0 < p(-1), the decision
-        # computes the layout, and the witness reuses it
+        # once, for its witness.  Where p(1) < 0 < p(-1), the decision reads
+        # the Salem layout of a trace cubic in closed form, so the witness
+        # of a rejected sextic is its one trace_layout call
         calls = []
         layout = salem.trace_layout
         monkeypatch.setattr(salem, "trace_layout", lambda p: calls.append(p) or layout(p))
@@ -278,6 +279,54 @@ class TestKronecker:
         p = IntPoly((1, -1, 0, -4, 0, -1, 1))
         assert is_salem(p).witness == (1, 0, 0)
         assert calls == [p]
+
+
+def _cubic_trace_sextic(a, b, c):
+    """The monic reciprocal sextic whose trace polynomial is
+    u**3 + a u**2 + b u + c."""
+    return IntPoly((1, a, b + 3, c + 2 * a, b + 3, a, 1))
+
+
+def _sturm_salem_layout(p):
+    """Whether _salem_trace(p) is not None, by its definition: the signs,
+    then trace_layout's Sturm chain."""
+    return p(1) < 0 < p(-1) and trace_layout(p)[1] == (1, 0, p.degree // 2 - 1)
+
+
+class TestSalemLayout:
+    """_salem_trace against trace_layout's Sturm chain."""
+
+    def test_every_trace_cubic_in_a_box(self):
+        # each strict inequality of the closed form, disc T > 0,
+        # T'(-2) > 0, a < 6, T'(2) < 0 and a > -6, meets its equality on
+        # some cubic that passes the signs; T(2) < 0 and T(-2) < 0 put c
+        # below -8 - 4a - 2b and 8 - 4a + 2b, so the box reaches further
+        # down in c
+        boundary = {"disc": 0, "T'(-2)": 0, "T'(2)": 0, "a = 6": 0, "a = -6": 0}
+        salem_layouts = 0
+        for a, b, c in itertools.product(range(-6, 7), range(-10, 11), range(-26, 5)):
+            p = _cubic_trace_sextic(a, b, c)
+            assert trace_transform(p) == IntPoly((c, b, a, 1))
+            want = _sturm_salem_layout(p)
+            assert (salem._salem_trace(p) is not None) == want, (a, b, c)
+            if not p(1) < 0 < p(-1):
+                continue
+            salem_layouts += want
+            boundary["disc"] += a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c == 0
+            boundary["T'(-2)"] += 12 - 4 * a + b == 0
+            boundary["T'(2)"] += 12 + 4 * a + b == 0
+            boundary["a = 6"] += a == 6
+            boundary["a = -6"] += a == -6
+        assert salem_layouts and all(boundary.values()), boundary
+
+    @pytest.mark.parametrize("degree, bound", [(2, 30), (4, 12), (8, 2)])
+    def test_signs_and_the_quartic_chain(self, degree, bound):
+        # up to e = 2 the signs decide alone; e = 4 keeps the chain
+        for h in itertools.product(range(-bound, bound + 1), repeat=degree // 2):
+            p = IntPoly((1, *h, *h[-2::-1], 1))
+            t_poly = salem._salem_trace(p)
+            assert (t_poly is not None) == _sturm_salem_layout(p), p
+            assert t_poly is None or t_poly == trace_transform(p)
 
 
 @st.composite
