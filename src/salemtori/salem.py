@@ -9,10 +9,14 @@ halves the degree, and the root layout of the image polynomial T on
 (-inf, -2), (-2, 2), (2, inf) is decided by the signs of T(+-2), with the
 discriminant and T'(+-2) of a cubic T and Sturm counts only for a quartic
 T.  Under the Salem layout Kronecker's theorem reduces irreducibility to a
-few exact divisions by cyclotomic polynomials.  Root isolation takes one
-route per kind of root: real roots from a Sturm subdivision, every other
-root an inclusion disc from Aberth's iteration in Gaussian integers; no step
-uses floating point.
+few exact divisions by cyclotomic polynomials.  lambda is bracketed on the
+grid of bisection from (1, B] by one refinement routine, _continue_bracket,
+which certifies its cell by exact signs of p; a Newton walk down to T's root
+above 2 only seeds the first window, so a good seed costs two sign tests and
+a bad one never moves the cell.  Root isolation takes one route per kind of
+root: real roots from a Sturm subdivision, every other root an inclusion
+disc from Aberth's iteration in Gaussian integers; no step uses floating
+point.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ _MAX_BOX_WIDTH = Fraction(1, 1 << 24)
 _ABERTH_ROUNDS = 3
 _START_BITS = 16
 _ABERTH_SWEEPS = 2000
+# _trace_seed's Newton walk takes at most m.bit_length() + _NEWTON_STEPS
+# steps on the grid of 2**-m
+_NEWTON_STEPS = 16
 
 
 def trace_transform(p: IntPoly) -> IntPoly:
@@ -166,7 +173,7 @@ def cauchy_bound(p: IntPoly) -> int:
     return 1 + max(abs(c) for c in p.coeffs)
 
 
-def _continue_bracket(p: IntPoly, bracket: Interval, width: Fraction) -> Interval:
+def _continue_bracket(p: IntPoly, bracket: Interval, width: Fraction, seed: Fraction | None = None) -> Interval:
     """Narrow a bracket of one root of p to the cell where bisection to at
     most width ends.
 
@@ -180,11 +187,15 @@ def _continue_bracket(p: IntPoly, bracket: Interval, width: Fraction) -> Interva
     around the secant guess, skipping an end that is l or r: a window that
     holds the sign change becomes the bracket and N is squared; otherwise
     the side that holds it is kept and N falls to its square root, never
-    below 2.  A root at a cell end raises CertificationError.  Bisection
-    raises there too, and refinement cannot miss it, as the final cell has
-    nonzero values at both ends.  So continuing a bracket ends where a
-    fresh run from the first one ends.  Raises CertificationError unless p
-    has opposite nonzero signs at the bracket ends.
+    below 2.  A seed strictly inside the bracket places the first window
+    instead: the one cell that holds the seed, with N the cell count, so a
+    good seed ends the search after the sign tests at the cell's two ends,
+    and a bad one costs steps but never moves the cell found.  A seed
+    elsewhere is ignored.  A root at a cell end raises CertificationError.
+    Bisection raises there too, and refinement cannot miss it, as the final
+    cell has nonzero values at both ends.  So continuing a bracket ends
+    where a fresh run from the first one ends.  Raises CertificationError
+    unless p has opposite nonzero signs at the bracket ends.
     """
     c = p.coeffs
     lo, hi = bracket.lo, bracket.hi
@@ -199,11 +210,19 @@ def _continue_bracket(p: IntPoly, bracket: Interval, width: Fraction) -> Interva
     # cell ends 0 and 2**k, with their values over den * 2**k
     shift = k * (len(c) - 1)
     l, r, v_l, v_r = 0, 1 << k, v_lo << shift, v_hi << shift
-    n = 2
+    n, guess = 2, None
+    if seed is not None:
+        # the seed's offset from lo over den * seed.denominator, in which
+        # one cell is unit
+        t, unit = seed.numerator * den - a * seed.denominator, step * seed.denominator
+        if 0 < t < unit << k:
+            # its cell, a window of one cell when N is the cell count
+            n, guess = r, t // unit
     while r - l > 1:
         h = max(1, (r - l) // n)
-        guess = l + (r - l) * v_l // (v_l - v_r)
-        w0 = min(max(guess - (h - 1) // 2, l), r - h)
+        if guess is None:
+            guess = l + (r - l) * v_l // (v_l - v_r)
+        w0, guess = min(max(guess - (h - 1) // 2, l), r - h), None
         w1 = w0 + h
         v0, v1 = v_l, v_r
         # a sign change between l and w0 needs no test at w1
@@ -235,13 +254,76 @@ def _bits_below(eps: Fraction) -> int:
 
 
 def lambda_interval(p: IntPoly, bits: int = _LAMBDA_BITS) -> Interval:
-    """Certified enclosure of the unique root in (1, inf).
+    """Certified enclosure of the unique root in (1, inf): the cell of width
+    at most 2**-bits where bisection of (1, B] ends, B the Cauchy bound.
 
     The caller is responsible for p actually being Salem (or at least having
     exactly one simple root beyond 1 and p(1) < 0); CertificationError
-    guards misuse.
+    guards misuse.  The refinement is unseeded: the package's callers hold
+    p's trace polynomial already and seed it through _lambda_bracket, while
+    finding it here would cost a degree-8 p more than the seed saves.
     """
-    return _continue_bracket(p, Interval(1, cauchy_bound(p)), Fraction(1, 1 << bits))
+    return _lambda_bracket(p, bits, None)
+
+
+def _lambda_bracket(p: IntPoly, bits: int, t_poly: IntPoly | None) -> Interval:
+    """lambda_interval(p, bits), seeded from t_poly, p's trace polynomial
+    with the Salem layout, or unseeded when t_poly is None."""
+    hi = cauchy_bound(p)
+    seed = None
+    if t_poly is not None:
+        # m = k + 16, for the 2**k cells of _continue_bracket's grid on
+        # (1, hi] at most 2**-bits wide
+        seed = _trace_seed(t_poly, bits + (hi - 2).bit_length() + 16)
+    return _continue_bracket(p, Interval(1, hi), Fraction(1, 1 << bits), seed)
+
+
+def _trace_seed(t_poly: IntPoly, m: int) -> Fraction | None:
+    """An estimate of lambda over 2**(m + 1), from t_poly, the trace
+    polynomial T of degree e >= 1 with the Salem layout, or None.
+
+    T has only real roots, so they lie at most at the Laguerre-Samuelson
+    bound (Laguerre, 1880; Samuelson, 1968)
+    (-a1 + sqrt((e - 1) ((e - 1) a1**2 - 2 e a2))) / e, for
+    T = u**e + a1 u**(e - 1) + a2 u**(e - 2) + ...  Above its largest root
+    u* = lambda + 1/lambda, T is positive, increasing and convex, so
+    Newton's method falls from the bound to u* monotonically.  The walk runs
+    in units of 2**-m from the bound rounded up, each step rounded down so
+    that the iterate stays above u*, and stops at the first step below a
+    unit; lambda = (u + sqrt(u**2 - 4)) / 2 at the last iterate u.  The seed
+    is only a guess: _continue_bracket certifies the cell by signs of p.  So
+    this never raises, and gives None where the bound's radicand or u**2 - 4
+    is negative, T' is not positive at an iterate, or the walk takes more
+    than m.bit_length() + _NEWTON_STEPS steps.
+    """
+    c = t_poly.coeffs
+    e = len(c) - 1
+    # at e = 1, a2 reads the leading 1, and its factor e - 1 is 0
+    a1, a2 = c[e - 1], c[e - 2]
+    radicand = (e - 1) * ((e - 1) * a1 * a1 - 2 * e * a2)
+    if radicand < 0:
+        return None
+    x = ((-a1 << m) + math.isqrt(radicand << 2 * m) + e) // e
+    # T over 2**m: v = 2**(m e) T(x / 2**m) and d = dv/dx, so v // d is the
+    # step in units; a real Horner pass, as _scaled_values' Gaussian one
+    # costs an atlas round about 4%
+    scaled = [a << m * (e - j) for j, a in enumerate(c)][::-1]
+    for _ in range(m.bit_length() + _NEWTON_STEPS):
+        v = d = 0
+        for a in scaled:
+            v, d = v * x + a, d * x + v
+        if d <= 0:
+            return None
+        dx = v // d
+        if not dx:
+            break
+        x -= dx
+    else:
+        return None
+    disc = x * x - (1 << 2 * m + 2)
+    if disc < 0:
+        return None
+    return Fraction(x + math.isqrt(disc), 1 << m + 1)
 
 
 def trace_layout(p: IntPoly):
@@ -249,7 +331,7 @@ def trace_layout(p: IntPoly):
     how many distinct roots T has above 2, below -2 and between, (n_hi,
     n_lo, n_mid), from the Sturm chain of T.  A Salem p has the layout
     (1, 0, e - 1).  The Salem decision reads that layout in closed form up
-    to e = 3 (_salem_trace); the chain serves e = 4 and the witness
+    to e = 3 (_salem_trace); the chain serves e >= 4 and the witness
     of a rejected irreducible p."""
     t_poly = trace_transform(p)
     return t_poly, _sturm_layout(t_poly)
@@ -287,7 +369,9 @@ def _salem_trace(p: IntPoly):
     is above -2, a < 6; then x1 < 2 exactly when 2 lies between the
     critical points, T'(2) = 12 + 4a + b < 0, or their midpoint is below 2,
     a > -6.  T rises up to x1, so T(-2) < 0 puts r1 above -2, and T(2) < 0
-    puts 2 between r2 and r3.  For e = 4 the Sturm chain of T decides.
+    puts 2 between r2 and r3.  For e >= 4 the Sturm chain of T decides.
+    Any other monic reciprocal p fails the signs: p(-1) = 0 at an odd
+    degree, and p(1) = 1 at degree 0.
     """
     if not sum(p.coeffs) < 0 < kern.eval_int(p.coeffs, -1):
         return None
@@ -295,8 +379,8 @@ def _salem_trace(p: IntPoly):
     t_poly = trace_transform(p)
     if e <= 2:
         return t_poly
-    if e == 4:
-        return t_poly if _sturm_layout(t_poly) == (1, 0, 3) else None
+    if e >= 4:
+        return t_poly if _sturm_layout(t_poly) == (1, 0, e - 1) else None
     c, b, a, _ = t_poly.coeffs
     if (
         a * a * b * b - 4 * b * b * b - 4 * a * a * a * c - 27 * c * c + 18 * a * b * c > 0
@@ -338,7 +422,7 @@ def _salem_certificate(p: IntPoly):
         poly=p,
         degree=p.degree,
         trace_poly=t_poly,
-        root_interval=lambda_interval(p),
+        root_interval=_lambda_bracket(p, _LAMBDA_BITS, t_poly),
         circle_root_count=p.degree - 2,
     )
     return cert, layout

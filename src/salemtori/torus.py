@@ -36,8 +36,8 @@ from .errors import (
 )
 from .intervals import Box, Interval, isqrt_bounds, log_interval
 from .poly import ONE, IntPoly, split_cyclotomic
-from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, SturmChain, _bits_below, _salem_trace, _with_conjugates
-from .salem import isolate_all_roots, lambda_interval, refine_root_box, trace_transform
+from .salem import _BOX_BITS, _LAMBDA_BITS, RootBox, SturmChain, _bits_below, _lambda_bracket, _salem_trace
+from .salem import _with_conjugates, isolate_all_roots, refine_root_box, trace_transform
 from .wedge import exterior_square
 
 
@@ -562,13 +562,14 @@ def entropy(model: TorusModel, eps=Fraction(1, 10**9)) -> Interval:
     # rest has none of: rest is Salem, and nothing is factored.  rest(1) and
     # rest(-1) are not 0, so the layout implies the signs _salem_trace tests
     # first
-    if not (rest.is_reciprocal and rest.degree % 2 == 0) or _salem_trace(rest) is None:
+    t_poly = _salem_trace(rest) if rest.is_reciprocal else None
+    if t_poly is None:
         raise CertificationError(f"non-cyclotomic part {rest} failed certification")
     # 2**-8 below the width lambda_approx takes for eps; each pass brackets
     # lambda afresh at its own precision
     bits = max(_LAMBDA_BITS, _bits_below(eps) + 8)
     while True:
-        out = log_interval(lambda_interval(rest, bits), bits=bits + 16)
+        out = log_interval(_lambda_bracket(rest, bits, t_poly), bits=bits + 16)
         if out.width <= eps:
             return out
         bits *= 2

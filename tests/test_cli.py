@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from salemtori import classify, cli, salem, torus
+from salemtori.intervals import Interval
 from salemtori.poly import IntPoly, format_poly, quote_token
 from salemtori.salem import is_salem
 
@@ -709,6 +710,42 @@ def test_size_cap_is_exact():
         code, out, err = main_in_process(*argv)
         assert code == 1 and out == "" and err.count("\n") == 1
         assert f"more than the limit of {cli.MAX_BITS} bits" in err
+
+
+_CAP = (1 << cli.MAX_BITS) - 1
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, -_CAP, 12345, -_CAP, 1),
+        (1, -_CAP, 0, -_CAP, 1),
+        (1, -_CAP, 3, -_CAP, 7, -_CAP, 3, -_CAP, 1),
+        (1, -_CAP, 1, 1, 1, 1, 1, -_CAP, 1),
+    ],
+    ids=("quartic-12345", "quartic-0", "octic-3-7-3", "octic-1"),
+)
+def test_salem_at_the_size_cap_is_seeded(coeffs, monkeypatch):
+    # lambda near 2**4000 is bracketed from a seed inside its cell, the
+    # cell the unseeded refinement ends in
+    seeds = []
+    continue_bracket = salem._continue_bracket
+
+    def spy(p, bracket, width, seed=None):
+        iv = continue_bracket(p, bracket, width, seed)
+        seeds.append((seed, iv))
+        return iv
+
+    monkeypatch.setattr(salem, "_continue_bracket", spy)
+    code, out, err = main_in_process("is-salem", ",".join(map(str, coeffs)))
+    monkeypatch.undo()
+    assert code == 0 and err == ""
+    [(seed, iv)] = seeds
+    assert seed is not None and iv.lo < seed < iv.hi
+    lam = json.loads(out)["lambda"]
+    p = IntPoly(coeffs)
+    want = salem._continue_bracket(p, Interval(1, salem.cauchy_bound(p)), Fraction(1, 1 << 48))
+    assert (Fraction(lam["lo"]), Fraction(lam["hi"])) == (iv.lo, iv.hi) == (want.lo, want.hi)
 
 
 def test_long_bad_token_is_abbreviated():

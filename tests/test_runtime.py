@@ -22,6 +22,7 @@ PACKAGE = ROOT / "src" / "salemtori"
 KEPT = {
     "verify_jd": "the lattice-invariance check the README documents",
     "isolate_real_roots": "the public real-root entry point; it adds the monic guard over _real_roots",
+    "lambda_interval": "the public lambda entry point, unseeded; the package's callers seed _lambda_bracket",
 }
 
 # modules a CLI process should not pay for: the oracles, the process pool,

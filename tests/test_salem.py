@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -37,6 +38,53 @@ from _oracles import MidpointRoot, o_bisect, o_eval
 
 GOLDEN_QUARTIC = IntPoly((1, -2, -2, -2, 1))
 GOLDEN_SEXTIC = IntPoly((1, 0, -1, -1, -1, 0, 1))
+
+
+def _salem_rows(degree, bound):
+    """The certificates of the Salem polynomials of the degree with
+    reciprocal coefficients in [-bound, bound], as enumerate finds them."""
+    certs = []
+    for h in itertools.product(range(-bound, bound + 1), repeat=degree // 2):
+        cert = salem._salem_certificate(IntPoly((1, *h, *h[-2::-1], 1)))[0]
+        if cert:
+            certs.append(cert)
+    return certs
+
+
+def _random_salem():
+    """Certificates of a fixed random set of Salem polynomials of degree
+    2, 4, 6 and 8, ten per degree with coefficients below 2**8, 2**100 and
+    2**1000 each."""
+    rng = random.Random(2014)
+    certs = []
+    for e, size in itertools.product((1, 2, 3, 4), (8, 100, 1000)):
+        found = []
+        while len(found) < 10:
+            h = [rng.randint(-(1 << size), 1 << size) for _ in range(e)]
+            cert = salem._salem_certificate(IntPoly((1, *h, *h[-2::-1], 1)))[0]
+            if cert:
+                found.append(cert)
+        certs += found
+    return certs
+
+
+def _seed_spy(monkeypatch):
+    """A list that gets (seed, interval) for each call of
+    salem._continue_bracket from here on."""
+    seeds = []
+    continue_bracket = salem._continue_bracket
+
+    def spy(p, bracket, width, seed=None):
+        iv = continue_bracket(p, bracket, width, seed)
+        seeds.append((seed, iv))
+        return iv
+
+    monkeypatch.setattr(salem, "_continue_bracket", spy)
+    return seeds
+
+
+def _unseeded_lambda(p, bits):
+    return _continue_bracket(p, Interval(1, cauchy_bound(p)), Fraction(1, 1 << bits))
 
 
 def _salem_polys(bound):
@@ -319,9 +367,10 @@ class TestSalemLayout:
             boundary["a = -6"] += a == -6
         assert salem_layouts and all(boundary.values()), boundary
 
-    @pytest.mark.parametrize("degree, bound", [(2, 30), (4, 12), (8, 2)])
+    @pytest.mark.parametrize("degree, bound", [(2, 30), (4, 12), (8, 2), (10, 1), (12, 1)])
     def test_signs_and_the_quartic_chain(self, degree, bound):
-        # up to e = 2 the signs decide alone; e = 4 keeps the chain
+        # up to e = 2 the signs decide alone; e >= 4 keeps the chain, also
+        # beyond is_salem's degree cap
         for h in itertools.product(range(-bound, bound + 1), repeat=degree // 2):
             p = IntPoly((1, *h, *h[-2::-1], 1))
             t_poly = salem._salem_trace(p)
@@ -450,8 +499,11 @@ class TestLambda:
         assert (iv.lo, iv.hi) == want[1]
 
     def test_sign_test_budget(self, monkeypatch):
-        # bisection to 2**-48 makes about 52 sign tests per lambda
-        polys = _salem_polys(3)
+        # bisection to 2**-48 makes about 52 sign tests per lambda and
+        # unseeded refinement about 17; a seeded one makes 4, at 1, at the
+        # Cauchy bound and at the ends of the seed's cell
+        certs = _salem_rows(2, 12) + _salem_rows(8, 1)
+        certs += [salem._salem_certificate(p)[0] for p in _salem_polys(3)]
         calls = []
         eval_qq = kern.eval_qq
 
@@ -460,9 +512,113 @@ class TestLambda:
             return eval_qq(*args)
 
         monkeypatch.setattr(kern, "eval_qq", counting)
-        for p in polys:
-            lambda_interval(p)
-        assert len(calls) <= 24 * len(polys)
+        for cert in certs:
+            calls.clear()
+            salem._lambda_bracket(cert.poly, 48, cert.trace_poly)
+            assert len(calls) <= 4, cert.poly
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            # Lehmer's polynomial, lambda = 1.17628...
+            (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),
+            # lambda = 1.24072...
+            (1, -1, 1, -1, 0, 0, -1, 0, 0, -1, 1, -1, 1),
+        ],
+        ids=("degree-10", "degree-12"),
+    )
+    def test_salem_beyond_the_degree_cap(self, coeffs):
+        # lambda_interval has no degree cap; the trace polynomial of degree
+        # 5 or 6 keeps the Sturm layout and seeds the same cell
+        p = IntPoly(coeffs)
+        want = _unseeded_lambda(p, 48)
+        assert lambda_interval(p) == want
+        assert (want.lo, want.hi) == o_bisect(p.coeffs, 1, cauchy_bound(p), Fraction(1, 1 << 48))
+        t_poly = salem._salem_trace(p)
+        assert t_poly == trace_transform(p)
+        assert salem._lambda_bracket(p, 48, t_poly) == want
+        m = 48 + (cauchy_bound(p) - 2).bit_length() + 16
+        assert want.lo < salem._trace_seed(t_poly, m) < want.hi
+
+    @pytest.mark.parametrize("degree, bound", [(4, 6), (6, 6), (8, 2)])
+    def test_seeded_rows_match_bisection(self, degree, bound, monkeypatch):
+        # every row enumerate prints: the certificate's interval is where
+        # plain bisection and the unseeded refinement end, and it holds the
+        # seed that placed the first window
+        seeds = _seed_spy(monkeypatch)
+        certs = _salem_rows(degree, bound)
+        assert len(certs) == len(seeds) > 40
+        monkeypatch.undo()
+        for cert, (seed, iv) in zip(certs, seeds):
+            p = cert.poly
+            assert cert.root_interval == iv == _unseeded_lambda(p, 48) == lambda_interval(p)
+            assert (iv.lo, iv.hi) == o_bisect(p.coeffs, 1, cauchy_bound(p), Fraction(1, 1 << 48))
+            assert iv.lo < seed < iv.hi, p
+
+    @pytest.mark.parametrize("bits", (48, 100, 200))
+    def test_seeded_random_salem_match_unseeded(self, bits, monkeypatch):
+        # coefficients of up to 1000 bits, whose lambda is up to 2**1000
+        certs = _random_salem()
+        seeds = _seed_spy(monkeypatch)
+        for cert in certs:
+            p = cert.poly
+            seeds.clear()
+            iv = salem._lambda_bracket(p, bits, cert.trace_poly)
+            [(seed, _)] = seeds
+            assert iv == _unseeded_lambda(p, bits) == lambda_interval(p, bits), p
+            assert iv.lo < seed < iv.hi, p
+
+    def test_a_wrong_seed_moves_no_interval(self):
+        # the first and last cells, the cells on either side of lambda's,
+        # and a point between two cells all end where no seed ends
+        width = Fraction(1, 1 << 48)
+        for p in _salem_polys(2) + [GOLDEN_SEXTIC, SALEM_2]:
+            bracket = Interval(1, cauchy_bound(p))
+            want = _continue_bracket(p, bracket, width)
+            cell = want.width
+            for seed in (1 + cell / 2, bracket.hi - cell / 2, want.lo - cell / 2, want.hi + cell / 2, want.hi):
+                assert _continue_bracket(p, bracket, width, seed) == want, (p, seed)
+
+    def test_a_seed_outside_the_bracket_is_ignored(self, monkeypatch):
+        # a seed at an end of the bracket or beyond it places no window:
+        # the same sign tests as no seed
+        p = GOLDEN_SEXTIC
+        bracket, width = Interval(1, cauchy_bound(p)), Fraction(1, 1 << 48)
+        calls = []
+        eval_qq = kern.eval_qq
+        monkeypatch.setattr(kern, "eval_qq", lambda *args: calls.append(args) or eval_qq(*args))
+        want = _continue_bracket(p, bracket, width)
+        unseeded, calls[:] = calls[:], []
+        for seed in (Fraction(1), bracket.hi, Fraction(0), bracket.hi + 1, Fraction(-5, 2)):
+            assert _continue_bracket(p, bracket, width, seed) == want
+            assert calls == unseeded, seed
+            calls.clear()
+
+    @pytest.mark.parametrize(
+        "coeffs, m",
+        [
+            # u**2 + 1: the bound's radicand is negative
+            ((1, 0, 1), 16),
+            # u**3 - 3u + 16: the first step lands on 0, where T' < 0
+            ((16, -3, 0, 1), 16),
+            # u**3 - 3u + 3 over 2**4: the first step lands on 1, where T' = 0
+            ((3, -3, 0, 1), 4),
+            # u - 1 and u: the walk ends below 2
+            ((-1, 1), 16),
+            ((0, 1), 16),
+            # (u - 3)**3 (u + 5): Newton falls to a triple root by 2/3 a step
+            ((-135, 108, -18, -4, 1), 64),
+        ],
+    )
+    def test_a_seed_without_the_layout_is_dropped(self, coeffs, m):
+        assert salem._trace_seed(IntPoly(coeffs), m) is None
+
+    def test_seed_at_the_ends_of_the_layout(self):
+        # u = 2 gives lambda = 1 exactly, and u - 3 gives (3 + sqrt 5) / 2
+        # within 2**-16
+        assert salem._trace_seed(IntPoly((-2, 1)), 16) == 1
+        seed = salem._trace_seed(IntPoly((-3, 1)), 16)
+        assert abs(seed * seed - 3 * seed + 1) < Fraction(1, 1 << 15)
 
     def test_midpoint_root_raises(self):
         # t^2 - 4 changes sign on (1, 5], and the second midpoint is its root 2
