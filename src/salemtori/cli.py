@@ -419,7 +419,7 @@ def _atlas_row(coeffs):
     if not sum(coeffs) < 0 < sum(coeffs[::2]) - sum(coeffs[1::2]):
         return None
     # the decision alone: a rejected candidate is dropped unfactored
-    cert = _salem_certificate(IntPoly.from_descending(coeffs))[0]
+    cert = _salem_certificate(IntPoly.from_descending(coeffs))
     return cert and _salem_row(cert)
 
 

@@ -439,24 +439,6 @@ def factor_bounded(p: IntPoly):
     )
 
 
-def remainder_sequence(a: IntPoly, b: IntPoly) -> list:
-    """Primitive pseudo-remainders a, b, r1, ... as coefficient tuples, zeros
-    left out, for deg a >= deg b.  Each r has the sign of minus the true
-    remainder, so for b = a' this is a Sturm chain of a; the last entry is
-    +-gcd(a, b) all the same."""
-    seq = [f for f in (a.primitive().coeffs, b.primitive().coeffs) if f]
-    while len(seq) > 1:
-        prev, cur = seq[-2], seq[-1]
-        r = kern.prem(prev, cur)
-        if not r:
-            break
-        if cur[-1] > 0 or (len(prev) - len(cur)) % 2:
-            r = kern.neg(r)
-        cont = kern.content(r)
-        seq.append(kern.div_scalar_exact(r, cont) if cont > 1 else r)
-    return seq
-
-
 # every n with totient(n) <= 8; no other cyclotomic polynomial can divide
 # a polynomial of degree <= 8
 CYCLOTOMIC_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 24, 30)

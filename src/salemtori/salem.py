@@ -37,7 +37,7 @@ from .errors import (
     OddDegreeError,
 )
 from .intervals import Box, Interval
-from .poly import _SIEVE_AT, IntPoly, _cyclotomic_sieve, factor_bounded, remainder_sequence
+from .poly import _SIEVE_AT, IntPoly, _cyclotomic_sieve, factor_bounded
 
 MAX_DEGREE = 8
 # is_salem brackets lambda to 2**-48, and isolate_real_roots the real roots to
@@ -89,16 +89,28 @@ def _trace_basis(e: int):
 class SturmChain:
     """Signed pseudo-remainder chain with exact variation counts.
 
-    The chain is poly.remainder_sequence(p, p'), so its last entry is
+    The package's one pseudo-remainder sequence: p and p' without their
+    content, then primitive pseudo-remainders, zeros left out, each with the
+    sign of minus the true remainder, so that the last entry is
     +-gcd(p, p').  Variation counts skip zero entries, which makes V(x) the
     right limit V(x+); hence count(a, b] = V(a) - V(b) for any rational
-    a <= b.
+    a <= b that is no repeated root of p, where every entry vanishes.
     """
 
     def __init__(self, p: IntPoly):
         if p.is_zero:
             raise ValueError("Sturm chain of zero polynomial")
-        self.chain = remainder_sequence(p, p.derivative())
+        chain = [p.primitive().coeffs]
+        cur = p.derivative().primitive().coeffs
+        while cur:
+            prev = chain[-1]
+            chain.append(cur)
+            r = kern.prem(prev, cur)
+            if cur[-1] > 0 or (len(prev) - len(cur)) % 2:
+                r = kern.neg(r)
+            cont = kern.content(r)
+            cur = kern.div_scalar_exact(r, cont) if cont > 1 else r
+        self.chain = chain
 
     @property
     def squarefree(self) -> bool:
@@ -263,18 +275,16 @@ def lambda_interval(p: IntPoly, bits: int = _LAMBDA_BITS) -> Interval:
     p's trace polynomial already and seed it through _lambda_bracket, while
     finding it here would cost a degree-8 p more than the seed saves.
     """
-    return _lambda_bracket(p, bits, None)
+    return _continue_bracket(p, Interval(1, cauchy_bound(p)), Fraction(1, 1 << bits))
 
 
-def _lambda_bracket(p: IntPoly, bits: int, t_poly: IntPoly | None) -> Interval:
+def _lambda_bracket(p: IntPoly, bits: int, t_poly: IntPoly) -> Interval:
     """lambda_interval(p, bits), seeded from t_poly, p's trace polynomial
-    with the Salem layout, or unseeded when t_poly is None."""
+    with the Salem layout."""
     hi = cauchy_bound(p)
-    seed = None
-    if t_poly is not None:
-        # m = k + 16, for the 2**k cells of _continue_bracket's grid on
-        # (1, hi] at most 2**-bits wide
-        seed = _trace_seed(t_poly, bits + (hi - 2).bit_length() + 16)
+    # m = k + 16, for the 2**k cells of _continue_bracket's grid on (1, hi]
+    # at most 2**-bits wide
+    seed = _trace_seed(t_poly, bits + (hi - 2).bit_length() + 16)
     return _continue_bracket(p, Interval(1, hi), Fraction(1, 1 << bits), seed)
 
 
@@ -326,38 +336,26 @@ def _trace_seed(t_poly: IntPoly, m: int) -> Fraction | None:
     return Fraction(x + math.isqrt(disc), 1 << m + 1)
 
 
-def trace_layout(p: IntPoly):
-    """The trace polynomial T of a monic reciprocal p of even degree 2e, and
-    how many distinct roots T has above 2, below -2 and between, (n_hi,
-    n_lo, n_mid), from the Sturm chain of T.  A Salem p has the layout
-    (1, 0, e - 1).  The Salem decision reads that layout in closed form up
-    to e = 3 (_salem_trace); the chain serves e >= 4 and the witness
-    of a rejected irreducible p."""
-    t_poly = trace_transform(p)
-    return t_poly, _sturm_layout(t_poly)
-
-
 def _sturm_layout(t_poly: IntPoly):
-    """trace_layout's counts for the trace polynomial t_poly."""
-    at_lo, at_hi, at_neg_inf, at_pos_inf = [], [], [], []
-    for f in SturmChain(t_poly).chain:
-        # f(2) and f(-2) from one pass: the even and odd parts of f at 2
-        even = odd = 0
-        for x in reversed(f):
-            even, odd = 2 * odd + x, 2 * even
-        at_lo.append(even - odd)
-        at_hi.append(even + odd)
-        at_neg_inf.append(f[-1] if len(f) % 2 else -f[-1])
-        at_pos_inf.append(f[-1])
-    count = SturmChain._variations
-    v_lo, v_hi = count(at_lo), count(at_hi)
-    return v_hi - count(at_pos_inf), count(at_neg_inf) - v_lo, v_lo - v_hi
+    """How many distinct roots the trace polynomial t_poly of a monic
+    reciprocal p of degree 2e has above 2, below -2 and between,
+    (n_hi, n_lo, n_mid), from its Sturm chain: the counts on (2, inf),
+    (-inf, -2] and (-2, 2].  A Salem p has the layout (1, 0, e - 1).  The
+    Salem decision reads that layout in closed form up to e = 3
+    (_salem_trace); the chain serves e >= 4 and the witness of a rejected
+    irreducible p."""
+    chain = SturmChain(t_poly)
+    if not chain.squarefree:
+        # every entry vanishes at a repeated root; count with the radical
+        chain = SturmChain(chain.radical())
+    v_lo, v_hi = chain.variations_at(-2), chain.variations_at(2)
+    return v_hi - chain.variations_pos_inf(), chain.variations_neg_inf() - v_lo, v_lo - v_hi
 
 
 def _salem_trace(p: IntPoly):
     """The trace polynomial T of a monic reciprocal p of even degree 2e >= 2
-    when p(1) < 0 < p(-1) and trace_layout(p) is the Salem layout
-    (1, 0, e - 1), and None otherwise.
+    when p(1) < 0 < p(-1) and T has the Salem layout (1, 0, e - 1) of
+    _sturm_layout, and None otherwise.
 
     p(1) = T(2) and p(-1) = (-1)**e T(-2).  Up to e = 2 these signs are the
     layout: T(2) < 0 puts one root of T above 2, and (-1)**e T(-2) > 0 puts
@@ -393,39 +391,35 @@ def _salem_trace(p: IntPoly):
 
 
 def _salem_certificate(p: IntPoly):
-    """The decision of is_salem, without its witnesses: (certificate, layout)
-    for a monic reciprocal p of even degree 2e >= 2.
+    """The decision of is_salem, without its witnesses: p's
+    SalemCertificate when p is Salem, and None otherwise, for a monic
+    reciprocal p of even degree 2e >= 2.
 
-    certificate is p's SalemCertificate when p is Salem, and None otherwise.
-    layout is (1, 0, e - 1) when _salem_trace established it, and None
-    otherwise: then p(1) >= 0, p(-1) <= 0 or the trace roots lie otherwise,
-    and the decision computes no other layout.  Under the Salem layout,
-    Kronecker's rule decides irreducibility: p over the minimal polynomial
-    of its root above 1 has every root on the unit circle, so it is a
-    product of cyclotomic polynomials, and p is irreducible when no Phi_n
-    divides p.  Such a Phi_n has n > 2, as p(1) and p(-1) are not 0, and
+    Under the Salem layout, which _salem_trace establishes, Kronecker's
+    rule decides irreducibility: p over the minimal polynomial of its root
+    above 1 has every root on the unit circle, so it is a product of
+    cyclotomic polynomials, and p is irreducible when no Phi_n divides p.
+    Such a Phi_n has n > 2, as p(1) and p(-1) are not 0, and
     phi(n) <= 2e - 2, as it leaves out p's two real roots.  A Phi_n is
     divided into p only when Phi_n(_SIEVE_AT) divides p(_SIEVE_AT), which
     p(_SIEVE_AT) = 0 always passes.  Nothing here factors p.
     """
     t_poly = _salem_trace(p)
     if t_poly is None:
-        return None, None
+        return None
     c = p.coeffs
     e = p.degree // 2
-    layout = (1, 0, e - 1)
     at = kern.eval_int(c, _SIEVE_AT)
     for n, phi, v in _cyclotomic_sieve():
         if n > 2 and len(phi) < 2 * e and at % v == 0 and not kern.divmod_monic(c, phi)[1]:
-            return None, layout
-    cert = SalemCertificate(
+            return None
+    return SalemCertificate(
         poly=p,
         degree=p.degree,
         trace_poly=t_poly,
         root_interval=_lambda_bracket(p, _LAMBDA_BITS, t_poly),
         circle_root_count=p.degree - 2,
     )
-    return cert, layout
 
 
 def is_salem(p: IntPoly):
@@ -436,8 +430,8 @@ def is_salem(p: IntPoly):
     Past the input guards, _salem_certificate decides without factoring;
     only a p it rejects is factored, for the witness, and a reducible one
     is reported as such before its layout.  An irreducible p's witness is
-    its trace layout: the Salem layout when the decision established it,
-    which contradicts irreducibility, and otherwise trace_layout's count.
+    the _sturm_layout of its trace polynomial, which cannot be the Salem
+    layout: that layout and irreducibility make p Salem.
     """
     if p.degree > MAX_DEGREE:
         raise DegreeTooLargeError(f"degree {p.degree} > {MAX_DEGREE}")
@@ -456,15 +450,14 @@ def is_salem(p: IntPoly):
         return NotSalem("reducible", witness=IntPoly((1, 1)), detail="odd degree forces the factor t + 1")
     if p.degree < 2:
         return NotSalem("wrong-circle-count", witness=(0, 0, 0), detail="degree below 2")
-    cert, layout = _salem_certificate(p)
+    cert = _salem_certificate(p)
     if cert:
         return cert
     factors = factor_bounded(p)
     if factors != ((p, 1),):
         g = factors[0][0]
         return NotSalem("reducible", witness=g, detail=f"factor {g}")
-    if layout is None:
-        layout = trace_layout(p)[1]
+    layout = _sturm_layout(trace_transform(p))
     if layout == (1, 0, p.degree // 2 - 1):
         raise CertificationError(f"{p} has a cyclotomic factor yet factors as irreducible")
     n_hi, n_lo, n_mid = layout
@@ -552,10 +545,10 @@ def _real_roots(p: IntPoly, chain: SturmChain):
             else:
                 isolated.append(Interval(Fraction(lo, den), Fraction(hi, den)))
     if isolated:
-        # without its integer roots the radical, the chain's first entry, has
-        # no rational root: it changes sign across each irrational root and
-        # vanishes at no end of a bracket
-        radical = IntPoly(chain.chain[0])
+        # without its integer roots the radical has no rational root: it
+        # changes sign across each irrational root and vanishes at no end of
+        # a bracket
+        radical = chain.radical()
         for r in int_roots:
             radical //= IntPoly((-r, 1))
         target = Fraction(1, 1 << _REAL_BITS)

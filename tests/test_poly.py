@@ -24,7 +24,6 @@ from salemtori.poly import (
     _quadratic_split,
     parse_ints,
     parse_poly,
-    remainder_sequence,
     split_cyclotomic,
 )
 from salemtori.salem import SturmChain
@@ -207,11 +206,9 @@ class TestFactor:
         assert acc == prod
 
     def test_gcd(self):
-        # the last entry of the remainder sequence is +-gcd(a, b), and that of
-        # a Sturm chain +-gcd(p, p')
+        # the last entry of a Sturm chain is +-gcd(p, p')
         a = IntPoly((1, -3, 1)) * IntPoly((1, 1))
         b = IntPoly((1, 1)) * IntPoly((1, 0, 1))
-        assert remainder_sequence(a, b)[-1] in ((1, 1), (-1, -1))
         assert SturmChain(a * b).chain[-1] in ((1, 1), (-1, -1))
 
     def test_squarefree(self):

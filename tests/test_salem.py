@@ -9,6 +9,9 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from salemtori import _kernels as kern
 from salemtori import poly, salem, torus
@@ -28,7 +31,6 @@ from salemtori.salem import (
     lambda_approx,
     lambda_interval,
     refine_root_box,
-    trace_layout,
     trace_transform,
 )
 from salemtori.torus import _norm_charpoly, a_form_matrix, entropy, is_projective, quad_order_model, reorient
@@ -45,7 +47,7 @@ def _salem_rows(degree, bound):
     reciprocal coefficients in [-bound, bound], as enumerate finds them."""
     certs = []
     for h in itertools.product(range(-bound, bound + 1), repeat=degree // 2):
-        cert = salem._salem_certificate(IntPoly((1, *h, *h[-2::-1], 1)))[0]
+        cert = salem._salem_certificate(IntPoly((1, *h, *h[-2::-1], 1)))
         if cert:
             certs.append(cert)
     return certs
@@ -61,7 +63,7 @@ def _random_salem():
         found = []
         while len(found) < 10:
             h = [rng.randint(-(1 << size), 1 << size) for _ in range(e)]
-            cert = salem._salem_certificate(IntPoly((1, *h, *h[-2::-1], 1)))[0]
+            cert = salem._salem_certificate(IntPoly((1, *h, *h[-2::-1], 1)))
             if cert:
                 found.append(cert)
         certs += found
@@ -178,12 +180,13 @@ class TestIsSalem:
 
 def _factor_first(p):
     """is_salem's verdict for monic reciprocal p of even degree >= 2, in the
-    order that always factors: factor_bounded, then trace_layout."""
+    order that always factors: factor_bounded, then the Sturm layout."""
     factors = poly.factor_bounded(p)
     if factors != ((p, 1),):
         g = factors[0][0]
         return NotSalem("reducible", witness=g, detail=f"factor {g}")
-    t_poly, layout = trace_layout(p)
+    t_poly = trace_transform(p)
+    layout = salem._sturm_layout(t_poly)
     if layout != (1, 0, p.degree // 2 - 1):
         n_hi, n_lo, n_mid = layout
         return NotSalem(
@@ -293,12 +296,12 @@ class TestKronecker:
         p = base * cyclotomic(3)
         assert kern.eval_int(trace_transform(p).coeffs, 10) == 0
         assert p(poly._SIEVE_AT) == cyclotomic(3)(poly._SIEVE_AT)
-        assert salem._salem_certificate(p) == (None, (1, 0, 1))
+        assert salem._salem_certificate(p) is None
         assert is_salem(p).reason == "reducible"
         for n in _PHI_6_INDICES:
             q = _with_cyclotomic(n, base)
             assert kern.eval_int(trace_transform(q).coeffs, 10) == 0
-            assert salem._salem_certificate(q)[0] is None
+            assert salem._salem_certificate(q) is None
             assert is_salem(q) == _factor_first(q)
 
     @pytest.mark.parametrize("degree, bound", [(4, 6), (6, 4), (8, 2)])
@@ -314,19 +317,19 @@ class TestKronecker:
         # is reported without its layout, and an irreducible one computes it
         # once, for its witness.  Where p(1) < 0 < p(-1), the decision reads
         # the Salem layout of a trace cubic in closed form, so the witness
-        # of a rejected sextic is its one trace_layout call
+        # of a rejected sextic is its one _sturm_layout call
         calls = []
-        layout = salem.trace_layout
-        monkeypatch.setattr(salem, "trace_layout", lambda p: calls.append(p) or layout(p))
+        layout = salem._sturm_layout
+        monkeypatch.setattr(salem, "_sturm_layout", lambda t: calls.append(t) or layout(t))
         assert is_salem(cyclotomic(3) * cyclotomic(4)).reason == "reducible"
         assert is_salem(_with_cyclotomic(2, SALEM_2)).reason == "reducible"
         assert calls == []
         assert is_salem(cyclotomic(5)).witness == (0, 0, 2)
-        assert calls == [cyclotomic(5)]
+        assert calls == [trace_transform(cyclotomic(5))]
         calls.clear()
         p = IntPoly((1, -1, 0, -4, 0, -1, 1))
         assert is_salem(p).witness == (1, 0, 0)
-        assert calls == [p]
+        assert calls == [trace_transform(p)]
 
 
 def _cubic_trace_sextic(a, b, c):
@@ -337,12 +340,32 @@ def _cubic_trace_sextic(a, b, c):
 
 def _sturm_salem_layout(p):
     """Whether _salem_trace(p) is not None, by its definition: the signs,
-    then trace_layout's Sturm chain."""
-    return p(1) < 0 < p(-1) and trace_layout(p)[1] == (1, 0, p.degree // 2 - 1)
+    then the Sturm chain of its trace polynomial."""
+    return p(1) < 0 < p(-1) and salem._sturm_layout(trace_transform(p)) == (1, 0, p.degree // 2 - 1)
+
+
+def _sympy_layout(t_poly):
+    """_sturm_layout(t_poly) from sympy's squarefree decomposition and
+    real-root isolation over ZZ: the distinct roots in (2, inf), (-inf, -2]
+    and (-2, 2].  A factor with an isolating interval that meets -2 or 2 is
+    isolated again in [2, inf) and (-inf, -2], ends included."""
+    n_hi = n_lo = n_mid = 0
+    _, factors = dup_sqf_list([ZZ(c) for c in reversed(t_poly.coeffs)], ZZ)
+    for g, _ in factors:
+        ivs = dup_isolate_real_roots_sqf(g, ZZ)
+        if any(a <= x <= b for a, b in ivs for x in (-2, 2)):
+            at_2 = IntPoly(map(int, reversed(g)))(2) == 0
+            hi = len(dup_isolate_real_roots_sqf(g, ZZ, inf=QQ(2))) - at_2
+            lo = len(dup_isolate_real_roots_sqf(g, ZZ, sup=QQ(-2)))
+        else:
+            hi = sum(a > 2 for a, _ in ivs)
+            lo = sum(b < -2 for _, b in ivs)
+        n_hi, n_lo, n_mid = n_hi + hi, n_lo + lo, n_mid + len(ivs) - hi - lo
+    return n_hi, n_lo, n_mid
 
 
 class TestSalemLayout:
-    """_salem_trace against trace_layout's Sturm chain."""
+    """_salem_trace against _sturm_layout's Sturm chain."""
 
     def test_every_trace_cubic_in_a_box(self):
         # each strict inequality of the closed form, disc T > 0,
@@ -376,6 +399,32 @@ class TestSalemLayout:
             t_poly = salem._salem_trace(p)
             assert (t_poly is not None) == _sturm_salem_layout(p), p
             assert t_poly is None or t_poly == trace_transform(p)
+
+    def test_sturm_layout_against_sympy(self):
+        # every reciprocal p in the boxes, and products with (t - 1)**2k and
+        # (t + 1)**2k, whose trace polynomials vanish k times at 2 and -2: a
+        # root at 2 counts between, one at -2 below, also where every entry
+        # of the chain vanishes, at a repeated root
+        polys = [
+            IntPoly((1, *h, *h[-2::-1], 1))
+            for degree, bound in ((4, 3), (6, 3), (8, 2), (10, 1), (12, 1))
+            for h in itertools.product(range(-bound, bound + 1), repeat=degree // 2)
+        ]
+        at_ends = (
+            IntPoly((-1, 1)) ** 2 * SALEM_2,
+            IntPoly((1, 1)) ** 2 * SALEM_2,
+            IntPoly((-1, 0, 1)) ** 2,
+            IntPoly((-1, 1)) ** 4 * cyclotomic(3),
+            IntPoly((1, 1)) ** 4 * cyclotomic(6),
+        )
+        layouts = [(1, 0, 1), (1, 1, 0), (0, 1, 1), (0, 0, 2), (0, 1, 1)]
+        assert [salem._sturm_layout(trace_transform(p)) for p in at_ends] == layouts
+        ends = set()
+        for p in polys + list(at_ends):
+            t_poly = trace_transform(p)
+            ends.update(x for x in (-2, 2) if t_poly(x) == 0)
+            assert salem._sturm_layout(t_poly) == _sympy_layout(t_poly), p
+        assert ends == {-2, 2}
 
 
 @st.composite
@@ -503,7 +552,7 @@ class TestLambda:
         # unseeded refinement about 17; a seeded one makes 4, at 1, at the
         # Cauchy bound and at the ends of the seed's cell
         certs = _salem_rows(2, 12) + _salem_rows(8, 1)
-        certs += [salem._salem_certificate(p)[0] for p in _salem_polys(3)]
+        certs += [salem._salem_certificate(p) for p in _salem_polys(3)]
         calls = []
         eval_qq = kern.eval_qq
 
